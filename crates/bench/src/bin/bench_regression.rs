@@ -103,6 +103,10 @@ const NET_SMOKE_QUERIES: usize = 2_048;
 /// Points quiesced into the served snapshot before the network smoke.
 const NET_SMOKE_WARM: usize = 1 << 13;
 
+/// Loopback `digest_since` round trips timed in the network smoke
+/// (recorded, never gated).
+const NET_SMOKE_DIGESTS: usize = 64;
+
 /// Effective parallelism of the network smoke: the querying client and
 /// the server reader thread answering it run concurrently (the acceptor
 /// idles once the one connection is up).
@@ -319,17 +323,18 @@ fn main() {
         threads: mixed.readers + 1,
         pps: mixed.points_per_sec,
     });
-    let net = scenarios::net_measure(NET_SMOKE_QUERIES, NET_SMOKE_WARM);
+    let net = scenarios::net_measure(NET_SMOKE_QUERIES, NET_SMOKE_WARM, NET_SMOKE_DIGESTS);
     println!(
         "smoke net_read_latency: local p50 {:.1} us / p99 {:.1} us, \
-         loopback p50 {:.1} us / p99 {:.1} us",
-        net.local_p50_us, net.local_p99_us, net.net_p50_us, net.net_p99_us
+         loopback p50 {:.1} us / p99 {:.1} us, digest ({} drifts) p50 {:.1} us",
+        net.local_p50_us,
+        net.local_p99_us,
+        net.net_p50_us,
+        net.net_p99_us,
+        net.digest_drifts,
+        net.digest_net_p50_us
     );
-    let net_json = format!(
-        "[{{\"queries\": {}, \"local_p50_us\": {:.2}, \"local_p99_us\": {:.2}, \
-         \"net_p50_us\": {:.2}, \"net_p99_us\": {:.2}}}]",
-        net.queries, net.local_p50_us, net.local_p99_us, net.net_p50_us, net.net_p99_us
-    );
+    let net_json = format!("[{}]", net.json_entry());
     // Latency gates inverted: the queries/sec implied by the loopback
     // p50 rides the same median-calibrated throughput comparison as
     // every other entry (a p50 that doubles halves the implied rate and

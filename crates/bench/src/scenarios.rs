@@ -12,8 +12,8 @@ use std::num::{NonZeroU64, NonZeroUsize};
 use edm_common::metric::{Euclidean, Metric};
 use edm_common::point::DenseVector;
 use edm_core::index::NeighborIndexKind;
-use edm_core::{EdmConfig, EdmStream};
-use edm_serve::{BackpressurePolicy, EdmServer, ServeConfig};
+use edm_core::{EdmConfig, EdmStream, TauMode};
+use edm_serve::{BackpressurePolicy, EdmServer, ServeConfig, ServeHandle};
 
 // ----- crowded 8-d steady state (`parallel_batch_ingest`) -----
 
@@ -419,6 +419,83 @@ pub struct NetRun {
     pub net_p50_us: f64,
     /// 99th-percentile loopback TCP `cluster_of` latency, microseconds.
     pub net_p99_us: f64,
+    /// Timed loopback `digest_since` round trips.
+    pub digest_queries: usize,
+    /// Mass drifts each timed digest answer carries.
+    pub digest_drifts: usize,
+    /// Median loopback TCP `digest_since` latency, microseconds.
+    pub digest_net_p50_us: f64,
+    /// 99th-percentile loopback TCP `digest_since` latency, microseconds.
+    pub digest_net_p99_us: f64,
+}
+
+impl NetRun {
+    /// This run as one entry of the `net_read_latency` section of
+    /// `BENCH_ingest.json`.
+    pub fn json_entry(&self) -> String {
+        format!(
+            "{{\"queries\": {}, \"local_p50_us\": {:.2}, \"local_p99_us\": {:.2}, \
+             \"net_p50_us\": {:.2}, \"net_p99_us\": {:.2}, \"digest_queries\": {}, \
+             \"digest_drifts\": {}, \"digest_net_p50_us\": {:.2}, \"digest_net_p99_us\": {:.2}}}",
+            self.queries,
+            self.local_p50_us,
+            self.local_p99_us,
+            self.net_p50_us,
+            self.net_p99_us,
+            self.digest_queries,
+            self.digest_drifts,
+            self.digest_net_p50_us,
+            self.digest_net_p99_us
+        )
+    }
+}
+
+/// Clusters of the digest snapshot [`net_measure`] serves: one per hot
+/// site of a 16-d [`highd_seed`] layout, each drifting in mass between
+/// publications — the evolution digest a remote monitor polls.
+pub const DIGEST_CLUSTERS: usize = 256;
+
+/// A quiesced served snapshot whose digest window holds a mass drift for
+/// each of [`DIGEST_CLUSTERS`] clusters, and the generation to digest
+/// from.
+fn digest_handle() -> (ServeHandle<DenseVector, Euclidean>, u64) {
+    // One cluster per site: the static τ sits above every within-site
+    // dependent distance (≤ 0.9) and below the 2.0 site spacing.
+    let cfg = EdmConfig::builder(0.5)
+        .rate(1_000.0)
+        .beta_for_threshold(3.0)
+        .age_adjusted_threshold(false)
+        .init_points(1)
+        .recycle_horizon(f64::MAX)
+        .tau_mode(TauMode::Static(1.4))
+        .build()
+        .expect("valid digest configuration");
+    let mut engine = EdmStream::new(cfg, Euclidean);
+    let mut t = 0.0;
+    let mut sweep = || -> Vec<(DenseVector, f64)> {
+        let mut batch = Vec::with_capacity(DIGEST_CLUSTERS * HIGHD_PER_CLUSTER);
+        for c in 0..DIGEST_CLUSTERS {
+            for k in 0..HIGHD_PER_CLUSTER {
+                t += 1e-4;
+                batch.push((highd_seed(c, k, SERVE_DIM), t));
+            }
+        }
+        batch
+    };
+    // Four sweeps clear the ≈ 3-point activation threshold everywhere.
+    for _ in 0..4 {
+        engine.insert_batch(&sweep());
+    }
+    let server = EdmServer::spawn(engine, ServeConfig::default());
+    // Each later sweep is one publication; every cluster's mass moves
+    // between them.
+    for _ in 0..4 {
+        server.ingest(sweep()).expect("Block ingest never fails");
+    }
+    let handle = server.handle();
+    server.shutdown().expect("writer survives the digest stream");
+    let (oldest, _) = handle.digest_generations().expect("evolution tracking is on by default");
+    (handle, oldest)
 }
 
 fn latency_percentiles(mut latencies_ns: Vec<u64>) -> (f64, f64) {
@@ -439,11 +516,14 @@ fn latency_percentiles(mut latencies_ns: Vec<u64>) -> (f64, f64) {
 /// reports both latency distributions. The delta is the whole cost of
 /// the network front end (frame codec + syscalls + loopback RTT); the
 /// answers themselves are identical by construction, which the loopback
-/// test suite locks down byte-for-byte.
+/// test suite locks down byte-for-byte. Next to the probe it times
+/// `digest_queries` loopback `digest_since` round trips whose answers
+/// carry a mass drift per cluster of a [`DIGEST_CLUSTERS`]-cluster
+/// snapshot: the large frame a remote monitor decodes.
 ///
 /// [`ServeHandle::cluster_of`]: edm_serve::ServeHandle::cluster_of
 /// [`NetClient`]: edm_serve::net::NetClient
-pub fn net_measure(queries: usize, warm_points: usize) -> NetRun {
+pub fn net_measure(queries: usize, warm_points: usize, digest_queries: usize) -> NetRun {
     use edm_serve::net::{NetClient, NetConfig, NetServer};
     use edm_serve::{Query, QueryResponse};
 
@@ -499,9 +579,39 @@ pub fn net_measure(queries: usize, warm_points: usize) -> NetRun {
     }
     net.shutdown();
 
+    let (handle, from) = digest_handle();
+    let net = NetServer::bind(handle, NetConfig::builder().build().expect("valid net config"))
+        .expect("bind loopback");
+    let mut client = NetClient::connect(net.local_addr()).expect("connect loopback");
+    let digest = Query::<DenseVector>::DigestSince { from };
+    let mut digest_ns = Vec::with_capacity(digest_queries);
+    let mut digest_drifts = 0;
+    for _ in 0..digest_queries {
+        let begin = std::time::Instant::now();
+        let response = client.query(&digest).expect("loopback digest");
+        digest_ns.push(begin.elapsed().as_nanos() as u64);
+        match response {
+            QueryResponse::Digest(d) => digest_drifts = d.drifts.len(),
+            other => panic!("digest_since answered {other:?}"),
+        }
+    }
+    assert!(digest_drifts >= DIGEST_CLUSTERS, "every cluster drifts: {digest_drifts} drifts");
+    net.shutdown();
+
     let (local_p50_us, local_p99_us) = latency_percentiles(local_ns);
     let (net_p50_us, net_p99_us) = latency_percentiles(net_ns);
-    NetRun { queries, local_p50_us, local_p99_us, net_p50_us, net_p99_us }
+    let (digest_net_p50_us, digest_net_p99_us) = latency_percentiles(digest_ns);
+    NetRun {
+        queries,
+        local_p50_us,
+        local_p99_us,
+        net_p50_us,
+        net_p99_us,
+        digest_queries,
+        digest_drifts,
+        digest_net_p50_us,
+        digest_net_p99_us,
+    }
 }
 
 #[cfg(test)]

@@ -70,6 +70,8 @@ pub mod swap;
 pub use config::{BackpressurePolicy, ServeConfig, ServeConfigBuilder, ServeConfigError};
 pub use error::ServeError;
 pub use publish::{Published, SnapshotPublisher, SnapshotSource};
-pub use query::{Assignment, ClusterMiss, HealthStatus, Query, QueryError, QueryResponse};
+pub use query::{
+    Assignment, ClusterMiss, DimensionMismatch, HealthStatus, Query, QueryError, QueryResponse,
+};
 pub use server::{EdmServer, ServeHandle};
 pub use stats::ServeStats;

@@ -32,7 +32,11 @@
 //!   `bad_query` / `oversized_frame` response frames (counted in
 //!   [`crate::ServeStats::net_protocol_errors`]); the connection
 //!   survives everything except an oversized prefix (whose payload
-//!   cannot be skipped safely).
+//!   cannot be skipped safely). Decoding is linear in the frame's bytes,
+//!   so even a frame at the size cap costs a reader milliseconds.
+//! - **Buffered frame I/O**: both ends read through a buffer, so a frame
+//!   that fits it (every request, most responses) arrives in one `read`
+//!   call, and write each frame with one call from a reused buffer.
 //! - **Graceful shutdown**: [`NetServer::shutdown`] stops the acceptor,
 //!   lets in-flight requests finish writing their response, answers
 //!   queued-but-unserved connections with a `shutting_down` frame, and
@@ -43,6 +47,7 @@ pub mod wire;
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,12 +55,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use edm_common::metric::Metric;
+use edm_common::point::GridCoords;
 
 use crate::query::{Query, QueryError, QueryResponse};
 use crate::server::ServeHandle;
 use wire::{
-    decode_query, decode_result, encode_query, encode_result, read_frame, write_frame, FrameError,
-    ProtocolError, WirePoint, WireResult,
+    decode_query, decode_result, read_frame, send_frame, write_frame, write_query, write_result,
+    FrameError, ProtocolError, WirePoint, WireResult,
 };
 
 /// Process-wide count of live network threads (acceptors + readers),
@@ -381,7 +387,7 @@ impl NetServer {
     /// into the same [`crate::ServeStats`] as in-process reads.
     pub fn bind<P, M>(handle: ServeHandle<P, M>, cfg: NetConfig) -> Result<NetServer, NetError>
     where
-        P: WirePoint + Send + Sync + 'static,
+        P: WirePoint + GridCoords + Send + Sync + 'static,
         M: Metric<P> + Clone + Send + 'static,
     {
         let listener = TcpListener::bind(cfg.addr()).map_err(NetError::Bind)?;
@@ -471,7 +477,7 @@ impl Drop for NetServer {
 
 fn acceptor_loop<P, M>(listener: TcpListener, handle: ServeHandle<P, M>, shared: Arc<NetShared>)
 where
-    P: WirePoint + Send + Sync + 'static,
+    P: WirePoint + GridCoords + Send + Sync + 'static,
     M: Metric<P> + Clone + Send + 'static,
 {
     let mut next_id: u64 = 0;
@@ -505,9 +511,10 @@ where
         if !admitted {
             c.add(&c.net_rejected_connections, 1);
             let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-            let busy = ProtocolError::Busy { max_connections: shared.cfg.max_connections as u64 };
-            let mut stream = stream;
-            let _ = write_frame(&mut stream, &encode_result(&Err(busy)));
+            refuse(
+                &stream,
+                ProtocolError::Busy { max_connections: shared.cfg.max_connections as u64 },
+            );
             continue;
         }
         c.add(&c.net_connections, 1);
@@ -522,8 +529,7 @@ where
         if pending.closed {
             drop(pending);
             shared.unregister(id);
-            let mut stream = stream;
-            let _ = write_frame(&mut stream, &encode_result(&Err(ProtocolError::ShuttingDown)));
+            refuse(&stream, ProtocolError::ShuttingDown);
             return;
         }
         pending.queue.push_back((id, stream));
@@ -534,7 +540,7 @@ where
 
 fn reader_loop<P, M>(handle: ServeHandle<P, M>, shared: Arc<NetShared>)
 where
-    P: WirePoint + Send + Sync + 'static,
+    P: WirePoint + GridCoords + Send + Sync + 'static,
     M: Metric<P> + Clone + Send + 'static,
 {
     loop {
@@ -550,24 +556,29 @@ where
                 pending = shared.available.wait(pending).unwrap();
             }
         };
-        let mut stream = stream;
         if shared.shutdown.load(SeqCst) {
             let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-            let _ = write_frame(&mut stream, &encode_result(&Err(ProtocolError::ShuttingDown)));
+            refuse(&stream, ProtocolError::ShuttingDown);
             shared.unregister(id);
             continue;
         }
-        serve_connection(&mut stream, &handle, &shared);
+        serve_connection(&stream, &handle, &shared);
         shared.unregister(id);
     }
+}
+
+/// Answers one typed refusal frame on a connection that is being dropped
+/// (best effort: the peer may already be gone).
+fn refuse(mut stream: &TcpStream, refusal: ProtocolError) {
+    let _ = send_frame(&mut stream, &mut Vec::new(), |out| write_result(out, &Err(refusal)));
 }
 
 /// Serves one connection to completion: sequential request frames, one
 /// response frame each, until EOF, timeout, shutdown, or an unskippable
 /// protocol error.
-fn serve_connection<P, M>(stream: &mut TcpStream, handle: &ServeHandle<P, M>, shared: &NetShared)
+fn serve_connection<P, M>(stream: &TcpStream, handle: &ServeHandle<P, M>, shared: &NetShared)
 where
-    P: WirePoint,
+    P: WirePoint + GridCoords,
     M: Metric<P>,
 {
     if stream.set_read_timeout(Some(shared.cfg.read_timeout)).is_err()
@@ -580,13 +591,17 @@ where
     // without the option, just slower).
     let _ = stream.set_nodelay(true);
     let c = handle.counters();
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
+    // Every response is encoded into this one buffer, behind its prefix.
+    let mut frame = Vec::new();
     loop {
         if shared.shutdown.load(SeqCst) {
             // The in-flight request (if any) was already answered below;
             // stop before reading a new one.
             return;
         }
-        let result: WireResult = match read_frame(stream, shared.cfg.max_frame_bytes) {
+        let result: WireResult = match read_frame(&mut reader, shared.cfg.max_frame_bytes) {
             Ok(payload) => match decode_query::<P>(&payload) {
                 Ok(query) => {
                     c.add(&c.net_queries, 1);
@@ -612,11 +627,11 @@ where
                     declared,
                     max: shared.cfg.max_frame_bytes as u64,
                 };
-                let _ = write_frame(stream, &encode_result(&Err(refusal)));
+                let _ = send_frame(&mut writer, &mut frame, |out| write_result(out, &Err(refusal)));
                 return;
             }
         };
-        if write_frame(stream, &encode_result(&result)).is_err() {
+        if send_frame(&mut writer, &mut frame, |out| write_result(out, &result)).is_err() {
             return;
         }
     }
@@ -631,7 +646,11 @@ where
 /// `serve_net` example; also a reference implementation for clients in
 /// other languages (the whole protocol is [`wire`]).
 pub struct NetClient {
-    stream: TcpStream,
+    /// Responses are read through this buffer, so one that fits it
+    /// arrives in one `read` call; requests go to the inner stream.
+    reader: BufReader<TcpStream>,
+    /// Request frame buffer, reused by every [`NetClient::query`].
+    frame: Vec<u8>,
     max_frame_bytes: usize,
 }
 
@@ -655,15 +674,20 @@ impl NetClient {
         // Small request frames + Nagle = delayed-ACK stalls; disable it
         // (best effort) on the client side too.
         let _ = stream.set_nodelay(true);
-        Ok(NetClient { stream, max_frame_bytes })
+        Ok(NetClient { reader: BufReader::new(stream), frame: Vec::new(), max_frame_bytes })
     }
 
     /// Sends one raw request payload and returns the raw response
     /// payload — the byte-level exchange the loopback equivalence test
     /// compares against a local [`wire::encode_result`].
     pub fn exchange(&mut self, request_payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        write_frame(&mut self.stream, request_payload).map_err(NetError::Io)?;
-        match read_frame(&mut self.stream, self.max_frame_bytes) {
+        write_frame(&mut self.reader.get_ref(), request_payload).map_err(NetError::Io)?;
+        self.receive()
+    }
+
+    /// Reads one response frame.
+    fn receive(&mut self) -> Result<Vec<u8>, NetError> {
+        match read_frame(&mut self.reader, self.max_frame_bytes) {
             Ok(payload) => Ok(payload),
             Err(FrameError::Closed) => Err(NetError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -684,7 +708,9 @@ impl NetClient {
     /// in-process `execute` would return — and protocol refusals as
     /// [`NetError::Protocol`].
     pub fn query<P: WirePoint>(&mut self, q: &Query<P>) -> Result<QueryResponse, NetError> {
-        let response = self.exchange(&encode_query(q))?;
+        send_frame(&mut self.reader.get_ref(), &mut self.frame, |out| write_query(out, q))
+            .map_err(NetError::Io)?;
+        let response = self.receive()?;
         match decode_result(&response) {
             Some(Ok(Ok(resp))) => Ok(resp),
             Some(Ok(Err(query_err))) => Err(NetError::Query(query_err)),

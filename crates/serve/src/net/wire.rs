@@ -29,19 +29,28 @@
 //!
 //! `{"ok":{"resp":<name>, …fields}}` on success, `{"err":{…}}` on a
 //! typed refusal. Query-layer refusals carry `"code":"evolve"` plus the
-//! structured [`EvolveError`]; transport-layer refusals (malformed
-//! frame, connection cap, shutdown) use the other
-//! [`ProtocolError`] codes. Encoding is deterministic (insertion-order
-//! fields, shortest-round-trip floats), so equal values encode to equal
-//! bytes — the loopback equivalence test compares raw frames.
+//! structured [`EvolveError`], or `"code":"dimension_mismatch"` with the
+//! `expected` and `got` dimensionalities of a `cluster_of` point;
+//! transport-layer refusals (malformed frame, connection cap, shutdown)
+//! use the other [`ProtocolError`] codes. Encoding is deterministic
+//! (fixed field order, shortest-round-trip floats), so equal values
+//! encode to equal bytes — the loopback equivalence test compares raw
+//! frames.
+//!
+//! # Cost
+//!
+//! Encoding writes each field straight into one byte buffer; decoding
+//! parses the payload once into one flat document (see [`super::json`]).
+//! Both are linear in the frame's bytes, so the largest frame the cap
+//! admits costs a reader thread milliseconds, whatever it holds.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::time::Duration;
 
 use edm_core::{EvolutionDigest, EvolveError, MassDrift, MergeEdge, SplitEdge};
 
-use super::json::Json;
-use crate::query::{Assignment, HealthStatus, Query, QueryError, QueryResponse};
+use super::json::{Document, Json, Writer};
+use crate::query::{Assignment, DimensionMismatch, HealthStatus, Query, QueryError, QueryResponse};
 use crate::stats::ServeStats;
 
 /// Payloads that can cross the wire as a flat `f64` coordinate list.
@@ -152,23 +161,29 @@ pub enum FrameError {
         declared: u64,
     },
     /// The stream errored or closed mid-frame (includes read timeouts).
-    Io(std::io::Error),
+    Io(io::Error),
 }
 
 /// Reads one length-prefixed frame, enforcing the size cap before any
 /// payload allocation.
+///
+/// Through a buffered reader (as [`crate::net::NetServer`] and
+/// [`crate::net::NetClient`] read), a frame that fits the buffer costs one
+/// `read` call: the prefix read fills the buffer with the payload too.
 pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> Result<Vec<u8>, FrameError> {
     let mut len_buf = [0u8; 4];
+    let mut filled = 0;
     // A clean EOF before any prefix byte = peer is done; mid-prefix or
-    // mid-payload EOF is an I/O error (truncated frame).
-    match r.read(&mut len_buf) {
-        Ok(0) => return Err(FrameError::Closed),
-        Ok(n) => {
-            if n < 4 {
-                r.read_exact(&mut len_buf[n..]).map_err(FrameError::Io)?;
-            }
+    // mid-payload EOF is an I/O error (truncated frame). A signal
+    // interrupting the wait is retried, not taken for a dead peer.
+    while filled < len_buf.len() {
+        match r.read(&mut len_buf[filled..]) {
+            Ok(0) if filled == 0 => return Err(FrameError::Closed),
+            Ok(0) => return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into())),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
         }
-        Err(e) => return Err(FrameError::Io(e)),
     }
     let declared = u32::from_be_bytes(len_buf) as u64;
     if declared > max_bytes as u64 {
@@ -179,21 +194,36 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> Result<Vec<u8>, FrameE
     Ok(payload)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame around an already-encoded payload.
+/// The payload is copied behind the prefix so the frame goes out in one
+/// write. The server and [`crate::net::NetClient::query`] encode straight
+/// into their frame buffers instead.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    send_frame(w, &mut Vec::new(), |out| out.extend_from_slice(payload))
+}
+
+/// Encodes one message into `frame` behind a reserved length prefix,
+/// fills the prefix in, and writes the frame in one `write_all`. `frame`
+/// is cleared first, so a connection reuses one buffer for every frame.
 ///
-/// Prefix and payload go out in a single `write_all` — two writes would
-/// put them in separate TCP segments, and Nagle's algorithm holding the
-/// second until the first is ACKed (itself delayed ~40 ms by the peer)
-/// turns every frame into a stall. `NetServer`/`NetClient` additionally
-/// set `TCP_NODELAY`, but coalescing keeps the codec fast even on raw
-/// streams that don't.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+/// One write matters: prefix and payload written separately would go out
+/// as separate TCP segments, and Nagle's algorithm holding the second
+/// until the first is ACKed (itself delayed ~40 ms by the peer) turns
+/// every frame into a stall. `NetServer`/`NetClient` additionally set
+/// `TCP_NODELAY`, but coalescing keeps the codec fast even on raw streams
+/// that don't.
+pub(crate) fn send_frame(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0; 4]);
+    encode(frame);
+    let len = u32::try_from(frame.len() - 4)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(frame)?;
     w.flush()
 }
 
@@ -203,24 +233,32 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 
 /// Encodes one query as a request payload.
 pub fn encode_query<P: WirePoint>(q: &Query<P>) -> Vec<u8> {
-    let mut fields = vec![("q".to_string(), Json::str(q.name()))];
-    match q {
-        Query::ClusterOf { point } => {
-            fields.push(("point".into(), Json::f64_arr(&point.to_wire())));
+    let mut out = Vec::new();
+    write_query(&mut out, q);
+    out
+}
+
+/// Appends the request payload of `q` to `out`.
+pub(crate) fn write_query<P: WirePoint>(out: &mut Vec<u8>, q: &Query<P>) {
+    Writer::new(out).obj(|w| {
+        w.key("q").str(q.name());
+        match q {
+            Query::ClusterOf { point } => w.key("point").f64s(&point.to_wire()),
+            Query::DigestSince { from } => w.key("from").u64(*from),
+            Query::DigestBetween { from, to } => {
+                w.key("from").u64(*from);
+                w.key("to").u64(*to);
+            }
+            _ => {}
         }
-        Query::DigestSince { from } => fields.push(("from".into(), Json::u64(*from))),
-        Query::DigestBetween { from, to } => {
-            fields.push(("from".into(), Json::u64(*from)));
-            fields.push(("to".into(), Json::u64(*to)));
-        }
-        _ => {}
-    }
-    Json::Obj(fields).encode().into_bytes()
+    });
 }
 
 /// Decodes a request payload into a query, or says precisely why not.
 pub fn decode_query<P: WirePoint>(payload: &[u8]) -> Result<Query<P>, ProtocolError> {
-    let v = Json::parse(payload).map_err(|e| ProtocolError::BadJson { detail: e.to_string() })?;
+    let doc =
+        Document::parse(payload).map_err(|e| ProtocolError::BadJson { detail: e.to_string() })?;
+    let v = doc.root();
     let bad = |detail: &str| ProtocolError::BadQuery { detail: detail.to_string() };
     let tag = v.get("q").and_then(Json::as_str).ok_or_else(|| bad("missing \"q\" tag"))?;
     let u64_field = |name: &str| {
@@ -254,47 +292,41 @@ pub fn decode_query<P: WirePoint>(payload: &[u8]) -> Result<Query<P>, ProtocolEr
 // response encoding
 // ---------------------------------------------------------------------
 
-fn digest_json(d: &EvolutionDigest) -> Json {
-    let merge = |m: &MergeEdge| {
-        Json::Obj(vec![
-            ("t".into(), Json::f64(m.t)),
-            ("from".into(), Json::u64_arr(&m.from)),
-            ("into".into(), Json::u64(m.into)),
-        ])
-    };
-    let split = |s: &SplitEdge| {
-        Json::Obj(vec![
-            ("t".into(), Json::f64(s.t)),
-            ("from".into(), Json::u64(s.from)),
-            ("into".into(), Json::u64_arr(&s.into)),
-        ])
-    };
-    let drift = |dr: &MassDrift| {
-        Json::Obj(vec![
-            ("cluster".into(), Json::u64(dr.cluster)),
-            ("from_mass".into(), Json::f64(dr.from_mass)),
-            ("to_mass".into(), Json::f64(dr.to_mass)),
-        ])
-    };
-    Json::Obj(vec![
-        ("from_generation".into(), Json::u64(d.from_generation)),
-        ("to_generation".into(), Json::u64(d.to_generation)),
-        ("from_t".into(), Json::f64(d.from_t)),
-        ("to_t".into(), Json::f64(d.to_t)),
-        ("births".into(), Json::u64_arr(&d.births)),
-        ("deaths".into(), Json::u64_arr(&d.deaths)),
-        ("merges".into(), Json::Arr(d.merges.iter().map(merge).collect())),
-        ("splits".into(), Json::Arr(d.splits.iter().map(split).collect())),
-        ("adjustments".into(), Json::u64(d.adjustments)),
-        ("drifts".into(), Json::Arr(d.drifts.iter().map(drift).collect())),
-    ])
+fn write_digest(w: &mut Writer<'_>, d: &EvolutionDigest) {
+    w.key("from_generation").u64(d.from_generation);
+    w.key("to_generation").u64(d.to_generation);
+    w.key("from_t").f64(d.from_t);
+    w.key("to_t").f64(d.to_t);
+    w.key("births").u64s(&d.births);
+    w.key("deaths").u64s(&d.deaths);
+    w.key("merges").arr(&d.merges, |w, m| {
+        w.obj(|w| {
+            w.key("t").f64(m.t);
+            w.key("from").u64s(&m.from);
+            w.key("into").u64(m.into);
+        })
+    });
+    w.key("splits").arr(&d.splits, |w, s| {
+        w.obj(|w| {
+            w.key("t").f64(s.t);
+            w.key("from").u64(s.from);
+            w.key("into").u64s(&s.into);
+        })
+    });
+    w.key("adjustments").u64(d.adjustments);
+    w.key("drifts").arr(&d.drifts, |w, dr| {
+        w.obj(|w| {
+            w.key("cluster").u64(dr.cluster);
+            w.key("from_mass").f64(dr.from_mass);
+            w.key("to_mass").f64(dr.to_mass);
+        })
+    });
 }
 
-fn digest_from_json(v: &Json) -> Option<EvolutionDigest> {
+fn digest_from_json(v: Json<'_, '_>) -> Option<EvolutionDigest> {
     let merges = v
         .get("merges")?
-        .as_arr()?
-        .iter()
+        .elements()?
         .map(|m| {
             Some(MergeEdge {
                 t: m.get("t")?.as_f64()?,
@@ -305,8 +337,7 @@ fn digest_from_json(v: &Json) -> Option<EvolutionDigest> {
         .collect::<Option<Vec<_>>>()?;
     let splits = v
         .get("splits")?
-        .as_arr()?
-        .iter()
+        .elements()?
         .map(|s| {
             Some(SplitEdge {
                 t: s.get("t")?.as_f64()?,
@@ -317,8 +348,7 @@ fn digest_from_json(v: &Json) -> Option<EvolutionDigest> {
         .collect::<Option<Vec<_>>>()?;
     let drifts = v
         .get("drifts")?
-        .as_arr()?
-        .iter()
+        .elements()?
         .map(|d| {
             Some(MassDrift {
                 cluster: d.get("cluster")?.as_u64()?,
@@ -341,31 +371,29 @@ fn digest_from_json(v: &Json) -> Option<EvolutionDigest> {
     })
 }
 
-fn stats_json(s: &ServeStats) -> Json {
-    Json::Obj(vec![
-        ("generation".into(), Json::u64(s.generation)),
-        ("snapshot_age_us".into(), Json::u64(s.snapshot_age.as_micros() as u64)),
-        ("queue_depth".into(), Json::u64(s.queue_depth as u64)),
-        ("queue_depth_hwm".into(), Json::u64(s.queue_depth_hwm as u64)),
-        ("enqueued_points".into(), Json::u64(s.enqueued_points)),
-        ("ingested_points".into(), Json::u64(s.ingested_points)),
-        ("dropped_points".into(), Json::u64(s.dropped_points)),
-        ("rejected_points".into(), Json::u64(s.rejected_points)),
-        ("reads_cluster_of".into(), Json::u64(s.reads_cluster_of)),
-        ("reads_n_clusters".into(), Json::u64(s.reads_n_clusters)),
-        ("reads_decision_graph".into(), Json::u64(s.reads_decision_graph)),
-        ("reads_snapshot".into(), Json::u64(s.reads_snapshot)),
-        ("reads_digest".into(), Json::u64(s.reads_digest)),
-        ("net_connections".into(), Json::u64(s.net_connections)),
-        ("net_connections_rejected".into(), Json::u64(s.net_connections_rejected)),
-        ("net_queries".into(), Json::u64(s.net_queries)),
-        ("net_query_errors".into(), Json::u64(s.net_query_errors)),
-        ("net_protocol_errors".into(), Json::u64(s.net_protocol_errors)),
-        ("poisoned".into(), Json::Bool(s.poisoned)),
-    ])
+fn write_stats(w: &mut Writer<'_>, s: &ServeStats) {
+    w.key("generation").u64(s.generation);
+    w.key("snapshot_age_us").u64(s.snapshot_age.as_micros() as u64);
+    w.key("queue_depth").u64(s.queue_depth as u64);
+    w.key("queue_depth_hwm").u64(s.queue_depth_hwm as u64);
+    w.key("enqueued_points").u64(s.enqueued_points);
+    w.key("ingested_points").u64(s.ingested_points);
+    w.key("dropped_points").u64(s.dropped_points);
+    w.key("rejected_points").u64(s.rejected_points);
+    w.key("reads_cluster_of").u64(s.reads_cluster_of);
+    w.key("reads_n_clusters").u64(s.reads_n_clusters);
+    w.key("reads_decision_graph").u64(s.reads_decision_graph);
+    w.key("reads_snapshot").u64(s.reads_snapshot);
+    w.key("reads_digest").u64(s.reads_digest);
+    w.key("net_connections").u64(s.net_connections);
+    w.key("net_connections_rejected").u64(s.net_connections_rejected);
+    w.key("net_queries").u64(s.net_queries);
+    w.key("net_query_errors").u64(s.net_query_errors);
+    w.key("net_protocol_errors").u64(s.net_protocol_errors);
+    w.key("poisoned").bool(s.poisoned);
 }
 
-fn stats_from_json(v: &Json) -> Option<ServeStats> {
+fn stats_from_json(v: Json<'_, '_>) -> Option<ServeStats> {
     Some(ServeStats {
         generation: v.get("generation")?.as_u64()?,
         snapshot_age: Duration::from_micros(v.get("snapshot_age_us")?.as_u64()?),
@@ -389,50 +417,40 @@ fn stats_from_json(v: &Json) -> Option<ServeStats> {
     })
 }
 
-fn response_json(r: &QueryResponse) -> Json {
-    let mut fields = vec![("resp".to_string(), Json::str(r.name()))];
+fn write_response(w: &mut Writer<'_>, r: &QueryResponse) {
+    w.key("resp").str(r.name());
     match r {
-        QueryResponse::ClusterOf(a) => {
-            let outcome = match a {
-                Assignment::Member { cluster, distance } => Json::Obj(vec![
-                    ("kind".into(), Json::str("member")),
-                    ("cluster".into(), Json::u64(*cluster)),
-                    ("distance".into(), Json::f64(*distance)),
-                ]),
-                Assignment::EmptySnapshot => {
-                    Json::Obj(vec![("kind".into(), Json::str("empty_snapshot"))])
-                }
-                Assignment::OutOfRadius { nearest, r } => Json::Obj(vec![
-                    ("kind".into(), Json::str("out_of_radius")),
-                    ("nearest".into(), Json::f64(*nearest)),
-                    ("r".into(), Json::f64(*r)),
-                ]),
-            };
-            fields.push(("outcome".into(), outcome));
-        }
-        QueryResponse::NClusters(n) => fields.push(("n".into(), Json::u64(*n as u64))),
-        QueryResponse::DecisionGraph { rho, delta } => {
-            fields.push(("rho".into(), Json::f64_arr(rho)));
-            fields.push(("delta".into(), Json::f64_arr(delta)));
-        }
-        QueryResponse::Digest(d) => fields.push(("digest".into(), digest_json(d))),
-        QueryResponse::Generation(g) => fields.push(("generation".into(), Json::u64(*g))),
-        QueryResponse::SnapshotAge(age) => {
-            fields.push(("micros".into(), Json::u64(age.as_micros() as u64)));
-        }
-        QueryResponse::Stats(s) => fields.push(("stats".into(), stats_json(s))),
-        QueryResponse::Health(h) => match h {
-            HealthStatus::Ok => fields.push(("ok".into(), Json::Bool(true))),
-            HealthStatus::WriterPanicked { message } => {
-                fields.push(("ok".into(), Json::Bool(false)));
-                fields.push(("message".into(), Json::str(message.clone())));
+        QueryResponse::ClusterOf(a) => w.key("outcome").obj(|w| match a {
+            Assignment::Member { cluster, distance } => {
+                w.key("kind").str("member");
+                w.key("cluster").u64(*cluster);
+                w.key("distance").f64(*distance);
             }
-        },
+            Assignment::EmptySnapshot => w.key("kind").str("empty_snapshot"),
+            Assignment::OutOfRadius { nearest, r } => {
+                w.key("kind").str("out_of_radius");
+                w.key("nearest").f64(*nearest);
+                w.key("r").f64(*r);
+            }
+        }),
+        QueryResponse::NClusters(n) => w.key("n").u64(*n as u64),
+        QueryResponse::DecisionGraph { rho, delta } => {
+            w.key("rho").f64s(rho);
+            w.key("delta").f64s(delta);
+        }
+        QueryResponse::Digest(d) => w.key("digest").obj(|w| write_digest(w, d)),
+        QueryResponse::Generation(g) => w.key("generation").u64(*g),
+        QueryResponse::SnapshotAge(age) => w.key("micros").u64(age.as_micros() as u64),
+        QueryResponse::Stats(s) => w.key("stats").obj(|w| write_stats(w, s)),
+        QueryResponse::Health(HealthStatus::Ok) => w.key("ok").bool(true),
+        QueryResponse::Health(HealthStatus::WriterPanicked { message }) => {
+            w.key("ok").bool(false);
+            w.key("message").str(message);
+        }
     }
-    Json::Obj(fields)
 }
 
-fn response_from_json(v: &Json) -> Option<QueryResponse> {
+fn response_from_json(v: Json<'_, '_>) -> Option<QueryResponse> {
     match v.get("resp")?.as_str()? {
         "cluster_of" => {
             let o = v.get("outcome")?;
@@ -473,51 +491,43 @@ fn response_from_json(v: &Json) -> Option<QueryResponse> {
     }
 }
 
-fn evolve_json(e: &EvolveError) -> Json {
-    let f = |kind: &str, rest: Vec<(String, Json)>| {
-        let mut fields = vec![("kind".to_string(), Json::str(kind))];
-        fields.extend(rest);
-        Json::Obj(fields)
+fn write_evolve(w: &mut Writer<'_>, e: &EvolveError) {
+    let kind = match e {
+        EvolveError::EvolutionDisabled => "evolution_disabled",
+        EvolveError::EventsLost { .. } => "events_lost",
+        EvolveError::UnknownCluster { .. } => "unknown_cluster",
+        EvolveError::NoGenerations => "no_generations",
+        EvolveError::FutureGeneration { .. } => "future_generation",
+        EvolveError::EvictedGeneration { .. } => "evicted_generation",
+        EvolveError::InvertedWindow { .. } => "inverted_window",
+        EvolveError::LossyWindow { .. } => "lossy_window",
     };
-    match e {
-        EvolveError::EvolutionDisabled => f("evolution_disabled", vec![]),
-        EvolveError::EventsLost { lost } => {
-            f("events_lost", vec![("lost".into(), Json::u64(*lost))])
+    w.key("kind").str(kind);
+    match *e {
+        EvolveError::EvolutionDisabled | EvolveError::NoGenerations => {}
+        EvolveError::EventsLost { lost } => w.key("lost").u64(lost),
+        EvolveError::UnknownCluster { cluster } => w.key("cluster").u64(cluster),
+        EvolveError::FutureGeneration { requested, latest } => {
+            w.key("requested").u64(requested);
+            w.key("latest").u64(latest);
         }
-        EvolveError::UnknownCluster { cluster } => {
-            f("unknown_cluster", vec![("cluster".into(), Json::u64(*cluster))])
+        EvolveError::EvictedGeneration { requested, oldest } => {
+            w.key("requested").u64(requested);
+            w.key("oldest").u64(oldest);
         }
-        EvolveError::NoGenerations => f("no_generations", vec![]),
-        EvolveError::FutureGeneration { requested, latest } => f(
-            "future_generation",
-            vec![
-                ("requested".into(), Json::u64(*requested)),
-                ("latest".into(), Json::u64(*latest)),
-            ],
-        ),
-        EvolveError::EvictedGeneration { requested, oldest } => f(
-            "evicted_generation",
-            vec![
-                ("requested".into(), Json::u64(*requested)),
-                ("oldest".into(), Json::u64(*oldest)),
-            ],
-        ),
-        EvolveError::InvertedWindow { from, to } => f(
-            "inverted_window",
-            vec![("from".into(), Json::u64(*from)), ("to".into(), Json::u64(*to))],
-        ),
-        EvolveError::LossyWindow { from, to, lost } => f(
-            "lossy_window",
-            vec![
-                ("from".into(), Json::u64(*from)),
-                ("to".into(), Json::u64(*to)),
-                ("lost".into(), Json::u64(*lost)),
-            ],
-        ),
+        EvolveError::InvertedWindow { from, to } => {
+            w.key("from").u64(from);
+            w.key("to").u64(to);
+        }
+        EvolveError::LossyWindow { from, to, lost } => {
+            w.key("from").u64(from);
+            w.key("to").u64(to);
+            w.key("lost").u64(lost);
+        }
     }
 }
 
-fn evolve_from_json(v: &Json) -> Option<EvolveError> {
+fn evolve_from_json(v: Json<'_, '_>) -> Option<EvolveError> {
     let u = |name: &str| v.get(name).and_then(Json::as_u64);
     Some(match v.get("kind")?.as_str()? {
         "evolution_disabled" => EvolveError::EvolutionDisabled,
@@ -538,54 +548,67 @@ fn evolve_from_json(v: &Json) -> Option<EvolveError> {
     })
 }
 
-fn error_json(code: &str, fields: Vec<(String, Json)>) -> Json {
-    let mut inner = vec![("code".to_string(), Json::str(code))];
-    inner.extend(fields);
-    Json::Obj(vec![("err".into(), Json::Obj(inner))])
-}
-
 /// Encodes a full wire result (query outcome or protocol refusal) as a
 /// response payload.
 pub fn encode_result(r: &WireResult) -> Vec<u8> {
-    let v = match r {
-        Ok(Ok(resp)) => Json::Obj(vec![("ok".into(), response_json(resp))]),
-        Ok(Err(QueryError::Evolve(e))) => {
-            error_json("evolve", vec![("evolve".into(), evolve_json(e))])
-        }
-        Err(p) => {
-            let mut fields = vec![("message".to_string(), Json::str(p.to_string()))];
+    let mut out = Vec::new();
+    write_result(&mut out, r);
+    out
+}
+
+/// Appends the response payload of `r` to `out`.
+pub(crate) fn write_result(out: &mut Vec<u8>, r: &WireResult) {
+    Writer::new(out).obj(|w| match r {
+        Ok(Ok(resp)) => w.key("ok").obj(|w| write_response(w, resp)),
+        Ok(Err(e)) => w.key("err").obj(|w| {
+            w.key("code").str(e.code());
+            match e {
+                QueryError::Evolve(e) => w.key("evolve").obj(|w| write_evolve(w, e)),
+                QueryError::DimensionMismatch(m) => {
+                    w.key("expected").u64(m.expected as u64);
+                    w.key("got").u64(m.got as u64);
+                }
+            }
+        }),
+        Err(p) => w.key("err").obj(|w| {
+            w.key("code").str(p.code());
+            w.key("message").str(&p.to_string());
             match p {
                 ProtocolError::OversizedFrame { declared, max } => {
-                    fields.push(("declared".into(), Json::u64(*declared)));
-                    fields.push(("max".into(), Json::u64(*max)));
+                    w.key("declared").u64(*declared);
+                    w.key("max").u64(*max);
                 }
                 ProtocolError::Busy { max_connections } => {
-                    fields.push(("max_connections".into(), Json::u64(*max_connections)));
+                    w.key("max_connections").u64(*max_connections);
                 }
                 ProtocolError::BadJson { detail } | ProtocolError::BadQuery { detail } => {
-                    fields.push(("detail".into(), Json::str(detail.clone())));
+                    w.key("detail").str(detail);
                 }
                 ProtocolError::ShuttingDown => {}
             }
-            error_json(p.code(), fields)
-        }
-    };
-    v.encode().into_bytes()
+        }),
+    });
 }
 
 /// Decodes a response payload back into the full wire result. `None`
 /// means the payload does not follow the protocol at all (a client
 /// talking to something that is not this server).
 pub fn decode_result(payload: &[u8]) -> Option<WireResult> {
-    let v = Json::parse(payload).ok()?;
+    let doc = Document::parse(payload).ok()?;
+    let v = doc.root();
     if let Some(ok) = v.get("ok") {
         return Some(Ok(Ok(response_from_json(ok)?)));
     }
     let err = v.get("err")?;
     let code = err.get("code")?.as_str()?;
     let detail = || err.get("detail").and_then(Json::as_str).unwrap_or("").to_string();
+    let usize_field = |name: &str| usize::try_from(err.get(name)?.as_u64()?).ok();
     Some(match code {
         "evolve" => Ok(Err(QueryError::Evolve(evolve_from_json(err.get("evolve")?)?))),
+        "dimension_mismatch" => Ok(Err(QueryError::DimensionMismatch(DimensionMismatch {
+            expected: usize_field("expected")?,
+            got: usize_field("got")?,
+        }))),
         "oversized_frame" => Err(ProtocolError::OversizedFrame {
             declared: err.get("declared")?.as_u64()?,
             max: err.get("max")?.as_u64()?,
@@ -619,6 +642,38 @@ mod tests {
         assert!(matches!(read_frame(&mut &[][..], 1024), Err(FrameError::Closed)));
         let truncated = &buf[..6];
         assert!(matches!(read_frame(&mut &truncated[..], 1024), Err(FrameError::Io(_))));
+    }
+
+    /// A stream that fails its first read with `Interrupted` and then
+    /// returns at most `chunk` bytes per read.
+    struct Trickle {
+        data: Vec<u8>,
+        at: usize,
+        chunk: usize,
+        interrupted: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.chunk).min(self.data.len() - self.at);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn interrupted_and_short_reads_are_retried() {
+        // A signal landing while a reader waits for the next prefix is not
+        // a dead peer; nor are prefixes and payloads split across reads.
+        let mut frame = Vec::new();
+        write_frame(&mut frame, b"hello").unwrap();
+        let mut slow = Trickle { data: frame, at: 0, chunk: 1, interrupted: false };
+        assert_eq!(read_frame(&mut slow, 1024).unwrap(), b"hello");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use edm_core::cell::CellId;
 use edm_core::evolution::ClusterId;
 use edm_core::{ClusterSnapshot, DigestWindow, EdmStream, EvolutionDigest, EvolveError};
 
-use crate::query::Assignment;
+use crate::query::{Assignment, DimensionMismatch};
 use crate::swap::SwapCell;
 
 /// One published view: a frozen snapshot plus the point-level lookup
@@ -32,6 +32,9 @@ pub struct Published<P> {
     members: Vec<(CellId, ClusterId, P)>,
     /// Cell radius: the assignment cutoff for `cluster_of`.
     r: f64,
+    /// Coordinate count of the member seeds; `None` when there are no
+    /// members or the payload has no coordinates (token sets).
+    dim: Option<usize>,
     /// `Arc`-shared view of the engine's sealed generation records at
     /// freeze time; readers compute evolution digests from it without
     /// ever re-entering (or blocking) the writer.
@@ -56,10 +59,13 @@ impl<P> Published<P> {
         }
         members.sort_by_key(|&(cell, _, _)| cell);
         let r = engine.config().r();
+        // Every payload of a stream has the same dimensionality
+        // (`GridCoords` contract), so the first member speaks for all.
+        let dim = members.first().and_then(|(_, _, seed)| seed.grid_coords()).map(<[f64]>::len);
         // After publish_snapshot: the window includes the record this
         // very publication just sealed.
         let window = engine.digest_window();
-        Published { snapshot, members, r, window, published_at: Instant::now() }
+        Published { snapshot, members, r, dim, window, published_at: Instant::now() }
     }
 
     /// The frozen cluster snapshot.
@@ -115,21 +121,38 @@ impl<P> Published<P> {
     /// The cluster a fresh point would join: the cluster of the nearest
     /// published seed within `r` under `metric` (ties broken toward the
     /// lower cell id, matching the engine's assignment scan). `None`
-    /// means the point would currently be an outlier.
+    /// means the point would currently be an outlier, or that it has
+    /// another dimensionality than the members ([`Published::assign`]
+    /// tells the two apart).
     ///
     /// This answers from the *published* state — a point ingested after
     /// the snapshot froze may land elsewhere once the next generation is
     /// published; that staleness window is the serving tradeoff
     /// (`ServeConfig::publish_every_batches`).
-    pub fn cluster_of<M: Metric<P>>(&self, p: &P, metric: &M) -> Option<ClusterId> {
-        self.assign(p, metric).membership()
+    pub fn cluster_of<M: Metric<P>>(&self, p: &P, metric: &M) -> Option<ClusterId>
+    where
+        P: GridCoords,
+    {
+        self.assign(p, metric).ok()?.membership()
     }
 
     /// [`Published::cluster_of`] with the miss reason kept: the same
     /// nearest-seed-within-`r` scan, but a miss distinguishes an empty
     /// snapshot (nothing clustered yet) from a genuine outlier, and a
-    /// hit reports the winning distance.
-    pub fn assign<M: Metric<P>>(&self, p: &P, metric: &M) -> Assignment {
+    /// hit reports the winning distance. A point whose coordinate count
+    /// differs from the members' is refused before any distance is
+    /// taken: the kernels compare coordinate by coordinate, so against a
+    /// shorter or longer seed they would index past its end (a panic) or
+    /// silently ignore the coordinates the two do not share.
+    pub fn assign<M: Metric<P>>(&self, p: &P, metric: &M) -> Result<Assignment, DimensionMismatch>
+    where
+        P: GridCoords,
+    {
+        if let (Some(expected), Some(coords)) = (self.dim, p.grid_coords()) {
+            if coords.len() != expected {
+                return Err(DimensionMismatch { expected, got: coords.len() });
+            }
+        }
         let mut best: Option<(f64, ClusterId)> = None;
         for (_, cluster, seed) in &self.members {
             let d = metric.dist(p, seed);
@@ -139,11 +162,11 @@ impl<P> Published<P> {
                 best = Some((d, *cluster));
             }
         }
-        match best {
+        Ok(match best {
             None => Assignment::EmptySnapshot,
             Some((d, cluster)) if d <= self.r => Assignment::Member { cluster, distance: d },
             Some((d, _)) => Assignment::OutOfRadius { nearest: d, r: self.r },
-        }
+        })
     }
 }
 

@@ -133,6 +133,8 @@ pub enum ClusterMiss {
         /// The cell radius the point failed to reach.
         r: f64,
     },
+    /// The point cannot be compared with the published seeds at all.
+    DimensionMismatch(DimensionMismatch),
 }
 
 impl std::fmt::Display for ClusterMiss {
@@ -144,11 +146,36 @@ impl std::fmt::Display for ClusterMiss {
             ClusterMiss::OutOfRadius { nearest, r } => {
                 write!(f, "nearest published seed at distance {nearest} exceeds the radius {r}")
             }
+            ClusterMiss::DimensionMismatch(m) => m.fmt(f),
         }
     }
 }
 
 impl std::error::Error for ClusterMiss {}
+
+/// A [`Query::ClusterOf`] point whose dimensionality differs from the
+/// published member seeds'. Distances between such points mean nothing
+/// (the kernels compare coordinate by coordinate), so the probe is
+/// refused instead of answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DimensionMismatch {
+    /// Dimensionality of the published member seeds.
+    pub expected: usize,
+    /// Dimensionality of the refused point.
+    pub got: usize,
+}
+
+impl std::fmt::Display for DimensionMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "point has {} coordinates but the published members have {}",
+            self.got, self.expected
+        )
+    }
+}
+
+impl std::error::Error for DimensionMismatch {}
 
 /// The writer thread's liveness, as a value (the query form of
 /// [`crate::ServeHandle::health`]).
@@ -227,12 +254,26 @@ pub enum QueryError {
     /// A digest query hit the bounded evolution history's contract
     /// (window evicted, future generation, tracking disabled, …).
     Evolve(EvolveError),
+    /// A `ClusterOf` point of another dimensionality than the published
+    /// members.
+    DimensionMismatch(DimensionMismatch),
+}
+
+impl QueryError {
+    /// Stable wire code of the variant (the `"code"` of its error frame).
+    pub fn code(&self) -> &'static str {
+        match self {
+            QueryError::Evolve(_) => "evolve",
+            QueryError::DimensionMismatch(_) => "dimension_mismatch",
+        }
+    }
 }
 
 impl std::fmt::Display for QueryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             QueryError::Evolve(e) => write!(f, "evolution query refused: {e}"),
+            QueryError::DimensionMismatch(m) => write!(f, "cluster_of refused: {m}"),
         }
     }
 }
@@ -242,6 +283,12 @@ impl std::error::Error for QueryError {}
 impl From<EvolveError> for QueryError {
     fn from(e: EvolveError) -> Self {
         QueryError::Evolve(e)
+    }
+}
+
+impl From<DimensionMismatch> for QueryError {
+    fn from(m: DimensionMismatch) -> Self {
+        QueryError::DimensionMismatch(m)
     }
 }
 
@@ -270,6 +317,10 @@ mod tests {
         assert!(miss.to_string().contains("2"));
         let err = QueryError::Evolve(EvolveError::NoGenerations);
         assert!(err.to_string().contains("refused"));
+        let mismatch = DimensionMismatch { expected: 16, got: 3 };
+        assert!(QueryError::from(mismatch).to_string().contains("3 coordinates"));
+        assert_eq!(QueryError::from(mismatch).code(), "dimension_mismatch");
+        assert_eq!(ClusterMiss::DimensionMismatch(mismatch).to_string(), mismatch.to_string());
         assert!(HealthStatus::Ok.is_ok());
         assert!(!HealthStatus::WriterPanicked { message: "boom".into() }.is_ok());
     }

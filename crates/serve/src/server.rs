@@ -25,7 +25,9 @@ use edm_core::EdmStream;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::publish::{Published, SnapshotPublisher, SnapshotSource};
-use crate::query::{Assignment, ClusterMiss, HealthStatus, Query, QueryError, QueryResponse};
+use crate::query::{
+    Assignment, ClusterMiss, DimensionMismatch, HealthStatus, Query, QueryError, QueryResponse,
+};
 use crate::queue::{BatchQueue, Popped, PushOutcome};
 use crate::stats::{Counters, ServeStats};
 
@@ -285,7 +287,7 @@ impl<P, M: Metric<P> + Clone> Clone for ServeHandle<P, M> {
     }
 }
 
-impl<P, M: Metric<P>> ServeHandle<P, M> {
+impl<P: GridCoords, M: Metric<P>> ServeHandle<P, M> {
     /// Evaluates one typed [`Query`] against the latest published
     /// snapshot — **the** evaluation path of the serving tier. Every
     /// inherent convenience method below is a thin wrapper over this
@@ -295,12 +297,13 @@ impl<P, M: Metric<P>> ServeHandle<P, M> {
     /// code and get the same answer by construction.
     ///
     /// A `ClusterOf` miss is *data* ([`Assignment`]), not an error;
-    /// [`QueryError`] is reserved for typed refusals (today: the digest
-    /// window contract). Lock-free like every handle read.
+    /// [`QueryError`] is reserved for typed refusals (the digest window
+    /// contract, and a `ClusterOf` point whose dimensionality differs
+    /// from the published members'). Lock-free like every handle read.
     pub fn execute(&self, query: &Query<P>) -> Result<QueryResponse, QueryError> {
         let c = &self.shared.counters;
         match query {
-            Query::ClusterOf { point } => Ok(QueryResponse::ClusterOf(self.assign_probe(point))),
+            Query::ClusterOf { point } => Ok(QueryResponse::ClusterOf(self.assign_probe(point)?)),
             Query::NClusters => {
                 c.add(&c.reads_n_clusters, 1);
                 Ok(QueryResponse::NClusters(self.shared.source.latest().snapshot().n_clusters()))
@@ -348,7 +351,7 @@ impl<P, M: Metric<P>> ServeHandle<P, M> {
     /// The one `ClusterOf` evaluation, shared between [`Query`] dispatch
     /// and the borrowing wrappers below (which thereby skip the point
     /// clone an owned `Query` would force onto the hot read path).
-    fn assign_probe(&self, p: &P) -> Assignment {
+    fn assign_probe(&self, p: &P) -> Result<Assignment, DimensionMismatch> {
         let c = &self.shared.counters;
         c.add(&c.reads_cluster_of, 1);
         self.shared.source.latest().assign(p, &self.metric)
@@ -367,24 +370,29 @@ impl<P, M: Metric<P>> ServeHandle<P, M> {
 
     /// The cluster a fresh point would join, per the published state:
     /// nearest published seed within `r` under the engine's own metric
-    /// (`None` = outlier). See [`Published::cluster_of`] for staleness
-    /// semantics, and [`ServeHandle::try_cluster_of`] for the typed-miss
-    /// form.
+    /// (`None` = outlier, or a point of another dimensionality). See
+    /// [`Published::cluster_of`] for staleness semantics, and
+    /// [`ServeHandle::try_cluster_of`] for the typed-miss form.
     pub fn cluster_of(&self, p: &P) -> Option<ClusterId> {
-        self.assign_probe(p).membership()
+        self.assign_probe(p).ok()?.membership()
     }
 
     /// [`ServeHandle::cluster_of`] with the miss reason kept: `Ok` is
     /// the winning `(cluster, distance)`, `Err` says *why* the probe
     /// missed — [`ClusterMiss::EmptySnapshot`] (nothing clustered yet;
     /// wait for a publication) vs [`ClusterMiss::OutOfRadius`] (a
-    /// genuine outlier, with the distance it missed by). Routed through
-    /// [`ServeHandle::execute`] like every other read.
+    /// genuine outlier, with the distance it missed by) vs
+    /// [`ClusterMiss::DimensionMismatch`] (a point the members cannot be
+    /// compared with). Shares [`ServeHandle::execute`]'s `ClusterOf`
+    /// evaluation.
     pub fn try_cluster_of(&self, p: &P) -> Result<(ClusterId, f64), ClusterMiss> {
         match self.assign_probe(p) {
-            Assignment::Member { cluster, distance } => Ok((cluster, distance)),
-            Assignment::EmptySnapshot => Err(ClusterMiss::EmptySnapshot),
-            Assignment::OutOfRadius { nearest, r } => Err(ClusterMiss::OutOfRadius { nearest, r }),
+            Ok(Assignment::Member { cluster, distance }) => Ok((cluster, distance)),
+            Ok(Assignment::EmptySnapshot) => Err(ClusterMiss::EmptySnapshot),
+            Ok(Assignment::OutOfRadius { nearest, r }) => {
+                Err(ClusterMiss::OutOfRadius { nearest, r })
+            }
+            Err(m) => Err(ClusterMiss::DimensionMismatch(m)),
         }
     }
 

@@ -78,7 +78,7 @@ pub use edm_core::{
 };
 pub use edm_data::clusterer::StreamClusterer;
 pub use edm_serve::{
-    Assignment, BackpressurePolicy, ClusterMiss, EdmServer, HealthStatus, Query, QueryError,
-    QueryResponse, ServeConfig, ServeConfigBuilder, ServeConfigError, ServeError, ServeHandle,
-    ServeStats,
+    Assignment, BackpressurePolicy, ClusterMiss, DimensionMismatch, EdmServer, HealthStatus, Query,
+    QueryError, QueryResponse, ServeConfig, ServeConfigBuilder, ServeConfigError, ServeError,
+    ServeHandle, ServeStats,
 };
