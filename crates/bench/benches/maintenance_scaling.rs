@@ -1,32 +1,19 @@
-//! Criterion bench: steady-state maintenance cost vs. slab size, and
-//! sharded vs. single-grid insert latency.
+//! Criterion bench: steady-state maintenance cost vs. slab size.
 //!
-//! Two scenarios:
-//!
-//! * **`maintenance_scaling`** isolates the per-point cost of the
-//!   maintenance cadence while the outlier reservoir grows: a fixed hot
-//!   set of 64 active cells takes all the traffic (constant decay-sweep
-//!   work) over reservoirs of 512–32 768 idle cells that never expire.
-//!   Before the idle-ordered recycling queue, every `maintenance_every`
-//!   points paid an O(total cells) slab walk looking for expired cells —
-//!   latency grew with the reservoir. With the queue, recycling peeks the
-//!   oldest idle entry and stops (nothing is expired), so the series must
-//!   stay **flat** as the reservoir scales. That flatness *is* the
-//!   acceptance criterion for the O(recycled) claim.
-//! * **`shard_insert_latency`** prices the sharding seam: the same
-//!   assignment workload as `index_scaling_insert` under 1, 2 and 4
-//!   shards. Single-threaded queries consult every shard, so expect a
-//!   small constant overhead per extra shard (each probes its own 3^d
-//!   shell) and flat scaling in cell count for all shard counts — the
-//!   payoff of sharding is structural isolation for the multi-core work
-//!   the ROADMAP points at, not single-thread speed.
-
-use std::num::NonZeroUsize;
+//! **`maintenance_scaling`** isolates the per-point cost of the
+//! maintenance cadence while the outlier reservoir grows: a fixed hot set
+//! of 64 active cells takes all the traffic (constant decay-sweep work)
+//! over reservoirs of 512–32 768 idle cells that never expire. Before the
+//! idle-ordered recycling queue, every `maintenance_every` points paid an
+//! O(total cells) slab walk looking for expired cells — latency grew with
+//! the reservoir. With the queue, recycling peeks the oldest idle entry
+//! and stops (nothing is expired), so the series must stay **flat** as
+//! the reservoir scales. That flatness *is* the acceptance criterion for
+//! the O(recycled) claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use edm_common::metric::Euclidean;
 use edm_common::point::DenseVector;
-use edm_core::index::NeighborIndexKind;
 use edm_core::{EdmConfig, EdmStream};
 
 /// Points inserted per timed sample — smooths timer resolution.
@@ -100,74 +87,5 @@ fn bench_maintenance_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Builds an engine of `n_cells` well-separated reservoir cells under the
-/// given shard count (the `index_scaling_insert` setup, sharded).
-fn sharded_engine(shards: usize, n_cells: usize) -> (EdmStream<DenseVector, Euclidean>, f64) {
-    let cfg = EdmConfig::builder(0.5)
-        .rate(1_000.0)
-        .beta_for_threshold(1e5)
-        .age_adjusted_threshold(false)
-        .init_points(1)
-        .tau_every(1 << 40)
-        .maintenance_every(1 << 40)
-        .recycle_horizon(f64::MAX)
-        .track_evolution(false)
-        .neighbor_index(NeighborIndexKind::Grid { side: None })
-        .shards(NonZeroUsize::new(shards).expect("bench shard counts are nonzero"))
-        .build()
-        .expect("valid bench configuration");
-    let mut e = EdmStream::new(cfg, Euclidean);
-    let side = (n_cells as f64).sqrt().ceil() as usize;
-    let mut t = 0.0;
-    let mut made = 0;
-    'outer: for gy in 0..side {
-        for gx in 0..side {
-            t += 1e-4;
-            e.insert(&DenseVector::from([gx as f64 * 2.0, gy as f64 * 2.0]), t);
-            made += 1;
-            if made == n_cells {
-                break 'outer;
-            }
-        }
-    }
-    assert_eq!(e.n_cells(), n_cells, "every seed must found its own cell");
-    (e, t)
-}
-
-/// Sharded vs. single-grid assignment latency. All series must stay flat
-/// in cell count; extra shards cost a small constant per insert.
-fn bench_shard_insert_latency(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shard_insert_latency");
-    group.sample_size(30);
-    for &n_cells in &[2_048usize, 8_192] {
-        for shards in [1usize, 2, 4] {
-            let (mut e, mut t) = sharded_engine(shards, n_cells);
-            let probes: Vec<DenseVector> = (0..64)
-                .map(|i| {
-                    let jitter = (i % 5) as f64 * 0.05;
-                    DenseVector::from([(i % 8) as f64 * 2.0 + jitter, (i / 8) as f64 * 2.0])
-                })
-                .collect();
-            let mut i = 0usize;
-            let label = match shards {
-                1 => "shards1",
-                2 => "shards2",
-                _ => "shards4",
-            };
-            group.bench_function(BenchmarkId::new(label, n_cells), |b| {
-                b.iter(|| {
-                    for _ in 0..BATCH {
-                        t += 1e-5;
-                        e.insert(&probes[i % probes.len()], t);
-                        i += 1;
-                    }
-                })
-            });
-            assert_eq!(e.n_cells(), n_cells, "bench stream must not create cells");
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_maintenance_scaling, bench_shard_insert_latency);
+criterion_group!(benches, bench_maintenance_scaling);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Batch-ingest throughput: serial per-point loop vs. the two-phase
-//! probe-then-commit pipeline, across a threads × shards matrix.
+//! probe-then-commit pipeline, across a threads × batch matrix.
 //!
 //! The scenario is the steady state the paper's throughput claims rest
 //! on: a large reservoir of cells (every point absorbed, nothing created
@@ -12,14 +12,6 @@
 //! Batch sizes 64/256/1024 bracket the dispatch-amortization question:
 //! the persistent pool parks its workers between rounds, so small
 //! batches price a condvar wake instead of a thread spawn.
-//!
-//! The shards axis (1 vs 4) is the commit side of the same question:
-//! with `shards > 1` the committer fans phase-2 absorbs out in
-//! shard-owned waves, so `threads×shards = 4×4` is the full pipeline —
-//! parallel probes *and* parallel commits — while `4×1` isolates the
-//! probe fan-out alone. Each entry records the waves its run formed
-//! (`commit_waves`), so a configuration that silently fell back to the
-//! serial commit loop is visible in the artifact.
 //!
 //! Besides the console table, the run rewrites the `parallel_batch_ingest`
 //! (and `host`) sections of the committed `BENCH_ingest.json` via
@@ -40,22 +32,20 @@ use edm_bench::report::merge_bench_json;
 use edm_bench::scenarios::{self, CROWDED_CELLS as RESERVOIR_CELLS};
 use edm_common::point::DenseVector;
 
-/// Points pushed through each (threads, shards, batch) configuration.
+/// Points pushed through each (threads, batch) configuration.
 const POINTS_PER_CONFIG: usize = 1 << 16;
 
 struct Run {
     threads: usize,
-    shards: usize,
     batch: usize,
     points_per_sec: f64,
     revalidation_rate: f64,
-    commit_waves: u64,
 }
 
 /// Streams `POINTS_PER_CONFIG` points through `insert_batch` in batches
 /// of `batch`, timing only the ingest calls.
-fn measure(threads: usize, shards: usize, batch: usize) -> Run {
-    let (mut e, mut t) = scenarios::crowded_engine_sharded(threads, shards);
+fn measure(threads: usize, batch: usize) -> Run {
+    let (mut e, mut t) = scenarios::crowded_engine(threads);
     let sites = scenarios::crowded_probe_sites();
     let mut i = 0usize;
     let mut make_batch = |n: usize, t: &mut f64| -> Vec<(DenseVector, f64)> {
@@ -75,7 +65,6 @@ fn measure(threads: usize, shards: usize, batch: usize) -> Run {
         (0..rounds).map(|_| make_batch(batch, &mut t)).collect();
     let reval_before = e.stats().probe_revalidations;
     let tasks_before = e.stats().probe_tasks;
-    let waves_before = e.stats().commit_waves;
     let start = Instant::now();
     for b in &batches {
         e.insert_batch(b);
@@ -85,11 +74,9 @@ fn measure(threads: usize, shards: usize, batch: usize) -> Run {
     let tasks = (e.stats().probe_tasks - tasks_before).max(1);
     Run {
         threads,
-        shards,
         batch,
         points_per_sec: (rounds * batch) as f64 / elapsed,
         revalidation_rate: (e.stats().probe_revalidations - reval_before) as f64 / tasks as f64,
-        commit_waves: e.stats().commit_waves - waves_before,
     }
 }
 
@@ -100,43 +87,31 @@ fn main() {
          {POINTS_PER_CONFIG} points/config, {cpus} cpu(s) available"
     );
     let mut runs: Vec<Run> = Vec::new();
-    for &shards in &[1usize, 4] {
-        for &batch in &[64usize, 256, 1024] {
-            for &threads in &[1usize, 2, 4] {
-                let run = measure(threads, shards, batch);
-                println!(
-                    "parallel_batch_ingest/threads{}/shards{}/batch{}: {:.0} points/s \
-                     (reval {:.4}, {} waves)",
-                    run.threads,
-                    run.shards,
-                    run.batch,
-                    run.points_per_sec,
-                    run.revalidation_rate,
-                    run.commit_waves
-                );
-                runs.push(run);
-            }
+    for &batch in &[64usize, 256, 1024] {
+        for &threads in &[1usize, 2, 4] {
+            let run = measure(threads, batch);
+            println!(
+                "parallel_batch_ingest/threads{}/batch{}: {:.0} points/s (reval {:.4})",
+                run.threads, run.batch, run.points_per_sec, run.revalidation_rate
+            );
+            runs.push(run);
         }
     }
-    let serial_base = |shards: usize, batch: usize| -> f64 {
+    let serial_base = |batch: usize| -> f64 {
         runs.iter()
-            .find(|r| r.threads == 1 && r.shards == shards && r.batch == batch)
+            .find(|r| r.threads == 1 && r.batch == batch)
             .expect("serial baseline measured")
             .points_per_sec
     };
-    for &shards in &[1usize, 4] {
-        for &batch in &[64usize, 256, 1024] {
-            let base = serial_base(shards, batch);
-            for r in runs.iter().filter(|r| r.shards == shards && r.batch == batch && r.threads > 1)
-            {
-                println!(
-                    "  speedup threads{} shards{} batch{}: {:.2}x vs serial",
-                    r.threads,
-                    shards,
-                    batch,
-                    r.points_per_sec / base
-                );
-            }
+    for &batch in &[64usize, 256, 1024] {
+        let base = serial_base(batch);
+        for r in runs.iter().filter(|r| r.batch == batch && r.threads > 1) {
+            println!(
+                "  speedup threads{} batch{}: {:.2}x vs serial",
+                r.threads,
+                batch,
+                r.points_per_sec / base
+            );
         }
     }
 
@@ -144,19 +119,17 @@ fn main() {
     let entries: Vec<String> = runs
         .iter()
         .map(|r| {
-            let base = serial_base(r.shards, r.batch);
+            let base = serial_base(r.batch);
             format!(
-                "{{\"threads\": {}, \"shards\": {}, \"batch\": {}, \"reservoir_cells\": {}, \
+                "{{\"threads\": {}, \"batch\": {}, \"reservoir_cells\": {}, \
                  \"points_per_sec\": {:.0}, \"speedup_vs_serial\": {:.3}, \
-                 \"revalidation_rate\": {:.5}, \"commit_waves\": {}}}",
+                 \"revalidation_rate\": {:.5}}}",
                 r.threads,
-                r.shards,
                 r.batch,
                 RESERVOIR_CELLS,
                 r.points_per_sec,
                 r.points_per_sec / base,
-                r.revalidation_rate,
-                r.commit_waves
+                r.revalidation_rate
             )
         })
         .collect();

@@ -73,14 +73,11 @@ const TOLERANCE: f64 = 0.35;
 /// (the full bench uses 1 << 16; the gate only needs a stable estimate).
 const SMOKE_POINTS: usize = 1 << 14;
 
-/// (threads, shards, batch) settings smoked; a subset of the committed
-/// grid. The shards = 4 rows exercise the shard-owned commit waves, so
-/// the commit-side fan-out is regression-gated alongside the probe side.
-const SMOKE_CONFIGS: [(usize, usize, usize); 5] =
-    [(1, 1, 256), (2, 1, 256), (4, 1, 256), (1, 4, 256), (4, 4, 256)];
+/// (threads, batch) settings smoked; a subset of the committed grid.
+const SMOKE_CONFIGS: [(usize, usize); 3] = [(1, 256), (2, 256), (4, 256)];
 
-/// Minimum threads = 4 speedup over the serial engine (same shards and
-/// batch) once four real cores are available on both the recording host
+/// Minimum threads = 4 speedup over the serial engine (same batch) once
+/// four real cores are available on both the recording host
 /// and this one. On narrower hosts the speedups are recorded, not gated.
 const SPEEDUP_BAR: f64 = 1.5;
 
@@ -118,8 +115,8 @@ const KERNEL_SMOKE_EVALS: usize = 1_000_000;
 
 /// One smoke measurement of the parallel batch-ingest steady state
 /// (the `scenarios::crowded_*` workload the committed baseline records).
-fn smoke_parallel(threads: usize, shards: usize, batch: usize) -> f64 {
-    let (mut e, mut t) = scenarios::crowded_engine_sharded(threads, shards);
+fn smoke_parallel(threads: usize, batch: usize) -> f64 {
+    let (mut e, mut t) = scenarios::crowded_engine(threads);
     let sites = scenarios::crowded_probe_sites();
     let mut i = 0usize;
     let mut make_batch = |n: usize, t: &mut f64| -> Vec<(DenseVector, f64)> {
@@ -282,18 +279,14 @@ fn main() {
         fresh.push(Entry { key: format!("insert_latency/{name}"), threads: 1, pps });
     }
     let mut parallel_json: Vec<String> = Vec::new();
-    for (threads, shards, batch) in SMOKE_CONFIGS {
-        let pps = smoke_parallel(threads, shards, batch);
-        println!(
-            "smoke parallel_batch_ingest/threads{threads}/shards{shards}/batch{batch}: \
-             {pps:.0} points/s"
-        );
+    for (threads, batch) in SMOKE_CONFIGS {
+        let pps = smoke_parallel(threads, batch);
+        println!("smoke parallel_batch_ingest/threads{threads}/batch{batch}: {pps:.0} points/s");
         parallel_json.push(format!(
-            "{{\"threads\": {threads}, \"shards\": {shards}, \"batch\": {batch}, \
-             \"points_per_sec\": {pps:.0}}}"
+            "{{\"threads\": {threads}, \"batch\": {batch}, \"points_per_sec\": {pps:.0}}}"
         ));
         fresh.push(Entry {
-            key: format!("parallel_batch_ingest/threads{threads}/shards{shards}/batch{batch}"),
+            key: format!("parallel_batch_ingest/threads{threads}/batch{batch}"),
             threads,
             pps,
         });
@@ -383,14 +376,8 @@ fn main() {
     });
     base.extend(baseline_entries(&baseline, "parallel_batch_ingest", &|entry| {
         let threads: usize = entry_field(entry, "threads")?.parse().ok()?;
-        // Baselines recorded before the commit-wave matrix carry no
-        // shards field; those runs were single-shard by construction.
-        let shards = entry_field(entry, "shards").unwrap_or("1");
         let batch = entry_field(entry, "batch")?;
-        Some((
-            format!("parallel_batch_ingest/threads{threads}/shards{shards}/batch{batch}"),
-            threads,
-        ))
+        Some((format!("parallel_batch_ingest/threads{threads}/batch{batch}"), threads))
     }));
     base.extend(baseline_entries(&baseline, "mixed_read_write", &|entry| {
         let readers: usize = entry_field(entry, "readers")?.parse().ok()?;
@@ -419,33 +406,26 @@ fn main() {
     // bar itself only means anything when 4 threads get 4 real cores on
     // both sides of the comparison. This container check is the fresh
     // side; `base_cpus` covers the recording side.
-    let speedup4 = |shards: usize| -> Option<f64> {
-        let pps_at = |threads: usize| {
-            fresh
-                .iter()
-                .find(|e| {
-                    e.key
-                        == format!("parallel_batch_ingest/threads{threads}/shards{shards}/batch256")
-                })
-                .map(|e| e.pps)
-        };
-        Some(pps_at(4)? / pps_at(1)?)
+    let pps_at = |threads: usize| {
+        fresh
+            .iter()
+            .find(|e| e.key == format!("parallel_batch_ingest/threads{threads}/batch256"))
+            .map(|e| e.pps)
     };
-    for shards in [1usize, 4] {
-        let Some(speedup) = speedup4(shards) else { continue };
+    if let (Some(p4), Some(p1)) = (pps_at(4), pps_at(1)) {
+        let speedup = p4 / p1;
         if cpus >= 4 && base_cpus >= 4 {
             let verdict = if speedup >= SPEEDUP_BAR { "ok" } else { "REGRESSED" };
             println!(
-                "  threads4/shards{shards} speedup: {speedup:.2}x vs serial \
-                 (bar {SPEEDUP_BAR:.2}x) {verdict}"
+                "  threads4 speedup: {speedup:.2}x vs serial (bar {SPEEDUP_BAR:.2}x) {verdict}"
             );
             if speedup < SPEEDUP_BAR {
                 failures += 1;
             }
         } else {
             println!(
-                "  threads4/shards{shards} speedup: {speedup:.2}x vs serial — recorded, not \
-                 gated ({cpus} cpu(s) here, {base_cpus} at record time; bar needs 4 on both)"
+                "  threads4 speedup: {speedup:.2}x vs serial — recorded, not gated ({cpus} \
+                 cpu(s) here, {base_cpus} at record time; bar needs 4 on both)"
             );
         }
     }

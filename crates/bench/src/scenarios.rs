@@ -59,20 +59,6 @@ fn crowded_lattice_side() -> usize {
 /// the crowded 8-d layout, with the given ingest-thread knob. Returns
 /// the engine and its stream clock.
 pub fn crowded_engine(threads: usize) -> (EdmStream<DenseVector, Euclidean>, f64) {
-    crowded_engine_sharded(threads, 1)
-}
-
-/// [`crowded_engine`] over a hash-sharded grid: `shards > 1` gives the
-/// committer multiple commit routes, so absorb-heavy batches ride the
-/// shard-owned wave path. `commit_wave_min` is pinned to 16 because the
-/// maintenance cadence (64) caps uninterrupted absorb runs at 63 points —
-/// the default minimum of 64 could never form a wave here. The knob is
-/// inert on the serial and single-shard configurations, so the measured
-/// workload stays identical across the whole matrix.
-pub fn crowded_engine_sharded(
-    threads: usize,
-    shards: usize,
-) -> (EdmStream<DenseVector, Euclidean>, f64) {
     let cfg = EdmConfig::builder(0.5)
         .rate(1_000.0)
         .beta_for_threshold(1e5)
@@ -82,8 +68,6 @@ pub fn crowded_engine_sharded(
         .maintenance_every(64)
         .recycle_horizon(f64::MAX)
         .track_evolution(false)
-        .commit_wave_min(16)
-        .shards(NonZeroUsize::new(shards).expect("bench shard counts are nonzero"))
         .ingest_threads(NonZeroUsize::new(threads).expect("bench thread counts are nonzero"))
         .build()
         .expect("valid bench configuration");

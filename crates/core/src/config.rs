@@ -68,10 +68,6 @@ pub enum ConfigError {
         /// The offending side length.
         side: f64,
     },
-    /// The neighbor index needs at least one shard. Unreachable through
-    /// the builder (whose setter takes a [`std::num::NonZeroUsize`]);
-    /// guards configs smuggled in from deserialization/FFI.
-    ZeroShards,
     /// Batch ingest needs at least one thread. Unreachable through the
     /// builder (whose setter takes a [`std::num::NonZeroUsize`]); guards
     /// configs smuggled in from deserialization/FFI.
@@ -103,7 +99,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonPositiveGridSide { side } => {
                 write!(f, "grid-index bucket side must be positive and finite (got {side})")
             }
-            ConfigError::ZeroShards => write!(f, "the neighbor index needs at least one shard"),
             ConfigError::ZeroIngestThreads => {
                 write!(f, "batch ingest needs at least one thread")
             }
@@ -172,12 +167,6 @@ pub struct EdmConfig {
     /// existed still load (as `Grid { side: None }`).
     #[serde(default)]
     pub(crate) neighbor_index: NeighborIndexKind,
-    /// Shard count of the grid neighbor index (1 = unsharded). Stored as
-    /// a plain `usize` for serde compatibility; the builder setter takes
-    /// a `NonZeroUsize` so zero is unrepresentable through the API, and
-    /// [`EdmConfig::check`] rejects smuggled zeros.
-    #[serde(default = "default_shards")]
-    pub(crate) shards: usize,
     /// Worker threads for the probe phase of batch ingest (1 = the plain
     /// serial per-point loop). Stored as a plain `usize` for serde
     /// compatibility; the builder setter takes a `NonZeroUsize` so zero is
@@ -185,20 +174,6 @@ pub struct EdmConfig {
     /// smuggled zeros.
     #[serde(default = "default_ingest_threads")]
     pub(crate) ingest_threads: usize,
-    /// Minimum planned wave length before the batch committer fans a
-    /// shard-owned commit wave out across the worker pool instead of
-    /// committing serially. Shorter waves cannot amortize the wake/merge
-    /// round trip. `0` behaves like `1` (any provable wave fans out);
-    /// only meaningful with `ingest_threads > 1` and a sharded index.
-    #[serde(default = "default_commit_wave_min")]
-    pub(crate) commit_wave_min: usize,
-    /// Minimum DP-Tree population (active cells) before the Theorem-1/2
-    /// dependency-candidate scan fans out across the worker pool. Below
-    /// it the serial scan wins — the scan is a tight read-only loop, and
-    /// a pool round costs a wake/park cycle. `0` behaves like `1`; only
-    /// meaningful with `ingest_threads > 1`.
-    #[serde(default = "default_parallel_candidates_min")]
-    pub(crate) parallel_candidates_min: usize,
 }
 
 /// Serde default for [`EdmConfig::digest_history`]: configs persisted
@@ -207,26 +182,10 @@ fn default_digest_history() -> usize {
     DEFAULT_DIGEST_HISTORY
 }
 
-/// Serde default for [`EdmConfig::shards`]: configs persisted before the
-/// field existed load as unsharded.
-fn default_shards() -> usize {
-    1
-}
-
 /// Serde default for [`EdmConfig::ingest_threads`]: configs persisted
 /// before the field existed load as serial batch ingest.
 fn default_ingest_threads() -> usize {
     1
-}
-
-/// Serde default for [`EdmConfig::commit_wave_min`].
-fn default_commit_wave_min() -> usize {
-    64
-}
-
-/// Serde default for [`EdmConfig::parallel_candidates_min`].
-fn default_parallel_candidates_min() -> usize {
-    512
 }
 
 impl EdmConfig {
@@ -251,10 +210,7 @@ impl EdmConfig {
                 event_capacity: DEFAULT_EVENT_CAPACITY,
                 digest_history: default_digest_history(),
                 neighbor_index: NeighborIndexKind::default(),
-                shards: default_shards(),
                 ingest_threads: default_ingest_threads(),
-                commit_wave_min: default_commit_wave_min(),
-                parallel_candidates_min: default_parallel_candidates_min(),
             },
         }
     }
@@ -309,9 +265,6 @@ impl EdmConfig {
             if !side.is_finite() || side <= 0.0 {
                 return Err(ConfigError::NonPositiveGridSide { side });
             }
-        }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
         }
         if self.ingest_threads == 0 {
             return Err(ConfigError::ZeroIngestThreads);
@@ -401,26 +354,9 @@ impl EdmConfig {
         self.neighbor_index
     }
 
-    /// Shard count of the grid neighbor index (1 = unsharded).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Worker threads for the probe phase of batch ingest (1 = serial).
     pub fn ingest_threads(&self) -> usize {
         self.ingest_threads
-    }
-
-    /// Minimum planned wave length before shard-owned commit waves fan
-    /// out across the worker pool.
-    pub fn commit_wave_min(&self) -> usize {
-        self.commit_wave_min
-    }
-
-    /// Minimum active-cell count before the dependency-candidate scan
-    /// fans out across the worker pool.
-    pub fn parallel_candidates_min(&self) -> usize {
-        self.parallel_candidates_min
     }
 
     // ----- derived quantities -----
@@ -586,24 +522,11 @@ impl EdmConfigBuilder {
         self
     }
 
-    /// Shards the grid neighbor index: seeds hash (by coarse grid key) to
-    /// one of `shards` independent per-shard grids. Structural updates
-    /// touch a single shard — the isolation seam for future per-shard
-    /// parallelism — and per-shard occupancy lands in
-    /// [`crate::EngineStats::shard_cells`]. The default of one shard is
-    /// the plain unsharded grid; the knob has no effect under
-    /// [`NeighborIndexKind::LinearScan`]. Taking a `NonZeroUsize` keeps a
-    /// zero shard count unrepresentable through the builder.
-    pub fn shards(mut self, shards: std::num::NonZeroUsize) -> Self {
-        self.cfg.shards = shards.get();
-        self
-    }
-
     /// Worker threads for the **probe phase** of [`crate::EdmStream::insert_batch`]
     /// (and `try_insert_batch`). The default of 1 keeps batch ingest on the
     /// exact serial per-point loop; any higher count fans the batch's
-    /// read-only assignment probes out across that many scoped worker
-    /// threads, while the commit phase stays serial in timestamp order and
+    /// read-only assignment probes out across that many threads (the
+    /// caller plus a persistent worker pool), while the commit phase stays serial in timestamp order and
     /// re-probes any point whose neighborhood an earlier commit touched —
     /// so clustering output is observationally identical to the serial
     /// loop at every thread count (see the engine's threading-model docs).
@@ -611,26 +534,6 @@ impl EdmConfigBuilder {
     /// through the builder.
     pub fn ingest_threads(mut self, threads: std::num::NonZeroUsize) -> Self {
         self.cfg.ingest_threads = threads.get();
-        self
-    }
-
-    /// Minimum planned wave length before the batch committer fans a
-    /// shard-owned commit wave out across the worker pool (see
-    /// [`EdmConfig::commit_wave_min`]). Lower values parallelize more
-    /// commit work but pay a pool round trip per wave; `0` fans out every
-    /// provable wave. Irrelevant unless `ingest_threads > 1` *and* the
-    /// index is a sharded grid.
-    pub fn commit_wave_min(mut self, min: usize) -> Self {
-        self.cfg.commit_wave_min = min;
-        self
-    }
-
-    /// Minimum DP-Tree population before the Theorem-1/2 dependency
-    /// candidate scan fans out across the worker pool (see
-    /// [`EdmConfig::parallel_candidates_min`]). Irrelevant unless
-    /// `ingest_threads > 1`.
-    pub fn parallel_candidates_min(mut self, min: usize) -> Self {
-        self.cfg.parallel_candidates_min = min;
         self
     }
 
@@ -767,20 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_default_to_one_and_reject_smuggled_zero() {
-        let cfg = EdmConfig::builder(0.5).build().unwrap();
-        assert_eq!(cfg.shards(), 1);
-        let sharded =
-            cfg.to_builder().shards(std::num::NonZeroUsize::new(4).unwrap()).build().unwrap();
-        assert_eq!(sharded.shards(), 4);
-        // A zero smuggled past the builder (deserialization/FFI) is caught
-        // by check().
-        let mut smuggled = sharded.clone();
-        smuggled.shards = 0;
-        assert_eq!(smuggled.check().unwrap_err(), ConfigError::ZeroShards);
-    }
-
-    #[test]
     fn ingest_threads_default_to_one_and_reject_smuggled_zero() {
         let cfg = EdmConfig::builder(0.5).build().unwrap();
         assert_eq!(cfg.ingest_threads(), 1);
@@ -795,16 +684,6 @@ mod tests {
         let mut smuggled = parallel.clone();
         smuggled.ingest_threads = 0;
         assert_eq!(smuggled.check().unwrap_err(), ConfigError::ZeroIngestThreads);
-    }
-
-    #[test]
-    fn pool_knobs_default_and_override() {
-        let cfg = EdmConfig::builder(0.5).build().unwrap();
-        assert_eq!(cfg.commit_wave_min(), 64);
-        assert_eq!(cfg.parallel_candidates_min(), 512);
-        let tuned = cfg.to_builder().commit_wave_min(8).parallel_candidates_min(0).build().unwrap();
-        assert_eq!(tuned.commit_wave_min(), 8);
-        assert_eq!(tuned.parallel_candidates_min(), 0);
     }
 
     #[test]

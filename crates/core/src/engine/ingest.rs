@@ -18,7 +18,6 @@ use crate::slab::CellSlab;
 use crate::tree;
 
 use super::parallel::ProbeSlot;
-use super::pool::SliceTasks;
 use super::{suggest_tau_from_deltas, EdmStream, Phase};
 
 /// Points handed to one parallel probe-then-commit round. Bounding the
@@ -28,18 +27,15 @@ use super::{suggest_tau_from_deltas, EdmStream, Phase};
 /// work).
 const PARALLEL_CHUNK: usize = 1024;
 
-/// Cell births tracked individually per commit route before that route's
-/// ledger group collapses the rest into a bounding box (at that churn,
-/// per-birth conflict checks cost more than the probes they might save).
-/// Per *route*, not per round: under the sharded grid a route is a shard,
-/// so a burst of births in one shard no longer degrades conflict checks
-/// for points probing everywhere else.
+/// Cell births tracked individually per round before the birth ledger
+/// collapses the rest into a bounding box (at that churn, per-birth
+/// conflict checks cost more than the probes they might save).
 const MAX_BIRTH_TRACKING: usize = 32;
 
-/// What a ledger group knows about births beyond its tracked list.
+/// What the birth ledger knows about births beyond its tracked list.
 #[derive(Debug, Clone, Default)]
 enum Overflow {
-    /// No untracked births on this route.
+    /// No untracked births this round.
     #[default]
     None,
     /// Untracked births, all coordinate-bearing with one dimensionality:
@@ -52,71 +48,53 @@ enum Overflow {
         max: Vec<f64>,
     },
     /// At least one untracked birth with no box geometry (coordinate-less
-    /// seed, or a dimensionality clash): every probe on this route is
-    /// conservatively stale.
+    /// seed, or a dimensionality clash): every probe is conservatively
+    /// stale.
     Always,
 }
 
-/// Births of one commit route: a bounded individually-tracked list, then
-/// a bounding-box (or give-up) summary for the overflow.
+/// Cell births of the current commit round — the structure behind the
+/// commit loop's "is this cached probe still valid?" question.
+///
+/// The first [`MAX_BIRTH_TRACKING`] births are tracked seed-by-seed
+/// (checked through [`NeighborIndex::probe_conflicts`]); any further ones
+/// fold into a bounding box ([`CellIndex::bbox_conflicts`]). Both checks
+/// are conservative, so the ledger only ever decides *who re-probes*,
+/// never what the engine outputs. Lives on the engine so the tracked
+/// list is reused across rounds.
 #[derive(Debug, Clone)]
-struct BirthGroup<P> {
+pub(super) struct BirthLedger<P> {
     tracked: Vec<(CellId, P)>,
     overflow: Overflow,
 }
 
 // Manual impl: `derive(Default)` would demand `P: Default`, which the
-// payload never needs to satisfy — the empty group holds no payloads.
-impl<P> Default for BirthGroup<P> {
-    fn default() -> Self {
-        BirthGroup { tracked: Vec::new(), overflow: Overflow::None }
-    }
-}
-
-/// Cell births of the current commit round, grouped by commit route
-/// (grid shard) — the structure behind the commit loop's "is this cached
-/// probe still valid?" question.
-///
-/// Each route tracks its first [`MAX_BIRTH_TRACKING`] births seed-by-seed
-/// (checked through [`NeighborIndex::probe_conflicts`]) and folds any
-/// further ones into a bounding box ([`CellIndex::bbox_conflicts`]).
-/// Both checks are conservative, so the ledger only ever decides *who
-/// re-probes*, never what the engine outputs. Lives on the engine so the
-/// per-route vectors are reused across rounds.
-#[derive(Debug, Clone)]
-pub(super) struct BirthLedger<P> {
-    groups: Vec<BirthGroup<P>>,
-}
-
+// payload never needs to satisfy — the empty ledger holds no payloads.
 impl<P> Default for BirthLedger<P> {
     fn default() -> Self {
-        BirthLedger { groups: Vec::new() }
+        BirthLedger { tracked: Vec::new(), overflow: Overflow::None }
     }
 }
 
 impl<P: Clone + GridCoords> BirthLedger<P> {
-    /// Clears the ledger for a new round of `routes` commit routes.
-    fn reset(&mut self, routes: usize) {
-        self.groups.resize_with(routes.max(1), BirthGroup::default);
-        for g in &mut self.groups {
-            g.tracked.clear();
-            g.overflow = Overflow::None;
-        }
+    /// Clears the ledger for a new round.
+    fn reset(&mut self) {
+        self.tracked.clear();
+        self.overflow = Overflow::None;
     }
 
     /// Whether any birth has been recorded this round.
     fn any_births(&self) -> bool {
-        self.groups.iter().any(|g| !g.tracked.is_empty() || !matches!(g.overflow, Overflow::None))
+        !self.tracked.is_empty() || !matches!(self.overflow, Overflow::None)
     }
 
-    /// Records a cell birth on `route`.
-    fn record(&mut self, route: usize, id: CellId, seed: P) {
-        let g = &mut self.groups[route];
-        if g.tracked.len() < MAX_BIRTH_TRACKING {
-            g.tracked.push((id, seed));
+    /// Records a cell birth.
+    fn record(&mut self, id: CellId, seed: P) {
+        if self.tracked.len() < MAX_BIRTH_TRACKING {
+            self.tracked.push((id, seed));
             return;
         }
-        g.overflow = match std::mem::take(&mut g.overflow) {
+        self.overflow = match std::mem::take(&mut self.overflow) {
             Overflow::Always => Overflow::Always,
             Overflow::None => match seed.grid_coords() {
                 Some(c) => Overflow::BBox { min: c.to_vec(), max: c.to_vec() },
@@ -145,25 +123,13 @@ impl<P: Clone + GridCoords> BirthLedger<P> {
         slab: &CellSlab<P>,
         metric: &M,
     ) -> bool {
-        self.groups.iter().any(|g| {
-            g.tracked.iter().any(|(id, b)| index.probe_conflicts(p, *id, b, radius, slab, metric))
-                || match &g.overflow {
-                    Overflow::None => false,
-                    Overflow::Always => true,
-                    Overflow::BBox { min, max } => index.bbox_conflicts(p, min, max, radius),
-                }
-        })
+        self.tracked.iter().any(|(id, b)| index.probe_conflicts(p, *id, b, radius, slab, metric))
+            || match &self.overflow {
+                Overflow::None => false,
+                Overflow::Always => true,
+                Overflow::BBox { min, max } => index.bbox_conflicts(p, min, max, radius),
+            }
     }
-}
-
-/// One commit route's share of a wave: the cells it owns (checked out of
-/// the slab disjointly) and the absorb operations to apply, in wave
-/// order. Exactly one pool task executes each group, so per-cell absorbs
-/// stay sequential — which is what keeps the float results bit-identical
-/// to the serial loop.
-struct WaveGroup<'a, P> {
-    cells: Vec<&'a mut Cell<P>>,
-    ops: Vec<(u32, Timestamp)>,
 }
 
 /// Per-point distance cache over slab slots with O(1) reset.
@@ -242,13 +208,11 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// With [`crate::EdmConfigBuilder::ingest_threads`] above 1 the batch
     /// runs the two-phase probe-then-commit pipeline: assignment probes
     /// fan out across the engine's persistent worker pool against
-    /// read-only state, then commits apply in timestamp order — serially,
-    /// or as shard-owned commit waves when the planner proves a run of
-    /// absorbs independent — re-probing any point an earlier commit's
-    /// structural change could have affected (see the `engine/parallel.rs`
-    /// module docs and the README's "Threading model"). Output is
-    /// identical either way — the default of 1 thread *is* the plain
-    /// serial loop.
+    /// read-only state, then commits apply serially in timestamp order,
+    /// re-probing any point an earlier commit's structural change could
+    /// have affected (see the `engine/parallel.rs` module docs and the
+    /// README's "Threading model"). Output is identical either way — the
+    /// default of 1 thread *is* the plain serial loop.
     pub fn insert_batch(&mut self, batch: &[(P, Timestamp)]) {
         if self.cfg.ingest_threads <= 1 {
             for (p, t) in batch {
@@ -311,12 +275,9 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
 
     /// One bounded round of the two-phase pipeline: fan the round's
     /// assignment probes out across the worker pool (phase 1, read-only),
-    /// then commit in timestamp order (phase 2) — serially point by
-    /// point, except where [`EdmStream::plan_wave`] proves a run of
-    /// commits independent enough to fan back out as shard-owned commit
-    /// waves. Either way every probe whose answer an earlier commit could
-    /// have changed is revalidated, so output is identical to the serial
-    /// loop.
+    /// then commit serially in timestamp order (phase 2), revalidating
+    /// every probe whose answer an earlier commit could have changed — so
+    /// output is identical to the serial loop.
     fn probe_then_commit(&mut self, round: &[(P, Timestamp)]) {
         let radius = self.cfg.r;
         let mut pool = std::mem::take(&mut self.probe_pool);
@@ -334,38 +295,16 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
 
         // Commit phase. A cached probe stays valid while the structures it
         // read are untouched *near the point*: cell births go into the
-        // per-route birth ledger and are checked through the index's
-        // conflict geometry; recycling and grid rebuilds (both only
-        // possible inside the maintenance cadence) invalidate every
-        // remaining probe — they remove or re-file cells, which birth
-        // tracking cannot describe.
+        // birth ledger and are checked through the index's conflict
+        // geometry; recycling and grid rebuilds (both only possible inside
+        // the maintenance cadence) invalidate every remaining probe — they
+        // remove or re-file cells, which birth tracking cannot describe.
         let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.reset(self.index.commit_routes());
+        ledger.reset();
         let mut invalidate_all = false;
         let recycled_before = self.stats.recycled;
         let rebuilds_before = self.stats.grid_rebuilds;
-        // Waves need at least two routes to fan commits across; a single
-        // route would serialize on one owner anyway, so the planner never
-        // runs (and the serial arm below is byte-for-byte the old loop).
-        let wave_capable = self.cfg.ingest_threads > 1 && self.index.commit_routes() > 1;
-        let wave_min = self.cfg.commit_wave_min.max(2);
-        let mut k = 0usize;
-        while k < round.len() {
-            if wave_capable && !invalidate_all {
-                let plan = self.plan_wave(&round[k..], &slots[k..], &ledger, radius, wave_min);
-                if !plan.is_empty() {
-                    let len = plan.len();
-                    self.execute_wave(
-                        &round[k..k + len],
-                        &slots[k..k + len],
-                        &plan,
-                        ledger.any_births(),
-                    );
-                    k += len;
-                    continue;
-                }
-            }
-            let (p, t) = &round[k];
+        for ((p, t), slot) in round.iter().zip(slots.iter()) {
             debug_assert!(*t >= self.now - 1e-9, "stream time must not go backwards");
             self.start.get_or_insert(*t);
             self.now = self.now.max(*t);
@@ -382,169 +321,19 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                     // birth in the round forced a revalidation here.
                     self.stats.probe_revalidations_avoided += 1;
                 }
-                self.replay_probe(&slots[k])
+                self.replay_probe(slot)
             };
             if let Some(born) = self.process_resolved(p, *t, nearest) {
-                let seed = self.slab.get(born).seed.clone();
-                let route = self.index.commit_route(&seed) as usize;
-                ledger.record(route, born, seed);
+                ledger.record(born, self.slab.get(born).seed.clone());
             }
             if self.stats.recycled != recycled_before || self.stats.grid_rebuilds != rebuilds_before
             {
                 invalidate_all = true;
             }
-            k += 1;
         }
         self.ledger = ledger;
         self.probe_pool = pool;
         self.stats.pool_rounds = self.workers.rounds();
-        self.stats.pool_steals = self.workers.steals();
-    }
-
-    /// Plans a shard-owned commit wave starting at the head of `points`:
-    /// the longest prefix in which every point provably does nothing but
-    /// absorb into an existing, inactive-and-staying-inactive cell with a
-    /// still-valid phase-1 probe, clear of every maintenance/τ cadence
-    /// tick. Such commits touch only their own cell (plus per-point
-    /// sequencer bookkeeping), so they can fan out by commit route; the
-    /// density evolution is *simulated exactly* (same float expressions
-    /// as [`Cell::absorb`]) so the "stays inactive" claim is a certainty,
-    /// not a heuristic. Returns the per-point `(cell, route)` plan, empty
-    /// when the viable prefix is shorter than `wave_min` or lands
-    /// entirely on fewer than two routes (at which point wave dispatch
-    /// would cost more than the serial loop it replaces).
-    fn plan_wave(
-        &self,
-        points: &[(P, Timestamp)],
-        slots: &[ProbeSlot],
-        ledger: &BirthLedger<P>,
-        radius: f64,
-        wave_min: usize,
-    ) -> Vec<(CellId, u32)> {
-        // `threshold_at` pins ages to the stream start; before any point
-        // has committed there is no start to pin to (and nothing worth
-        // waving over either).
-        if self.start.is_none() || self.structure_dirty || points.len() < wave_min {
-            return Vec::new();
-        }
-        let decay = self.cfg.decay;
-        let points_before = self.stats.points;
-        // Simulated (ρ, ρ-time) per cell the wave absorbs into — several
-        // wave points can hit the same cell, and each one's threshold
-        // check must see the ρ the serial loop would have seen.
-        let mut sim: edm_common::hash::FxHashMap<CellId, (f64, Timestamp)> =
-            edm_common::hash::fx_map();
-        let mut ops: Vec<(CellId, u32)> = Vec::new();
-        for (k, ((p, t), slot)) in points.iter().zip(slots).enumerate() {
-            // The global number this point would commit as must not hit a
-            // maintenance or τ cadence — sweeps mutate shared structure.
-            let n = points_before + k as u64 + 1;
-            if n.is_multiple_of(self.cfg.maintenance_every) || n.is_multiple_of(self.cfg.tau_every)
-            {
-                break;
-            }
-            if ledger.conflicts(&self.index, p, radius, &self.slab, &self.metric) {
-                break;
-            }
-            let Some((cid, _)) = slot.best else { break };
-            let cell = self.slab.get(cid);
-            if cell.active {
-                break;
-            }
-            let (rho, rho_time) = sim.get(&cid).copied().unwrap_or_else(|| cell.raw_rho());
-            // Bit-identical to `Cell::absorb`: before = ρ·λ^(t−t_ρ),
-            // after = before + 1.
-            let after = rho * decay.factor(*t - rho_time) + 1.0;
-            if after >= self.threshold_at(*t) {
-                break; // would activate: needs dependency maintenance
-            }
-            sim.insert(cid, (after, *t));
-            ops.push((cid, self.index.commit_route(&cell.seed) as u32));
-        }
-        if ops.len() < wave_min {
-            return Vec::new();
-        }
-        let mut routes: Vec<u32> = ops.iter().map(|&(_, r)| r).collect();
-        routes.sort_unstable();
-        routes.dedup();
-        if routes.len() < 2 {
-            return Vec::new();
-        }
-        ops
-    }
-
-    /// Executes a planned commit wave: the calling thread — the
-    /// **sequencer** — applies every cross-cell effect itself in exact
-    /// wave (= timestamp) order, and only the per-cell absorbs fan out,
-    /// one pool task per commit route, each route's cells checked out of
-    /// the slab disjointly (no `unsafe`, see [`CellSlab::disjoint_mut`]).
-    /// Per-cell absorb order within a route is wave order, so every float
-    /// result is bit-identical to the serial loop's.
-    fn execute_wave(
-        &mut self,
-        points: &[(P, Timestamp)],
-        slots: &[ProbeSlot],
-        plan: &[(CellId, u32)],
-        any_births: bool,
-    ) {
-        debug_assert!(!self.structure_dirty, "waves must start structure-clean");
-        // Sequencer bookkeeping — everything the serial loop would have
-        // done per point except the absorb itself. The idle pushes use the
-        // absorb timestamps, not cell state, so they can happen before the
-        // absorbs; heap pop order is a total order on (time, id) either
-        // way.
-        let slab_len = self.slab.len() as u64;
-        for ((_, t), (cid, _)) in points.iter().zip(plan) {
-            debug_assert!(*t >= self.now - 1e-9, "stream time must not go backwards");
-            self.now = self.now.max(*t);
-            self.idle.push(*cid, *t);
-        }
-        for slot in slots {
-            self.stats.index_probed += slot.probes.len() as u64;
-            self.stats.index_pruned += slab_len - slot.probes.len() as u64;
-        }
-        self.stats.points += plan.len() as u64;
-        self.stats.absorbed += plan.len() as u64;
-        self.stats.commit_waves += 1;
-        self.stats.wave_points += plan.len() as u64;
-        if any_births {
-            self.stats.probe_revalidations_avoided += plan.len() as u64;
-        }
-        self.update_reservoir_peak();
-
-        // Group the absorbs by commit route. `keyed` is the deduplicated
-        // (cell, route) set in cell-id order — the order `disjoint_mut`
-        // hands the `&mut`s back in.
-        let mut keyed: Vec<(CellId, u32)> = plan.to_vec();
-        keyed.sort_unstable();
-        keyed.dedup();
-        let mut routes: Vec<u32> = keyed.iter().map(|&(_, r)| r).collect();
-        routes.sort_unstable();
-        routes.dedup();
-        let cids: Vec<CellId> = keyed.iter().map(|&(c, _)| c).collect();
-        let cells = self.slab.disjoint_mut(&cids);
-        let mut groups: Vec<WaveGroup<'_, P>> =
-            routes.iter().map(|_| WaveGroup { cells: Vec::new(), ops: Vec::new() }).collect();
-        let mut local: edm_common::hash::FxHashMap<CellId, (u32, u32)> = edm_common::hash::fx_map();
-        for ((cid, route), cell) in keyed.iter().zip(cells) {
-            let gi = routes.binary_search(route).expect("route came from keyed") as u32;
-            let g = &mut groups[gi as usize];
-            local.insert(*cid, (gi, g.cells.len() as u32));
-            g.cells.push(cell);
-        }
-        for ((_, t), (cid, _)) in points.iter().zip(plan) {
-            let (gi, li) = local[cid];
-            groups[gi as usize].ops.push((li, *t));
-        }
-
-        let decay = self.cfg.decay;
-        let tasks = SliceTasks::new(&mut groups, 1, &mut self.wave_claims);
-        self.workers.run(tasks.tasks(), &|i| {
-            let group = &mut tasks.take(i)[0];
-            for &(li, t) in &group.ops {
-                group.cells[li as usize].absorb(t, &decay);
-            }
-        });
     }
 
     /// Replays a still-valid cached probe: stamps its recorded distances
@@ -643,7 +432,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         deltas.clear();
         self.structure_dirty = true;
         self.run_diff(t);
-        self.refresh_shard_stats();
         self.update_reservoir_peak();
     }
 
@@ -695,7 +483,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                 let id = self.slab.insert(Cell::new(p.clone(), t));
                 self.index.on_insert(id, &self.slab.get(id).seed, &self.slab, &self.metric);
                 self.idle.push(id, t);
-                self.refresh_shard_stats();
                 born = Some(id);
             }
         }

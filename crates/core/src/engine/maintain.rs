@@ -19,7 +19,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicBool;
 
 use edm_common::metric::Metric;
 use edm_common::point::GridCoords;
@@ -30,39 +29,7 @@ use crate::evolution::{AdjustKind, ClusterId, EventKind, GroupInput};
 use crate::index::NeighborIndex;
 use crate::tree;
 
-use super::pool::SliceTasks;
 use super::{denser_scalar, EdmStream};
-
-/// Candidate-scan chunks handed out per participating thread (before
-/// stealing) when the Theorem-1/2 pass goes parallel.
-const CAND_TASKS_PER_PARTICIPANT: usize = 4;
-
-/// Minimum candidate-chunk length — the per-candidate work (two scratch
-/// reads, maybe a decay evaluation) is tiny, so below this the dispatch
-/// overhead would dominate.
-const MIN_CAND_CHUNK: usize = 64;
-
-/// One pool task's share of the parallel dependency-candidate pass:
-/// surviving candidates (in registry order) plus the filter counters the
-/// chunk would have bumped, summed into [`crate::EngineStats`] by the
-/// main thread in chunk order so the totals match the serial loop
-/// exactly.
-#[derive(Debug, Default)]
-struct CandChunk {
-    out: Vec<CellId>,
-    examined: u64,
-    tri: u64,
-    dens: u64,
-}
-
-/// Reusable buffers for the parallel dependency-candidate pass (one
-/// result chunk per pool task, plus the chunk-claim flags); lives on the
-/// engine so steady-state passes allocate nothing.
-#[derive(Debug, Default)]
-pub(super) struct DepScratch {
-    chunks: Vec<CandChunk>,
-    claims: Vec<AtomicBool>,
-}
 
 /// An idle-queue entry: the absorption time a cell was filed under.
 /// Ordered oldest-first (via `Reverse` in the heap) with id tie-breaks so
@@ -179,58 +146,46 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
 
         // Candidate pass: cells whose dependency may now be `cprime`.
         // Only tree members can depend on anything, so this walks the
-        // active registry, not the reservoir-dominated slab. The pass is
-        // read-only over (slab, scratch, index), so on a parallel engine
-        // with a large enough registry it fans out across the worker pool
-        // — chunk results merge in registry order, so candidates and
-        // counters come out identical to this serial loop.
+        // active registry, not the reservoir-dominated slab.
         let mut candidates: Vec<CellId> = Vec::new();
-        if self.cfg.ingest_threads > 1
-            && self.active_ids.len() >= self.cfg.parallel_candidates_min.max(1)
-        {
-            self.parallel_candidates(p, cprime, p_dist_cprime, before, after, t, &mut candidates);
-        } else {
-            for &id in &self.active_ids {
-                let cell = self.slab.get(id);
-                if id == cprime {
-                    continue;
-                }
-                self.stats.dep_candidates += 1;
-                // Theorem 2 first: |p,s_c| and |p,s_c'| are already in scratch
-                // when the assignment probe reached `c`, so the common case
-                // costs two reads — cheaper than the density comparison, which
-                // needs a decay evaluation per cell. Cells the index pruned
-                // fall back to its distance lower bound, which can only prune
-                // a subset of what the exact check would (still Theorem 2,
-                // one-sided), so filtering stays exact either way.
-                if filters.triangle {
-                    let pruned = match self.scratch.get(id.0 as usize) {
-                        Some(p_dist_c) => (p_dist_c - p_dist_cprime).abs() > cell.delta,
-                        None => {
-                            self.index.lower_bound_prunes(p, &cell.seed, p_dist_cprime, cell.delta)
-                        }
-                    };
-                    if pruned {
-                        self.stats.filtered_triangle += 1;
-                        continue;
-                    }
-                }
-                let rho_c = cell.rho_at(t, self.decay());
-                // `cprime` must now outrank `c` for any update to be possible;
-                // this is not a filter but the update rule itself.
-                let now_denser_c = denser_scalar(rho_c, id, after, cprime);
-                if filters.density {
-                    // Theorem 1: only cells `cprime` overtook need checking.
-                    let was_denser_c = denser_scalar(rho_c, id, before, cprime);
-                    if !was_denser_c || now_denser_c {
-                        self.stats.filtered_density += 1;
-                        continue;
-                    }
-                } else if now_denser_c {
-                    continue;
-                }
-                candidates.push(id);
+        for &id in &self.active_ids {
+            let cell = self.slab.get(id);
+            if id == cprime {
+                continue;
             }
+            self.stats.dep_candidates += 1;
+            // Theorem 2 first: |p,s_c| and |p,s_c'| are already in scratch
+            // when the assignment probe reached `c`, so the common case
+            // costs two reads — cheaper than the density comparison, which
+            // needs a decay evaluation per cell. Cells the index pruned
+            // fall back to its distance lower bound, which can only prune
+            // a subset of what the exact check would (still Theorem 2,
+            // one-sided), so filtering stays exact either way.
+            if filters.triangle {
+                let pruned = match self.scratch.get(id.0 as usize) {
+                    Some(p_dist_c) => (p_dist_c - p_dist_cprime).abs() > cell.delta,
+                    None => self.index.lower_bound_prunes(p, &cell.seed, p_dist_cprime, cell.delta),
+                };
+                if pruned {
+                    self.stats.filtered_triangle += 1;
+                    continue;
+                }
+            }
+            let rho_c = cell.rho_at(t, self.decay());
+            // `cprime` must now outrank `c` for any update to be possible;
+            // this is not a filter but the update rule itself.
+            let now_denser_c = denser_scalar(rho_c, id, after, cprime);
+            if filters.density {
+                // Theorem 1: only cells `cprime` overtook need checking.
+                let was_denser_c = denser_scalar(rho_c, id, before, cprime);
+                if !was_denser_c || now_denser_c {
+                    self.stats.filtered_density += 1;
+                    continue;
+                }
+            } else if now_denser_c {
+                continue;
+            }
+            candidates.push(id);
         }
         for c in candidates {
             // The distance only matters when it beats δ_c; past that bound
@@ -268,90 +223,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             self.structure_dirty = true;
         }
         self.stats.dep_update_nanos += started.elapsed().as_nanos() as u64;
-    }
-
-    /// The Theorem-1/2 candidate pass, fanned out across the worker pool:
-    /// the active registry is chunked, each pool task filters its chunk
-    /// read-only into a [`CandChunk`], and the main thread folds chunks
-    /// back in registry order — surviving candidates and filter counters
-    /// come out exactly as the serial loop in
-    /// [`EdmStream::dependency_maintenance`] would produce them. Gated by
-    /// the caller on `ingest_threads > 1` and
-    /// [`crate::EdmConfig::parallel_candidates_min`], because per-cell
-    /// work here is two scratch reads and at most one decay evaluation —
-    /// only large registries pay back a pool round.
-    #[allow(clippy::too_many_arguments)]
-    fn parallel_candidates(
-        &mut self,
-        p: &P,
-        cprime: CellId,
-        p_dist_cprime: f64,
-        before: f64,
-        after: f64,
-        t: Timestamp,
-        candidates: &mut Vec<CellId>,
-    ) {
-        let filters = self.cfg.filters;
-        let decay = self.cfg.decay;
-        let participants = self.cfg.ingest_threads;
-        let ids: &[CellId] = &self.active_ids;
-        let chunk =
-            ids.len().div_ceil(participants * CAND_TASKS_PER_PARTICIPANT).max(MIN_CAND_CHUNK);
-        let n_tasks = ids.len().div_ceil(chunk);
-        if self.dep_scratch.chunks.len() < n_tasks {
-            self.dep_scratch.chunks.resize_with(n_tasks, CandChunk::default);
-        }
-        let slab = &self.slab;
-        let scratch = &self.scratch;
-        let index = &self.index;
-        let tasks = SliceTasks::new(
-            &mut self.dep_scratch.chunks[..n_tasks],
-            1,
-            &mut self.dep_scratch.claims,
-        );
-        self.workers.run(n_tasks, &|i| {
-            let slot = &mut tasks.take(i)[0];
-            slot.out.clear();
-            slot.examined = 0;
-            slot.tri = 0;
-            slot.dens = 0;
-            let start = i * chunk;
-            for &id in &ids[start..(start + chunk).min(ids.len())] {
-                if id == cprime {
-                    continue;
-                }
-                slot.examined += 1;
-                let cell = slab.get(id);
-                if filters.triangle {
-                    let pruned = match scratch.get(id.0 as usize) {
-                        Some(p_dist_c) => (p_dist_c - p_dist_cprime).abs() > cell.delta,
-                        None => index.lower_bound_prunes(p, &cell.seed, p_dist_cprime, cell.delta),
-                    };
-                    if pruned {
-                        slot.tri += 1;
-                        continue;
-                    }
-                }
-                let rho_c = cell.rho_at(t, &decay);
-                let now_denser_c = denser_scalar(rho_c, id, after, cprime);
-                if filters.density {
-                    let was_denser_c = denser_scalar(rho_c, id, before, cprime);
-                    if !was_denser_c || now_denser_c {
-                        slot.dens += 1;
-                        continue;
-                    }
-                } else if now_denser_c {
-                    continue;
-                }
-                slot.out.push(id);
-            }
-        });
-        for slot in &mut self.dep_scratch.chunks[..n_tasks] {
-            self.stats.dep_candidates += slot.examined;
-            self.stats.filtered_triangle += slot.tri;
-            self.stats.filtered_density += slot.dens;
-            candidates.append(&mut slot.out);
-        }
     }
 
     /// Recomputes `cell`'s dependency: the nearest denser active cell,
@@ -451,7 +322,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         // idle queue hands over exactly the expired candidates — popping
         // stops at the first unexpired entry, so steady-state cost is
         // O(recycled + stale), independent of slab size.
-        let mut removed_any = false;
         while let Some(entry) = self.idle.peek() {
             if t - entry.last_absorb <= self.dt_del {
                 break; // oldest entry not yet expired — nothing else is
@@ -467,7 +337,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             let cell = self.slab.remove(entry.id);
             self.index.on_remove(entry.id, &cell.seed, &self.slab, &self.metric);
             self.stats.recycled += 1;
-            removed_any = true;
         }
         // Bound the stale backlog: once the queue outgrows twice the
         // reservoir, at least half its entries are stale — rebuild from
@@ -491,9 +360,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         let index_changes = self.index.maintain(&self.slab, &self.metric);
         self.stats.grid_rebuilds += index_changes;
         self.stats.index_switches = self.index.auto_switches();
-        if removed_any || index_changes > 0 {
-            self.refresh_shard_stats();
-        }
     }
 
     // ----- evolution bookkeeping (paper §3.3) -----
@@ -542,12 +408,5 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             }
         }
         best.map(|(_, id)| id)
-    }
-
-    /// Mirrors the index's per-shard population into the stats counters;
-    /// called wherever the population changes (births, recycling, init).
-    /// Writes in place — no allocation after the first refresh.
-    pub(super) fn refresh_shard_stats(&mut self) {
-        self.index.shard_occupancy_into(&mut self.stats.shard_cells);
     }
 }

@@ -59,7 +59,7 @@ use crate::slab::CellSlab;
 use crate::tau::TauController;
 
 use ingest::{BirthLedger, ScratchDistances};
-use maintain::{DepScratch, IdleQueue};
+use maintain::IdleQueue;
 use parallel::ProbePool;
 use pool::WorkerPool;
 
@@ -101,18 +101,13 @@ pub struct EdmStream<P, M> {
     /// Reusable result buffers for the parallel probe phase of
     /// `insert_batch` (idle while `ingest_threads` is 1).
     probe_pool: ProbePool,
-    /// The persistent worker pool every parallel stage dispatches through
-    /// (probe fan-out, commit waves, the dependency candidate pass).
+    /// The persistent worker pool the probe fan-out dispatches through.
     /// Spawns `ingest_threads − 1` parked threads lazily on the first
     /// real round; joined when the engine drops.
     workers: WorkerPool,
-    /// Per-commit-route birth tracking for the batch commit loop's probe
-    /// revalidation decisions (reused across rounds).
+    /// Birth tracking for the batch commit loop's probe revalidation
+    /// decisions (reused across rounds).
     ledger: BirthLedger<P>,
-    /// Chunk-claim flags for commit-wave dispatch (reused across waves).
-    wave_claims: Vec<std::sync::atomic::AtomicBool>,
-    /// Reusable chunk buffers for the parallel dependency-candidate pass.
-    dep_scratch: DepScratch,
     active_thr: f64,
     dt_del: f64,
     start: Option<Timestamp>,
@@ -146,35 +141,29 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         debug_assert!(cfg.check().is_ok(), "config bypassed builder validation: {:?}", cfg.check());
         // Test-harness knobs: `EDM_FORCE_INGEST_THREADS=<n>` forces the
         // parallel batch-ingest path onto engines that left the knob at
-        // its default, and `EDM_FORCE_SHARDS=<n>` does the same for the
-        // sharded grid index — so an entire test suite can run extra
-        // passes with phase-1 probing / multi-shard routing live (the CI
-        // test matrix does exactly that; `cargo test` builds with debug
-        // assertions, so the knobs are live there). Both are deliberately
-        // ignored when the caller chose a value — and compiled out of
-        // release builds entirely, where a stray environment variable
-        // must never change library behavior (the release defaults really
-        // are the serial loop and the unsharded grid, byte for byte).
+        // its default — so an entire test suite can run an extra pass
+        // with phase-1 probing live (the CI test matrix does exactly that;
+        // `cargo test` builds with debug assertions, so the knob is live
+        // there). It is deliberately ignored when the caller chose a
+        // value — and compiled out of release builds entirely, where a
+        // stray environment variable must never change library behavior
+        // (the release default really is the serial loop, byte for byte).
         #[cfg(debug_assertions)]
         let cfg = {
             let mut cfg = cfg;
-            let forced = |var: &str| {
-                std::env::var(var).ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 1)
-            };
             if cfg.ingest_threads() == 1 {
-                if let Some(n) = forced("EDM_FORCE_INGEST_THREADS") {
+                if let Some(n) = std::env::var("EDM_FORCE_INGEST_THREADS")
+                    .ok()
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .filter(|&n| n > 1)
+                {
                     cfg.ingest_threads = n;
                 }
             }
-            if cfg.shards() == 1 {
-                if let Some(n) = forced("EDM_FORCE_SHARDS") {
-                    cfg.shards = n;
-                }
-            }
             // `EDM_FORCE_INDEX=auto` swaps the defaulted index for the
-            // runtime auto-selector, mirroring the two knobs above: only
-            // when the caller left the index at its default, and only in
-            // debug builds.
+            // runtime auto-selector, mirroring the knob above: only when
+            // the caller left the index at its default, and only in debug
+            // builds.
             if matches!(cfg.neighbor_index, crate::index::NeighborIndexKind::Grid { side: None })
                 && std::env::var("EDM_FORCE_INDEX").as_deref() == Ok("auto")
             {
@@ -211,20 +200,12 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             log: EvolutionLog::with_capacity(cfg.event_capacity()),
             tracker: EvolutionTracker::new(cfg.event_capacity(), cfg.digest_history()),
             stats: EngineStats::default(),
-            index: CellIndex::from_config(
-                index_kind,
-                cfg.r(),
-                cfg.shards(),
-                axis_bound,
-                true_metric,
-            ),
+            index: CellIndex::from_config(index_kind, cfg.r(), axis_bound, true_metric),
             scratch: ScratchDistances::default(),
             idle: IdleQueue::default(),
             probe_pool: ProbePool::default(),
             workers: WorkerPool::new(cfg.ingest_threads()),
             ledger: BirthLedger::default(),
-            wave_claims: Vec::new(),
-            dep_scratch: DepScratch::default(),
             active_thr,
             dt_del,
             start: None,
@@ -292,19 +273,18 @@ fn suggest_tau_from_deltas(sorted: &[f64]) -> Option<f64> {
 }
 
 /// Compile-time `Send + Sync` audit of the engine and its parallel-ingest
-/// machinery: the probe phase shares `&self` across pool workers, and
-/// [`crate::ClusterSnapshot`]'s docs promise it ships across threads —
-/// neither claim may silently rot. The crate's single audited `unsafe`
-/// boundary is `engine/pool.rs` (the persistent pool's lifetime-erased
-/// dispatch); everything layered on it — probe fan-out, commit waves, the
-/// candidate pass — is safe code checked by these bounds.
+/// machinery: the probe phase shares the index and slab across pool
+/// workers, and [`crate::ClusterSnapshot`]'s docs promise it ships across
+/// threads — neither claim may silently rot. The crate's single audited
+/// `unsafe` boundary is `engine/pool.rs` (the persistent pool's
+/// lifetime-erased job publication); the probe fan-out layered on it is
+/// safe code checked by these bounds.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<ProbePool>();
     assert_send_sync::<WorkerPool>();
     assert_send_sync::<crate::index::CellIndex>();
     assert_send_sync::<crate::index::UniformGrid>();
-    assert_send_sync::<crate::index::ShardedGrid>();
     assert_send_sync::<crate::index::CoverTree>();
     assert_send_sync::<crate::slab::CellSlab<edm_common::point::DenseVector>>();
     assert_send_sync::<EdmStream<edm_common::point::DenseVector, edm_common::metric::Euclidean>>();

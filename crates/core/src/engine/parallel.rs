@@ -10,12 +10,10 @@
 //!    are strictly read-only (the layering contract of [`super`]) and is
 //!    where an insert spends most of its time in absorb-dominated steady
 //!    state.
-//! 2. **Commit** (in `ingest.rs`): points apply in timestamp order,
-//!    either serially or — when the sharded index can prove
-//!    non-interference — as shard-owned commit waves merged by a single
-//!    sequencer. A pre-computed probe is only trusted while no earlier
-//!    commit in the same batch could have changed its answer *or its
-//!    probed set*: a cell birth near the point (decided by
+//! 2. **Commit** (in `ingest.rs`): points apply serially, in timestamp
+//!    order. A pre-computed probe is only trusted while no earlier commit
+//!    in the same batch could have changed its answer *or its probed
+//!    set*: a cell birth near the point (decided by
 //!    [`crate::index::NeighborIndex::probe_conflicts`]), any recycling,
 //!    or a grid rebuild sends the point back through the serial scan —
 //!    counted in [`crate::EngineStats::probe_revalidations`]. Output is
@@ -23,20 +21,16 @@
 //!    every thread count; parallelism only changes who computes the
 //!    probes.
 //!
-//! Until PR 9 the fan-out spawned fresh `std::thread::scope` workers per
-//! round; now the pool's threads persist across rounds and park between
-//! them, so steady-state probing costs a wake/park cycle instead of a
-//! spawn/join pair. Rounds are split into chunks several times smaller
-//! than an even per-thread share, claimed from a shared cursor — a thread
-//! that drew cheap probes steals the tail from one that drew expensive
-//! ones (visible in [`crate::EngineStats::pool_steals`]). Work is still
-//! partitioned by batch position rather than by grid shard: probes *read*
-//! every shard (a nearest query folds per-shard winners), so batch
-//! position is the only contention-free split. The [`ProbeSlot`] result
-//! buffers and the chunk-claim flags both persist on the engine, so a
-//! steady-state round allocates nothing.
+//! The pool's threads persist across rounds and park between them, so
+//! steady-state probing costs a wake/park cycle instead of a spawn/join
+//! pair. A round's batch is split into chunks several times smaller than
+//! an even per-thread share and handed out from a mutex-guarded queue
+//! that every participant drains, so a thread that drew cheap probes
+//! takes over the tail from one that drew expensive ones. The
+//! [`ProbeSlot`] result buffers persist on the engine, so a steady-state
+//! round allocates nothing.
 
-use std::sync::atomic::AtomicBool;
+use std::sync::Mutex;
 
 use edm_common::metric::Metric;
 use edm_common::point::GridCoords;
@@ -46,15 +40,15 @@ use crate::cell::CellId;
 use crate::index::{CellIndex, NeighborIndex};
 use crate::slab::CellSlab;
 
-use super::pool::{SliceTasks, WorkerPool};
+use super::pool::WorkerPool;
 
-/// Probe chunks handed out per participating thread (before stealing):
-/// finer than one chunk per thread so an unlucky thread's expensive tail
-/// can be stolen, coarse enough that cursor traffic stays negligible.
+/// Probe chunks per participating thread: finer than one chunk per
+/// thread so an unlucky thread's expensive tail is taken over by the
+/// others, coarse enough that queue-lock traffic stays negligible.
 const TASKS_PER_PARTICIPANT: usize = 4;
 
-/// Minimum probe-chunk length — below this, claim traffic would rival
-/// the probes themselves and tiny rounds degenerate to the inline loop.
+/// Minimum probe-chunk length — below this, queue traffic would rival
+/// the probes themselves, and a round that fits one chunk runs inline.
 const MIN_CHUNK: usize = 16;
 
 /// One point's resolved assignment probe, computed against the engine
@@ -71,13 +65,11 @@ pub(super) struct ProbeSlot {
     pub(super) probes: Vec<(CellId, f64)>,
 }
 
-/// Reusable fan-out state for the probe phase: per-point result slots and
-/// chunk-claim flags that persist across batches so steady-state probing
-/// allocates nothing.
+/// Reusable result slots for the probe phase; they persist across
+/// batches so steady-state probing allocates nothing.
 #[derive(Debug, Default)]
 pub(super) struct ProbePool {
     slots: Vec<ProbeSlot>,
-    claims: Vec<AtomicBool>,
 }
 
 impl ProbePool {
@@ -85,9 +77,9 @@ impl ProbePool {
     /// and slab, fanning chunks out across `workers`, and returns one
     /// filled slot per point, in batch order.
     ///
-    /// The calling thread claims chunks like any pool worker, so
-    /// `threads = 1` (or a single-chunk round) degenerates to an inline
-    /// loop without waking anyone.
+    /// The calling thread drains the chunk queue like any pool worker,
+    /// so `threads = 1` (or a single-chunk round) degenerates to an
+    /// inline loop without waking anyone.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn run<P, M>(
         &mut self,
@@ -108,19 +100,23 @@ impl ProbePool {
             self.slots.resize_with(n, ProbeSlot::default);
         }
         let participants = threads.min(n).max(1);
-        if participants == 1 {
+        let chunk = n.div_ceil(participants * TASKS_PER_PARTICIPANT).max(MIN_CHUNK);
+        if participants == 1 || n <= chunk {
             for ((p, _), slot) in batch.iter().zip(self.slots.iter_mut()) {
                 probe_one(index, slab, metric, radius, p, slot);
             }
             return &mut self.slots[..n];
         }
-        let chunk = n.div_ceil(participants * TASKS_PER_PARTICIPANT).max(MIN_CHUNK);
-        let tasks = SliceTasks::new(&mut self.slots[..n], chunk, &mut self.claims);
-        workers.run(tasks.tasks(), &|i| {
-            let chunk_slots = tasks.take(i);
-            let start = i * chunk;
-            let points = &batch[start..start + chunk_slots.len()];
-            for ((p, _), slot) in points.iter().zip(chunk_slots.iter_mut()) {
+        let queue = Mutex::new(batch.chunks(chunk).zip(self.slots[..n].chunks_mut(chunk)));
+        workers.run(&|| loop {
+            // The guard drops at the end of this statement, so probes run
+            // outside the lock and a panicking probe cannot poison it.
+            let Some((points, slots)) =
+                queue.lock().expect("probes run outside the queue lock").next()
+            else {
+                return;
+            };
+            for ((p, _), slot) in points.iter().zip(slots) {
                 probe_one(index, slab, metric, radius, p, slot);
             }
         });
@@ -156,7 +152,6 @@ mod tests {
         let mut index = CellIndex::from_config(
             crate::index::NeighborIndexKind::Grid { side: None },
             0.5,
-            1,
             true,
             true,
         );

@@ -1,27 +1,24 @@
-//! Persistent worker pool for parallel ingest.
+//! Persistent worker pool for the parallel probe phase of batch ingest.
 //!
-//! PR 4's probe-then-commit pipeline spawned fresh `std::thread::scope`
-//! workers for *every* batch round — correct, but the spawn/join pair is
-//! pure coordination overhead paid per round, and scoped threads cannot
-//! outlive the call that spawned them, so nothing could ever be handed to
-//! a worker across rounds. [`WorkerPool`] replaces that: `ingest_threads
-//! − 1` OS threads are spawned once (lazily, on the first round that can
-//! use them), **park** on a condvar between rounds, and are joined when
-//! the engine is dropped. The probe fan-out, the shard-owned commit
-//! waves, and the parallel dependency-candidate pass all dispatch through
-//! the same pool.
+//! Spawning fresh `std::thread::scope` workers for *every* batch round is
+//! correct, but the spawn/join pair is pure coordination overhead paid
+//! per round. [`WorkerPool`] avoids it: `ingest_threads − 1` OS threads
+//! are spawned once (lazily, on the first round that can use them),
+//! **park** on a condvar between rounds, and are joined when the engine
+//! is dropped. Its one user is the probe fan-out (`parallel.rs`); on the
+//! served SDS workload (2-vCPU host) a fresh scope per round measured
+//! 11–72% slower per update than the parked pool over four seeds.
 //!
 //! # The round protocol
 //!
-//! A round is `run(tasks, f)`: execute `f(i)` exactly once for every `i
-//! in 0..tasks`, on any participating thread, and do not return before
-//! every call has finished. Tasks are claimed from a shared atomic
-//! cursor, so load balancing is automatic: a worker that finishes its
-//! first claim *steals* further tasks from the cursor (counted in
-//! [`crate::EngineStats::pool_steals`]); the calling thread participates
-//! too, so one configured thread degenerates to the plain inline loop
-//! with no parking and no wake-ups. There is no per-round task list to
-//! build or reallocate — the cursor *is* the queue.
+//! A round is `run(f)`: call `f()` on the calling thread and on every
+//! worker that wakes while the round is published, and do not return
+//! before every one of those calls has finished. `f` is expected to
+//! drain shared work (the probe phase hands out chunks from a
+//! mutex-guarded queue), so a worker that wakes late — after the caller
+//! already emptied the queue — simply finds nothing to do. One
+//! configured thread degenerates to a plain inline call with no parking
+//! and no wake-ups.
 //!
 //! # Safety
 //!
@@ -35,24 +32,23 @@
 //! * A worker may only obtain the job under the state mutex, *while the
 //!   job is published* (`PoolState::job` is `Some`), and checks in by
 //!   incrementing `PoolState::active_workers` under the same lock.
-//! * Every execution of `f` happens between that check-in and the
+//! * Every call of `f` on a worker happens between that check-in and the
 //!   worker's check-out (decrement under the lock, then notify).
-//! * `run` returns only after (a) the task cursor is exhausted, (b) the
-//!   outstanding-task count has drained to zero, **and** (c)
-//!   `active_workers == 0` — at which point it unpublishes the job.
-//!   A worker that wakes late finds `job == None` and parks again
-//!   without ever touching the stale pointer.
+//! * `run` returns only after its own call of `f` has finished **and**
+//!   `active_workers == 0` — at which point it unpublishes the job,
+//!   still under the lock. A worker that wakes late finds `job == None`
+//!   and parks again without ever touching the stale pointer.
 //!
 //! So no thread can hold, or later acquire, the erased reference once
 //! `run` returns: the borrow provably outlives every dereference, which
-//! is the exact obligation the lifetime erasure discharges. A panicking
-//! task is caught, flagged, and re-raised on the calling thread after
-//! the barrier — mirroring scoped-spawn behavior without poisoning the
-//! pool (workers survive and park for the next round).
+//! is the exact obligation the lifetime erasure discharges. A panic in
+//! `f` — on a worker or on the caller — is caught, flagged, and re-raised
+//! on the calling thread after the barrier, mirroring scoped-spawn
+//! behavior without poisoning the pool (workers survive and park for the
+//! next round).
 
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -79,17 +75,12 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// A round's work order: the erased closure plus its task count.
+/// A round's work order: the round closure with its borrow lifetime
+/// erased to `'static`; only dereferenced between a worker's check-in
+/// and check-out, which the caller's barrier confines to the lifetime of
+/// the real borrow (see the module-level safety argument).
 #[derive(Clone, Copy)]
-struct Job {
-    /// The round closure with its borrow lifetime erased to `'static`;
-    /// only dereferenced between a worker's check-in and check-out, which
-    /// the driver's barrier confines to the lifetime of the real borrow
-    /// (see the module-level safety argument).
-    f: *const (dyn Fn(usize) + Sync + 'static),
-    /// Task indices `0..tasks` are claimed through [`PoolShared::cursor`].
-    tasks: usize,
-}
+struct Job(*const (dyn Fn() + Sync + 'static));
 
 // SAFETY: `Job` is a shared-reference-like handle (`&dyn Fn + Sync`
 // behind the erasure), so sending it to another thread is sending a
@@ -100,43 +91,38 @@ unsafe impl Send for Job {}
 /// Mutex-guarded pool state: round publication and the check-in ledger.
 struct PoolState {
     /// Bumped once per dispatched round; a worker re-parks without
-    /// claiming when the epoch it last served is still current.
+    /// joining when the epoch it last served is still current.
     epoch: u64,
     /// The published round, `None` between rounds. Publication is the
     /// only gate through which a worker may obtain the erased closure.
     job: Option<Job>,
-    /// Workers currently between check-in and check-out — the part of
-    /// the barrier that proves no worker still holds the erased borrow.
+    /// Workers currently between check-in and check-out — the barrier
+    /// that proves no worker still holds the erased borrow.
     active_workers: usize,
     /// Set by `Drop`; workers exit instead of parking.
     shutdown: bool,
 }
 
-/// State shared between the driver and the workers.
+/// State shared between the caller and the workers.
 struct PoolShared {
     state: Mutex<PoolState>,
     /// Workers park here between rounds.
     work: Condvar,
-    /// The driver parks here while the round drains.
+    /// The caller parks here while checked-in workers finish.
     done: Condvar,
-    /// Next unclaimed task index of the current round.
-    cursor: AtomicUsize,
-    /// Tasks claimed but not yet completed, plus tasks not yet claimed.
-    remaining: AtomicUsize,
-    /// Tasks claimed by a worker beyond its first in a round — the
-    /// load-balancing traffic the shared cursor absorbs.
-    steals: AtomicU64,
-    /// A task panicked this round; the driver re-raises after the barrier.
+    /// A call of the round closure panicked; the caller re-raises after
+    /// the barrier.
     panicked: AtomicBool,
 }
 
-/// The worker thread body: park, claim, execute, check out, repeat.
+/// The worker thread body: park, check in, run the round, check out,
+/// repeat.
 fn worker_loop(shared: Arc<PoolShared>) {
     let _guard = WorkerGuard;
     let mut seen = 0u64;
     loop {
         let job = {
-            let mut st = shared.state.lock().expect("pool mutex never poisons: tasks are caught");
+            let mut st = shared.state.lock().expect("pool mutex never poisons: calls are caught");
             loop {
                 if st.shutdown {
                     return;
@@ -153,26 +139,12 @@ fn worker_loop(shared: Arc<PoolShared>) {
                 st = shared.work.wait(st).expect("pool mutex never poisons");
             }
         };
-        let mut claimed_any = false;
-        loop {
-            let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= job.tasks {
-                break;
-            }
-            if claimed_any {
-                shared.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            claimed_any = true;
-            if !shared.panicked.load(Ordering::Relaxed) {
-                // SAFETY: obtained under publication between check-in and
-                // check-out; the driver's barrier keeps the real borrow
-                // alive until check-out (module-level argument).
-                let f = unsafe { &*job.f };
-                if catch_unwind(AssertUnwindSafe(|| f(i))).is_err() {
-                    shared.panicked.store(true, Ordering::SeqCst);
-                }
-            }
-            shared.remaining.fetch_sub(1, Ordering::AcqRel);
+        // SAFETY: obtained under publication between check-in and
+        // check-out; the caller's barrier keeps the real borrow alive
+        // until check-out (module-level argument).
+        let f = unsafe { &*job.0 };
+        if catch_unwind(AssertUnwindSafe(f)).is_err() {
+            shared.panicked.store(true, Ordering::SeqCst);
         }
         {
             let mut st = shared.state.lock().expect("pool mutex never poisons");
@@ -194,17 +166,8 @@ pub(super) struct WorkerPool {
     shared: Option<Arc<PoolShared>>,
     handles: Vec<JoinHandle<()>>,
     /// Rounds dispatched to parked workers (wake/park cycles). Inline
-    /// degenerate rounds — one configured thread, or a single task — are
-    /// not counted: nothing was woken.
+    /// rounds of a one-thread pool are not counted: nothing was woken.
     rounds: u64,
-    /// Tasks any participant claimed beyond its first in a round.
-    steals: u64,
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        WorkerPool::new(1)
-    }
 }
 
 impl WorkerPool {
@@ -216,19 +179,12 @@ impl WorkerPool {
             shared: None,
             handles: Vec::new(),
             rounds: 0,
-            steals: 0,
         }
     }
 
     /// Rounds dispatched to parked workers so far.
     pub(super) fn rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// Cross-thread task claims beyond each participant's first, summed
-    /// over all rounds.
-    pub(super) fn steals(&self) -> u64 {
-        self.steals
     }
 
     /// Worker threads currently spawned (0 until the first real round).
@@ -248,9 +204,6 @@ impl WorkerPool {
                 }),
                 work: Condvar::new(),
                 done: Condvar::new(),
-                cursor: AtomicUsize::new(0),
-                remaining: AtomicUsize::new(0),
-                steals: AtomicU64::new(0),
                 panicked: AtomicBool::new(false),
             });
             for _ in 0..self.target {
@@ -268,29 +221,22 @@ impl WorkerPool {
         self.shared.as_ref().expect("just ensured")
     }
 
-    /// Executes `f(i)` exactly once for every `i in 0..tasks` across the
-    /// pool and the calling thread, returning only when all calls have
-    /// finished (the barrier the module docs describe). With one
-    /// configured participant or one task this is the plain inline loop.
+    /// Calls `f` once on the calling thread and at most once on each
+    /// worker that wakes while the round is published, returning only
+    /// when every call has finished (the barrier the module docs
+    /// describe). With one configured participant this is a plain inline
+    /// call.
     ///
     /// # Panics
     /// Re-raises (once, on the calling thread, after the barrier) when
-    /// any task panicked.
-    pub(super) fn run(&mut self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-        if tasks == 0 {
-            return;
-        }
-        if self.target == 0 || tasks == 1 {
-            for i in 0..tasks {
-                f(i);
-            }
+    /// any call panicked.
+    pub(super) fn run(&mut self, f: &(dyn Fn() + Sync)) {
+        if self.target == 0 {
+            f();
             return;
         }
         self.rounds += 1;
-        self.ensure_spawned();
-        let shared = self.shared.as_ref().expect("spawned above");
-        shared.cursor.store(0, Ordering::SeqCst);
-        shared.remaining.store(tasks, Ordering::SeqCst);
+        let shared = self.ensure_spawned();
         shared.panicked.store(false, Ordering::SeqCst);
         {
             let mut st = shared.state.lock().expect("pool mutex never poisons");
@@ -298,39 +244,25 @@ impl WorkerPool {
             // SAFETY: lifetime erasure to `'static`; every dereference is
             // confined between worker check-in and check-out, and the
             // barrier below outlives all of them — see the module docs.
-            let f: *const (dyn Fn(usize) + Sync + 'static) =
-                unsafe { std::mem::transmute(f as *const (dyn Fn(usize) + Sync)) };
-            st.job = Some(Job { f, tasks });
+            let f: *const (dyn Fn() + Sync + 'static) =
+                unsafe { std::mem::transmute(f as *const (dyn Fn() + Sync)) };
+            st.job = Some(Job(f));
         }
         shared.work.notify_all();
-        // The driver claims tasks like any worker.
-        let mut claimed_any = false;
-        loop {
-            let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= tasks {
-                break;
-            }
-            if claimed_any {
-                self.steals += 1;
-            }
-            claimed_any = true;
-            if !shared.panicked.load(Ordering::Relaxed)
-                && catch_unwind(AssertUnwindSafe(|| f(i))).is_err()
-            {
-                shared.panicked.store(true, Ordering::SeqCst);
-            }
-            shared.remaining.fetch_sub(1, Ordering::AcqRel);
+        // The caller takes part like any worker; catching its panic keeps
+        // it from unwinding past the barrier while workers hold the job.
+        if catch_unwind(AssertUnwindSafe(f)).is_err() {
+            shared.panicked.store(true, Ordering::SeqCst);
         }
-        // Barrier: all tasks finished AND no worker still inside its
-        // claim loop (it could still be holding the erased borrow).
+        // Barrier: no worker still between check-in and check-out (it
+        // could still be holding the erased borrow).
         {
             let mut st = shared.state.lock().expect("pool mutex never poisons");
-            while shared.remaining.load(Ordering::Acquire) > 0 || st.active_workers > 0 {
+            while st.active_workers > 0 {
                 st = shared.done.wait(st).expect("pool mutex never poisons");
             }
             st.job = None;
         }
-        self.steals += shared.steals.swap(0, Ordering::Relaxed);
         if shared.panicked.load(Ordering::SeqCst) {
             panic!("worker pool: a parallel task panicked (state may be inconsistent)");
         }
@@ -352,87 +284,22 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Runtime-checked disjoint handout of `&mut` chunks of a slice to pool
-/// tasks.
-///
-/// The pool's contract (each task index claimed exactly once) is what
-/// makes per-index chunk handout aliasing-free, but that contract lives
-/// in `WorkerPool`, not in the type system. `SliceTasks` re-checks it
-/// dynamically — an atomic claim flag per chunk, flipped exactly once —
-/// so its callers in `parallel.rs`, `ingest.rs` and `maintain.rs` stay
-/// entirely safe code: a double claim is a loud panic, never aliasing.
-/// The claim-flag storage is borrowed from the caller so steady-state
-/// rounds reuse one allocation.
-pub(super) struct SliceTasks<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    chunk: usize,
-    claims: &'a [AtomicBool],
-    _borrow: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: handing a `SliceTasks` across threads moves/shares only a raw
-// pointer plus atomics; actual element access is `&mut T` handed out
-// disjointly (claim-checked), so `T: Send` is the exact requirement —
-// the same bound `std::thread::scope` would demand to move `&mut [T]`
-// chunks into workers.
-unsafe impl<T: Send> Send for SliceTasks<'_, T> {}
-// SAFETY: see above — `take(&self)` is the shared entry point, and the
-// claim flags serialize each chunk to exactly one caller.
-unsafe impl<T: Send> Sync for SliceTasks<'_, T> {}
-
-impl<'a, T> SliceTasks<'a, T> {
-    /// Splits `slice` into `⌈len / chunk⌉` tasks of `chunk` elements
-    /// (last one ragged), resetting `claims` storage to fit.
-    pub(super) fn new(slice: &'a mut [T], chunk: usize, claims: &'a mut Vec<AtomicBool>) -> Self {
-        assert!(chunk > 0, "chunk size must be positive");
-        let tasks = slice.len().div_ceil(chunk);
-        claims.clear();
-        claims.resize_with(tasks, || AtomicBool::new(false));
-        SliceTasks {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            chunk,
-            claims,
-            _borrow: PhantomData,
-        }
-    }
-
-    /// Number of chunk tasks.
-    pub(super) fn tasks(&self) -> usize {
-        self.claims.len()
-    }
-
-    /// Elements per (non-ragged) chunk.
-    #[cfg(test)]
-    pub(super) fn chunk_len(&self) -> usize {
-        self.chunk
-    }
-
-    /// Claims chunk `i`, handing out its elements mutably.
-    ///
-    /// # Panics
-    /// Panics when chunk `i` was already claimed — the dynamic re-check
-    /// of the pool's claim-once contract.
-    // `&self -> &mut` is the point of this type: the claim flags are the
-    // interior-mutability gate that serializes each chunk to one caller.
-    #[allow(clippy::mut_from_ref)]
-    pub(super) fn take(&self, i: usize) -> &mut [T] {
-        let already = self.claims[i].swap(true, Ordering::AcqRel);
-        assert!(!already, "pool chunk {i} claimed twice");
-        let start = i * self.chunk;
-        let end = (start + self.chunk).min(self.len);
-        // SAFETY: the claim flag above hands each index to exactly one
-        // caller, and distinct indices map to disjoint subranges, so no
-        // two live `&mut` returns can alias.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), end - start) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Weak;
+
+    /// A round closure that drains `0..tasks` from a shared cursor —
+    /// the shape of the probe phase's chunk queue.
+    fn drain(next: &AtomicUsize, tasks: usize, mut each: impl FnMut(usize)) {
+        loop {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            if i >= tasks {
+                return;
+            }
+            each(i);
+        }
+    }
 
     #[test]
     fn runs_every_task_exactly_once_at_various_widths() {
@@ -440,13 +307,20 @@ mod tests {
             let mut pool = WorkerPool::new(threads);
             for tasks in [0usize, 1, 3, 64, 257] {
                 let hits: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
-                pool.run(tasks, &|i| {
-                    hits[i].fetch_add(1, Ordering::SeqCst);
+                let next = AtomicUsize::new(0);
+                let calls = AtomicUsize::new(0);
+                pool.run(&|| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    drain(&next, tasks, |i| {
+                        hits[i].fetch_add(1, Ordering::SeqCst);
+                    });
                 });
                 assert!(
                     hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
                     "threads={threads}, tasks={tasks}"
                 );
+                let calls = calls.load(Ordering::SeqCst);
+                assert!((1..=threads).contains(&calls), "at most one call per participant");
             }
         }
     }
@@ -455,10 +329,10 @@ mod tests {
     fn single_thread_pool_spawns_nothing_and_counts_no_rounds() {
         let mut pool = WorkerPool::new(1);
         let hit = AtomicUsize::new(0);
-        pool.run(16, &|_| {
+        pool.run(&|| {
             hit.fetch_add(1, Ordering::SeqCst);
         });
-        assert_eq!(hit.load(Ordering::SeqCst), 16);
+        assert_eq!(hit.load(Ordering::SeqCst), 1, "inline: exactly the caller's call");
         assert_eq!(pool.spawned(), 0);
         assert_eq!(pool.rounds(), 0, "inline rounds wake nobody");
     }
@@ -468,8 +342,11 @@ mod tests {
         let mut pool = WorkerPool::new(4);
         for round in 1..=50u64 {
             let sum = AtomicUsize::new(0);
-            pool.run(32, &|i| {
-                sum.fetch_add(i + 1, Ordering::SeqCst);
+            let next = AtomicUsize::new(0);
+            pool.run(&|| {
+                drain(&next, 32, |i| {
+                    sum.fetch_add(i + 1, Ordering::SeqCst);
+                });
             });
             assert_eq!(sum.load(Ordering::SeqCst), 32 * 33 / 2);
             assert_eq!(pool.rounds(), round);
@@ -482,7 +359,7 @@ mod tests {
         let weak: Weak<PoolShared>;
         {
             let mut pool = WorkerPool::new(4);
-            pool.run(64, &|_| {});
+            pool.run(&|| {});
             weak = Arc::downgrade(pool.shared.as_ref().expect("spawned"));
             assert_eq!(pool.spawned(), 3);
         }
@@ -494,61 +371,35 @@ mod tests {
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
         let mut pool = WorkerPool::new(4);
+        // A panic on the caller's own call still waits out the barrier.
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(16, &|i| {
-                assert!(i != 7, "boom");
+            pool.run(&|| panic!("boom on every participant"));
+        }));
+        assert!(caught.is_err(), "panic must reach the caller");
+        // A panic on a worker only: the caller holds the round open until
+        // some worker has checked in, so the worker call is certain.
+        let workers_in = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(&|| {
+                if std::thread::current().name() == Some("edm-pool-worker") {
+                    workers_in.fetch_add(1, Ordering::SeqCst);
+                    panic!("boom on a worker");
+                }
+                while workers_in.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
             });
         }));
-        assert!(caught.is_err(), "panic must reach the driver");
+        assert!(caught.is_err(), "a worker's panic must reach the caller");
         // The pool is still usable afterwards.
         let hits = AtomicUsize::new(0);
-        pool.run(8, &|_| {
-            hits.fetch_add(1, Ordering::SeqCst);
+        let next = AtomicUsize::new(0);
+        pool.run(&|| {
+            drain(&next, 8, |_| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
         });
         assert_eq!(hits.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn slice_tasks_hands_out_disjoint_chunks() {
-        let mut data = vec![0u32; 103];
-        let mut claims = Vec::new();
-        let tasks = SliceTasks::new(&mut data, 10, &mut claims);
-        assert_eq!(tasks.tasks(), 11);
-        let mut seen = 0usize;
-        for i in 0..tasks.tasks() {
-            let chunk = tasks.take(i);
-            for v in chunk.iter_mut() {
-                *v += 1;
-            }
-            seen += chunk.len();
-        }
-        assert_eq!(seen, 103);
-        assert!(data.iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "claimed twice")]
-    fn slice_tasks_rejects_double_claims() {
-        let mut data = vec![0u8; 8];
-        let mut claims = Vec::new();
-        let tasks = SliceTasks::new(&mut data, 4, &mut claims);
-        let _a = tasks.take(0);
-        let _b = tasks.take(0);
-    }
-
-    #[test]
-    fn pool_drives_slice_tasks_end_to_end() {
-        let mut pool = WorkerPool::new(4);
-        let mut data = vec![0u64; 1000];
-        let mut claims = Vec::new();
-        let tasks = SliceTasks::new(&mut data, 64, &mut claims);
-        let n = tasks.tasks();
-        let chunk = tasks.chunk_len();
-        pool.run(n, &|i| {
-            for (k, v) in tasks.take(i).iter_mut().enumerate() {
-                *v = (i * chunk + k) as u64;
-            }
-        });
-        assert!(data.iter().enumerate().all(|(k, &v)| v == k as u64));
+        assert_eq!(pool.spawned(), 3, "panicking calls kill no worker");
     }
 }

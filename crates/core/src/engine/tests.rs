@@ -479,31 +479,6 @@ fn grid_index_prunes_assignment_work_and_stays_coherent() {
 }
 
 #[test]
-fn sharded_engine_matches_the_unsharded_one() {
-    // The facade-level smoke check (the proptest suite does the heavy
-    // lifting): a 4-shard engine must agree with the default on clusters,
-    // stay index-coherent, and meter per-shard occupancy in its stats.
-    let sharded_cfg =
-        mini_cfg(0.5).to_builder().shards(std::num::NonZeroUsize::new(4).unwrap()).build().unwrap();
-    let mut plain = EdmStream::new(mini_cfg(0.5), Euclidean);
-    let mut sharded = EdmStream::new(sharded_cfg, Euclidean);
-    feed_two_blobs(&mut plain, 300);
-    feed_two_blobs(&mut sharded, 300);
-    assert_eq!(plain.n_clusters(), sharded.n_clusters());
-    assert_eq!(plain.n_cells(), sharded.n_cells());
-    assert_eq!(sharded.stats().shard_cells.len(), 4);
-    assert_eq!(
-        sharded.stats().shard_cells.iter().sum::<u64>(),
-        sharded.n_cells() as u64,
-        "per-shard occupancy must cover every live cell"
-    );
-    sharded.check_index().unwrap();
-    sharded.check_invariants(3.0).unwrap();
-    let probe = DenseVector::from([0.1, 0.0]);
-    assert_eq!(plain.cluster_of(&probe, 3.0).is_some(), sharded.cluster_of(&probe, 3.0).is_some());
-}
-
-#[test]
 fn grid_downgrades_for_metrics_without_the_axis_bound() {
     // A scaled Euclidean violates dist >= |a[k]-b[k]|: coordinate
     // distance 3 is metric distance 0.3 < r, so a grid probing only
@@ -543,7 +518,6 @@ fn linear_scan_index_probes_everything() {
     feed_two_blobs(&mut e, 200);
     assert_eq!(e.stats().index_pruned, 0);
     assert!(e.stats().index_probed > 0);
-    assert!(e.stats().shard_cells.is_empty(), "the linear scan has no shards to meter");
     e.check_index().unwrap();
 }
 
@@ -603,8 +577,6 @@ fn cover_tree_engine_matches_the_linear_scan() {
     assert_eq!(c_events, l_events);
     assert!(cover.stats().index_pruned > 0, "the tree must prune probes");
     assert!(cover.stats().index_probed < linear.stats().index_probed);
-    // The tree meters its population like the unsharded grid does.
-    assert_eq!(cover.stats().shard_cells, vec![cover.n_cells() as u64]);
     cover.check_index().unwrap();
     cover.check_invariants(t).unwrap();
 }
@@ -725,14 +697,7 @@ fn auto_index_keeps_the_grid_for_low_dimensional_dense_vectors() {
             e.insert(&p, i as f64 / 100.0);
         }
     }
-    // The CI leg's `EDM_FORCE_SHARDS` reroutes this defaulted shard
-    // count, so the selector's grid-family pick is the *sharded* grid
-    // there; either way it must stay on the grid family, unswitched.
-    if std::env::var_os("EDM_FORCE_SHARDS").is_none() {
-        assert_eq!(auto.index_label(), "auto:grid");
-    } else {
-        assert!(auto.index_label().ends_with("grid"), "label: {}", auto.index_label());
-    }
+    assert_eq!(auto.index_label(), "auto:grid");
     assert_eq!(auto.stats().index_switches, 0);
     assert_eq!(grid.stats().index_switches, 0, "fixed backends never switch");
     let t = 4.0;
@@ -995,28 +960,6 @@ fn parallel_path_works_for_coordinate_less_payloads() {
     assert_eq!(serial.stats().points, parallel.stats().points);
     assert_eq!(serial.stats().absorbed, parallel.stats().absorbed);
     assert!(parallel.stats().probe_tasks > 0);
-}
-
-#[test]
-fn sharded_parallel_ingest_matches_too() {
-    let batch = churny_batch(500);
-    let t = batch.len() as f64 / 100.0;
-    let sharded = |threads: usize| {
-        parallel_cfg(threads)
-            .to_builder()
-            .shards(std::num::NonZeroUsize::new(4).unwrap())
-            .recycle_horizon(2.0)
-            .build()
-            .unwrap()
-    };
-    let mut serial = EdmStream::new(sharded(1), Euclidean);
-    for (p, ts) in &batch {
-        serial.insert(p, *ts);
-    }
-    let mut parallel = EdmStream::new(sharded(4), Euclidean);
-    parallel.insert_batch(&batch);
-    assert_eq!(observe(&mut serial, t), observe(&mut parallel, t));
-    assert!(parallel.check_index().is_ok());
 }
 
 #[test]

@@ -64,8 +64,8 @@ impl Default for FilterConfig {
 
 /// Counters and timings the engine accumulates while running.
 ///
-/// Cheap to clone (one small `Vec` for per-shard occupancy); snapshots
-/// freeze a clone so reporting code reads counters off the hot path.
+/// Plain integers, cheap to clone; snapshots freeze a clone so reporting
+/// code reads counters off the hot path.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Stream points processed (including the initialization buffer).
@@ -102,14 +102,8 @@ pub struct EngineStats {
     /// cells minus probes) — zero under
     /// [`crate::index::NeighborIndexKind::LinearScan`].
     pub index_pruned: u64,
-    /// Live cells per neighbor-index shard, in shard order: one entry per
-    /// shard of the sharded grid, a single entry for the unsharded grid,
-    /// empty under the linear scan (no index structure to meter). Skew
-    /// here is the first thing to check before leaning on shard
-    /// parallelism.
-    pub shard_cells: Vec<u64>,
-    /// Occupancy-band auto-tuning rebuilds of the grid index (summed over
-    /// shards). See [`crate::index::UniformGrid::maintain`].
+    /// Occupancy-band auto-tuning rebuilds of the grid index. See
+    /// [`crate::index::UniformGrid::maintain`].
     pub grid_rebuilds: u64,
     /// Assignment probes computed by the parallel probe phase of
     /// `insert_batch` (phase 1 of probe-then-commit; zero when
@@ -163,29 +157,6 @@ pub struct EngineStats {
     /// the field existed still load.
     #[serde(default)]
     pub pool_rounds: u64,
-    /// Shard-owned commit waves executed by the batch commit loop: runs
-    /// of absorb-only commits the wave planner proved independent and
-    /// fanned out by commit route instead of committing serially. Zero
-    /// when `ingest_threads` is 1 or the index offers a single commit
-    /// route (e.g. the unsharded grid). Serde-defaulted so stats
-    /// persisted before the field existed still load.
-    #[serde(default)]
-    pub commit_waves: u64,
-    /// Points committed through those waves (each wave covers
-    /// `commit_wave_min` points or more). Compare against `points` for
-    /// the fraction of the stream that commits in parallel.
-    /// Serde-defaulted so stats persisted before the field existed still
-    /// load.
-    #[serde(default)]
-    pub wave_points: u64,
-    /// Pool tasks a participant claimed beyond its first in a round —
-    /// the work-stealing traffic of the shared task cursor. High values
-    /// relative to `pool_rounds` mean chunks are uneven (some threads
-    /// drew expensive probes and others absorbed their tail), which is
-    /// the load balancing working, not failing. Serde-defaulted so stats
-    /// persisted before the field existed still load.
-    #[serde(default)]
-    pub pool_steals: u64,
 }
 
 impl EngineStats {
@@ -206,8 +177,8 @@ impl EngineStats {
 
     /// A copy with every field exempt from the **parallel == serial
     /// observational-equivalence contract** zeroed: the parallel-path
-    /// counters (`probe_tasks`, `probe_revalidations`, `parallel_batches`,
-    /// `pool_rounds`, `pool_steals`, `commit_waves`, `wave_points`)
+    /// counters (`probe_tasks`, `probe_revalidations`,
+    /// `probe_revalidations_avoided`, `parallel_batches`, `pool_rounds`)
     /// describe *who computed* the work
     /// rather than clustering output, `dep_update_nanos` is wall clock,
     /// and `snapshots_published` counts how often the state was
@@ -223,9 +194,6 @@ impl EngineStats {
             probe_revalidations_avoided: 0,
             parallel_batches: 0,
             pool_rounds: 0,
-            pool_steals: 0,
-            commit_waves: 0,
-            wave_points: 0,
             dep_update_nanos: 0,
             snapshots_published: 0,
             ..self.clone()

@@ -216,22 +216,21 @@ impl UniformGrid {
     }
 
     /// Cells filed in coordinate buckets (excludes the unbucketed list).
-    /// O(1): queried on every cell birth (shard stats refresh) and every
-    /// maintenance cadence (occupancy probe); the counter's agreement
-    /// with the buckets is verified in `check_coherence`, off the hot
-    /// path.
+    /// O(1): queried on every maintenance cadence (occupancy probe); the
+    /// counter's agreement with the buckets is verified in
+    /// `check_coherence`, off the hot path.
     fn bucketed_len(&self) -> usize {
         self.n_bucketed
     }
 
     /// Total cells the grid holds (bucketed + unbucketed).
-    pub(crate) fn indexed_len(&self) -> usize {
+    fn indexed_len(&self) -> usize {
         self.bucketed_len() + self.unbucketed.len()
     }
 
     /// Checks that `id` (with seed coordinates `coords`) is filed exactly
     /// once where this grid's quantization says it belongs.
-    pub(crate) fn check_filed(&self, id: CellId, coords: Option<&[f64]>) -> Result<(), String> {
+    fn check_filed(&self, id: CellId, coords: Option<&[f64]>) -> Result<(), String> {
         match self.key_of(coords) {
             Some(key) => {
                 let bucket = self.buckets.get(&key).ok_or(format!("{id}: bucket missing"))?;
@@ -290,8 +289,7 @@ impl UniformGrid {
     }
 
     /// Re-files every cell this grid holds under the current side, in one
-    /// O(cells held) pass. Only re-buckets its *own* ids (never the whole
-    /// slab): under [`super::ShardedGrid`] each shard owns a subset.
+    /// O(cells held) pass.
     fn rebuild<P: GridCoords>(&mut self, slab: &CellSlab<P>) {
         let ids: Vec<CellId> = self.buckets.drain().flat_map(|(_, ids)| ids).collect();
         self.n_bucketed = 0;

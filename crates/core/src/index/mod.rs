@@ -7,7 +7,7 @@
 //! insert cost grow linearly with cell count, which defeats the paper's
 //! cheap-maintenance claim as soon as the outlier reservoir grows. This
 //! module abstracts the question behind [`NeighborIndex`] and provides
-//! four implementations:
+//! three implementations:
 //!
 //! * [`UniformGrid`] — seeds quantized into a uniform grid of bucket side
 //!   `r` (the cluster-cell radius), so an assignment query probes only the
@@ -21,11 +21,6 @@
 //!   grid auto-tunes it: mean occupancy leaving a target band triggers an
 //!   O(n) rebuild at a refined/coarsened side (counted in
 //!   [`crate::EngineStats::grid_rebuilds`]).
-//! * [`ShardedGrid`] — `S` independent [`UniformGrid`]s, each owning the
-//!   seeds whose coarse grid key hashes to it. Structural updates touch
-//!   one shard; queries combine per-shard winners. The isolation seam for
-//!   per-shard locking/threading (configured via
-//!   [`crate::EdmConfigBuilder::shards`]).
 //! * [`CoverTree`] — a best-first metric tree over cell seeds, pruning
 //!   whole subtrees through triangle-inequality covering-radius bounds.
 //!   Needs no coordinates at all — only the metric axioms (the
@@ -47,12 +42,10 @@
 mod cover;
 mod grid;
 mod linear;
-mod sharded;
 
 pub use cover::CoverTree;
 pub use grid::UniformGrid;
 pub use linear::LinearScan;
-pub use sharded::ShardedGrid;
 
 use edm_common::metric::Metric;
 use edm_common::point::GridCoords;
@@ -271,7 +264,7 @@ pub(crate) fn closer(d: f64, id: CellId, best: Option<(CellId, f64)>) -> bool {
     }
 }
 
-/// The engine's concrete index: static dispatch over the four fixed
+/// The engine's concrete index: static dispatch over the three fixed
 /// implementations (no boxing on the hot path) plus the boxed
 /// auto-selecting wrapper.
 #[derive(Debug, Clone)]
@@ -280,8 +273,6 @@ pub enum CellIndex {
     Linear(LinearScan),
     /// Uniform grid over seeds.
     Grid(UniformGrid),
-    /// Hash-sharded uniform grids (`shards > 1`).
-    Sharded(ShardedGrid),
     /// Best-first metric tree over seeds.
     Cover(CoverTree),
     /// Runtime-selected backend ([`NeighborIndexKind::Auto`]); boxed so
@@ -291,10 +282,7 @@ pub enum CellIndex {
 
 impl CellIndex {
     /// Builds the index a configuration asks for; `r` is the cluster-cell
-    /// radius (the grid's default bucket side), `shards` the configured
-    /// shard count (1 = a single unsharded grid; ignored by the cover
-    /// tree and the linear scan, which have no shard structure),
-    /// `axis_bound` whether the engine's metric dominates per-axis
+    /// radius (the grid's default bucket side), `axis_bound` whether the engine's metric dominates per-axis
     /// coordinate differences (lets the cover tree hand out Chebyshev
     /// [`NeighborIndex::distance_lower_bound`]s; the grid kinds are only
     /// ever constructed when it holds), and `true_metric` whether the
@@ -304,8 +292,8 @@ impl CellIndex {
     /// (`side: None`) enables occupancy auto-tuning — the side is the
     /// engine's guess, free to refine; an explicit side is pinned.
     ///
-    /// A degenerate side (zero, negative, non-finite) or shard count of
-    /// zero degrades to the linear scan instead of panicking: the builder
+    /// A degenerate side (zero, negative, non-finite) degrades to the
+    /// linear scan instead of panicking: the builder
     /// rejects such configs with typed [`crate::ConfigError`]s, so this
     /// only triggers for configs smuggled past validation
     /// (deserialization, FFI), where the engine's contract is
@@ -313,7 +301,6 @@ impl CellIndex {
     pub fn from_config(
         kind: NeighborIndexKind,
         r: f64,
-        shards: usize,
         axis_bound: bool,
         true_metric: bool,
     ) -> Self {
@@ -323,26 +310,22 @@ impl CellIndex {
             NeighborIndexKind::Grid { side } => {
                 let auto_tune = side.is_none();
                 let side = side.unwrap_or(r);
-                if !side.is_finite() || side <= 0.0 || shards == 0 {
+                if !side.is_finite() || side <= 0.0 {
                     CellIndex::Linear(LinearScan)
-                } else if shards == 1 {
-                    if auto_tune {
-                        CellIndex::Grid(UniformGrid::auto_tuned(side))
-                    } else {
-                        CellIndex::Grid(UniformGrid::new(side))
-                    }
+                } else if auto_tune {
+                    CellIndex::Grid(UniformGrid::auto_tuned(side))
                 } else {
-                    CellIndex::Sharded(ShardedGrid::new(side, shards, auto_tune))
+                    CellIndex::Grid(UniformGrid::new(side))
                 }
             }
             NeighborIndexKind::Auto => {
-                let can_grid = axis_bound && r.is_finite() && r > 0.0 && shards > 0;
+                let can_grid = axis_bound && r.is_finite() && r > 0.0;
                 if !can_grid && !true_metric {
                     // Neither candidate backend is sound for this metric;
                     // a selector with one option is dead weight.
                     CellIndex::Linear(LinearScan)
                 } else {
-                    CellIndex::Auto(Box::new(AutoCell::new(r, shards, can_grid, true_metric)))
+                    CellIndex::Auto(Box::new(AutoCell::new(r, can_grid, true_metric)))
                 }
             }
         }
@@ -354,40 +337,13 @@ impl CellIndex {
         match self {
             CellIndex::Linear(_) => "linear",
             CellIndex::Grid(_) => "grid",
-            CellIndex::Sharded(_) => "sharded-grid",
             CellIndex::Cover(_) => "cover-tree",
             CellIndex::Auto(a) => match &a.inner {
                 CellIndex::Linear(_) => "auto:linear",
                 CellIndex::Grid(_) => "auto:grid",
-                CellIndex::Sharded(_) => "auto:sharded-grid",
                 CellIndex::Cover(_) => "auto:cover-tree",
                 CellIndex::Auto(_) => unreachable!("auto index cannot nest"),
             },
-        }
-    }
-
-    /// Live cells held per shard: one entry per shard of the sharded
-    /// grid, a single entry for the unsharded grid and the cover tree,
-    /// empty for the linear scan (the slab itself is the only
-    /// structure). Written into `out` so the engine's per-insert refresh
-    /// never reallocates. The auto selector reports whatever its current
-    /// backend would.
-    pub fn shard_occupancy_into(&self, out: &mut Vec<u64>) {
-        match self {
-            CellIndex::Linear(_) => out.clear(),
-            CellIndex::Grid(g) => {
-                out.clear();
-                out.push(g.indexed_len() as u64);
-            }
-            CellIndex::Sharded(s) => {
-                out.clear();
-                out.extend(s.occupancy_iter());
-            }
-            CellIndex::Cover(c) => {
-                out.clear();
-                out.push(c.len() as u64);
-            }
-            CellIndex::Auto(a) => a.inner.shard_occupancy_into(out),
         }
     }
 
@@ -417,38 +373,11 @@ impl CellIndex {
         }
     }
 
-    /// Number of independent commit routes the index structure offers —
-    /// the shard count of a (possibly auto-selected) sharded grid, `1`
-    /// everywhere else. The batch committer only plans shard-owned commit
-    /// waves when this exceeds 1: a single route means every commit would
-    /// land on the same owner anyway.
-    pub(crate) fn commit_routes(&self) -> usize {
-        match self {
-            CellIndex::Sharded(s) => s.shard_count(),
-            CellIndex::Auto(a) => a.inner.commit_routes(),
-            _ => 1,
-        }
-    }
-
-    /// The commit route a cell with this seed belongs to: its shard under
-    /// a (possibly auto-selected) sharded grid, route `0` everywhere
-    /// else. Structural updates for one route touch only that shard's
-    /// grid, which is the disjointness the shard-owned commit waves (and
-    /// the per-route birth ledger) lean on. Depends only on the seed, so
-    /// it is stable for a cell's whole lifetime.
-    pub(crate) fn commit_route<P: GridCoords>(&self, seed: &P) -> u64 {
-        match self {
-            CellIndex::Sharded(s) => s.shard_of(seed.grid_coords()) as u64,
-            CellIndex::Auto(a) => a.inner.commit_route(seed),
-            _ => 0,
-        }
-    }
-
     /// Whether any cell birth inside the axis-aligned bounding box
     /// `[min, max]` could conflict with a `nearest_within(q, radius, ..)`
     /// probe — the bounding-box generalization of
     /// [`NeighborIndex::probe_conflicts`], used by the batch committer's
-    /// birth ledger once a route has seen too many births to track
+    /// birth ledger once a round has seen too many births to track
     /// individually. Lives in the index (not the ledger) because the
     /// coordless / dimension-mismatch escapes need the grid's tracked
     /// dimensionality to stay sound. Conservative `true` for backends
@@ -463,7 +392,6 @@ impl CellIndex {
     ) -> bool {
         match self {
             CellIndex::Grid(g) => g.bbox_conflicts(q, min, max, radius),
-            CellIndex::Sharded(s) => s.bbox_conflicts(q, min, max, radius),
             CellIndex::Auto(a) => a.inner.bbox_conflicts(q, min, max, radius),
             CellIndex::Linear(_) | CellIndex::Cover(_) => true,
         }
@@ -473,7 +401,7 @@ impl CellIndex {
 /// Candidate backend families the auto selector can pick between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AutoChoice {
-    /// Uniform grid (sharded when the engine's shard count asks for it).
+    /// Uniform grid.
     Grid,
     /// Cover tree.
     Cover,
@@ -535,8 +463,6 @@ pub struct AutoCell {
     /// Cluster-cell radius — the grid side used when (re)building a grid
     /// backend.
     r: f64,
-    /// Engine shard count — >1 selects the sharded grid on the grid side.
-    shards: usize,
     /// Whether the grid family is sound for the engine's metric/payload.
     can_grid: bool,
     /// Whether the cover tree is sound for the engine's metric.
@@ -569,7 +495,7 @@ impl AutoCell {
     /// Creates the selector on its starting backend: the grid when the
     /// capabilities allow it (the engine default — cheapest when sound),
     /// else the cover tree, else the linear scan.
-    fn new(r: f64, shards: usize, can_grid: bool, can_cover: bool) -> Self {
+    fn new(r: f64, can_grid: bool, can_cover: bool) -> Self {
         let start = if can_grid {
             AutoChoice::Grid
         } else if can_cover {
@@ -578,9 +504,8 @@ impl AutoCell {
             AutoChoice::Linear
         };
         AutoCell {
-            inner: Self::build(start, r, shards),
+            inner: Self::build(start, r),
             r,
-            shards,
             can_grid,
             can_cover,
             dim: None,
@@ -599,17 +524,11 @@ impl AutoCell {
     /// Builds an empty backend of the chosen family. Grid sides always
     /// auto-tune: under `Auto` the side is the engine's guess by
     /// definition.
-    fn build(choice: AutoChoice, r: f64, shards: usize) -> CellIndex {
+    fn build(choice: AutoChoice, r: f64) -> CellIndex {
         match choice {
             AutoChoice::Linear => CellIndex::Linear(LinearScan),
             AutoChoice::Cover => CellIndex::Cover(CoverTree::new(true)),
-            AutoChoice::Grid => {
-                if shards > 1 {
-                    CellIndex::Sharded(ShardedGrid::new(r, shards, true))
-                } else {
-                    CellIndex::Grid(UniformGrid::auto_tuned(r))
-                }
-            }
+            AutoChoice::Grid => CellIndex::Grid(UniformGrid::auto_tuned(r)),
         }
     }
 
@@ -617,7 +536,7 @@ impl AutoCell {
     fn current(&self) -> AutoChoice {
         match &self.inner {
             CellIndex::Linear(_) => AutoChoice::Linear,
-            CellIndex::Grid(_) | CellIndex::Sharded(_) => AutoChoice::Grid,
+            CellIndex::Grid(_) => AutoChoice::Grid,
             CellIndex::Cover(_) => AutoChoice::Cover,
             CellIndex::Auto(_) => unreachable!("auto index cannot nest"),
         }
@@ -640,7 +559,6 @@ impl AutoCell {
     fn occupied_buckets(&self) -> Option<usize> {
         match &self.inner {
             CellIndex::Grid(g) => Some(g.occupied_buckets()),
-            CellIndex::Sharded(s) => Some(s.occupied_buckets()),
             _ => None,
         }
     }
@@ -724,7 +642,7 @@ impl AutoCell {
         slab: &CellSlab<P>,
         metric: &M,
     ) {
-        let mut fresh = Self::build(choice, self.r, self.shards);
+        let mut fresh = Self::build(choice, self.r);
         for (id, cell) in slab.iter() {
             fresh.on_insert(id, &cell.seed, slab, metric);
         }
@@ -740,7 +658,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
         match self {
             CellIndex::Linear(ix) => ix.on_insert(id, seed, slab, metric),
             CellIndex::Grid(ix) => ix.on_insert(id, seed, slab, metric),
-            CellIndex::Sharded(ix) => ix.on_insert(id, seed, slab, metric),
             CellIndex::Cover(ix) => ix.on_insert(id, seed, slab, metric),
             CellIndex::Auto(a) => {
                 a.observe(seed);
@@ -753,7 +670,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
         match self {
             CellIndex::Linear(ix) => ix.on_remove(id, seed, slab, metric),
             CellIndex::Grid(ix) => ix.on_remove(id, seed, slab, metric),
-            CellIndex::Sharded(ix) => ix.on_remove(id, seed, slab, metric),
             CellIndex::Cover(ix) => ix.on_remove(id, seed, slab, metric),
             CellIndex::Auto(a) => a.inner.on_remove(id, seed, slab, metric),
         }
@@ -770,7 +686,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
         match self {
             CellIndex::Linear(ix) => ix.nearest_within(q, radius, slab, metric, on_probe),
             CellIndex::Grid(ix) => ix.nearest_within(q, radius, slab, metric, on_probe),
-            CellIndex::Sharded(ix) => ix.nearest_within(q, radius, slab, metric, on_probe),
             CellIndex::Cover(ix) => ix.nearest_within(q, radius, slab, metric, on_probe),
             CellIndex::Auto(a) => a.inner.nearest_within(q, radius, slab, metric, on_probe),
         }
@@ -786,7 +701,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
         match self {
             CellIndex::Linear(ix) => ix.nearest_matching(q, slab, metric, pred),
             CellIndex::Grid(ix) => ix.nearest_matching(q, slab, metric, pred),
-            CellIndex::Sharded(ix) => ix.nearest_matching(q, slab, metric, pred),
             CellIndex::Cover(ix) => ix.nearest_matching(q, slab, metric, pred),
             CellIndex::Auto(a) => a.inner.nearest_matching(q, slab, metric, pred),
         }
@@ -796,7 +710,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
         match self {
             CellIndex::Linear(ix) => NeighborIndex::<P>::distance_lower_bound(ix, q, seed),
             CellIndex::Grid(ix) => NeighborIndex::<P>::distance_lower_bound(ix, q, seed),
-            CellIndex::Sharded(ix) => NeighborIndex::<P>::distance_lower_bound(ix, q, seed),
             CellIndex::Cover(ix) => NeighborIndex::<P>::distance_lower_bound(ix, q, seed),
             CellIndex::Auto(a) => a.inner.distance_lower_bound(q, seed),
         }
@@ -808,9 +721,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
                 NeighborIndex::<P>::lower_bound_prunes(ix, q, seed, p_dist, delta)
             }
             CellIndex::Grid(ix) => {
-                NeighborIndex::<P>::lower_bound_prunes(ix, q, seed, p_dist, delta)
-            }
-            CellIndex::Sharded(ix) => {
                 NeighborIndex::<P>::lower_bound_prunes(ix, q, seed, p_dist, delta)
             }
             CellIndex::Cover(ix) => {
@@ -836,9 +746,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
             CellIndex::Grid(ix) => {
                 ix.probe_conflicts(q, changed, changed_seed, radius, slab, metric)
             }
-            CellIndex::Sharded(ix) => {
-                ix.probe_conflicts(q, changed, changed_seed, radius, slab, metric)
-            }
             CellIndex::Cover(ix) => {
                 ix.probe_conflicts(q, changed, changed_seed, radius, slab, metric)
             }
@@ -852,7 +759,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
         match self {
             CellIndex::Linear(_) => 0,
             CellIndex::Grid(ix) => ix.maintain(slab),
-            CellIndex::Sharded(ix) => ix.maintain(slab),
             CellIndex::Cover(ix) => NeighborIndex::maintain(ix, slab, metric),
             CellIndex::Auto(a) => {
                 // The current backend maintains itself first (grid side
@@ -868,7 +774,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
         match self {
             CellIndex::Linear(ix) => ix.check_coherence(slab, metric),
             CellIndex::Grid(ix) => ix.check_coherence(slab, metric),
-            CellIndex::Sharded(ix) => ix.check_coherence(slab, metric),
             CellIndex::Cover(ix) => ix.check_coherence(slab, metric),
             CellIndex::Auto(a) => a.inner.check_coherence(slab, metric),
         }
@@ -882,36 +787,20 @@ mod tests {
     #[test]
     fn from_config_builds_what_was_asked() {
         assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::LinearScan, 0.5, 1, true, true).label(),
+            CellIndex::from_config(NeighborIndexKind::LinearScan, 0.5, true, true).label(),
             "linear"
         );
         assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::Grid { side: None }, 0.5, 1, true, true)
+            CellIndex::from_config(NeighborIndexKind::Grid { side: None }, 0.5, true, true).label(),
+            "grid"
+        );
+        assert_eq!(
+            CellIndex::from_config(NeighborIndexKind::Grid { side: Some(2.0) }, 0.5, true, true)
                 .label(),
             "grid"
         );
         assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::Grid { side: Some(2.0) }, 0.5, 1, true, true)
-                .label(),
-            "grid"
-        );
-        assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::Grid { side: None }, 0.5, 4, true, true)
-                .label(),
-            "sharded-grid"
-        );
-        assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::CoverTree, 0.5, 1, true, true).label(),
-            "cover-tree"
-        );
-        // Sharding a linear scan or a cover tree is meaningless; the
-        // single structure wins.
-        assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::LinearScan, 0.5, 4, true, true).label(),
-            "linear"
-        );
-        assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::CoverTree, 0.5, 4, false, true).label(),
+            CellIndex::from_config(NeighborIndexKind::CoverTree, 0.5, true, true).label(),
             "cover-tree"
         );
     }
@@ -920,32 +809,28 @@ mod tests {
     fn auto_starts_on_the_best_capability_backend() {
         // Axis-dominating metric: the grid is sound and cheapest.
         assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::Auto, 0.5, 1, true, true).label(),
+            CellIndex::from_config(NeighborIndexKind::Auto, 0.5, true, true).label(),
             "auto:grid"
-        );
-        assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::Auto, 0.5, 4, true, true).label(),
-            "auto:sharded-grid"
         );
         // True metric without coordinates (token sets): cover tree,
         // immediately — no warm-up on a backend that can only scan.
         assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::Auto, 0.5, 1, false, true).label(),
+            CellIndex::from_config(NeighborIndexKind::Auto, 0.5, false, true).label(),
             "auto:cover-tree"
         );
         // A metric claiming nothing leaves the selector one option; the
         // wrapper is dropped entirely.
         assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::Auto, 0.5, 1, false, false).label(),
+            CellIndex::from_config(NeighborIndexKind::Auto, 0.5, false, false).label(),
             "linear"
         );
         // A degenerate radius only poisons the grid side.
         assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::Auto, f64::NAN, 1, true, true).label(),
+            CellIndex::from_config(NeighborIndexKind::Auto, f64::NAN, true, true).label(),
             "auto:cover-tree"
         );
         assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::Auto, f64::NAN, 1, true, false).label(),
+            CellIndex::from_config(NeighborIndexKind::Auto, f64::NAN, true, false).label(),
             "linear"
         );
     }
@@ -958,46 +843,22 @@ mod tests {
             let ix = CellIndex::from_config(
                 NeighborIndexKind::Grid { side: Some(bad) },
                 0.5,
-                1,
                 true,
                 true,
             );
             assert_eq!(ix.label(), "linear", "side {bad} must degrade");
         }
-        // A degenerate radius poisons the default side the same way, and a
-        // smuggled shard count of zero cannot panic either.
+        // A degenerate radius poisons the default side the same way.
         let ix =
-            CellIndex::from_config(NeighborIndexKind::Grid { side: None }, f64::NAN, 1, true, true);
+            CellIndex::from_config(NeighborIndexKind::Grid { side: None }, f64::NAN, true, true);
         assert_eq!(ix.label(), "linear");
-        let ix = CellIndex::from_config(NeighborIndexKind::Grid { side: None }, 0.5, 0, true, true);
-        assert_eq!(ix.label(), "linear");
-    }
-
-    #[test]
-    fn shard_occupancy_matches_the_variant() {
-        let mut out = vec![9, 9];
-        CellIndex::from_config(NeighborIndexKind::LinearScan, 0.5, 1, true, true)
-            .shard_occupancy_into(&mut out);
-        assert!(out.is_empty());
-        CellIndex::from_config(NeighborIndexKind::Grid { side: None }, 0.5, 1, true, true)
-            .shard_occupancy_into(&mut out);
-        assert_eq!(out, vec![0]);
-        CellIndex::from_config(NeighborIndexKind::Grid { side: None }, 0.5, 3, true, true)
-            .shard_occupancy_into(&mut out);
-        assert_eq!(out, vec![0, 0, 0]);
-        CellIndex::from_config(NeighborIndexKind::CoverTree, 0.5, 1, true, true)
-            .shard_occupancy_into(&mut out);
-        assert_eq!(out, vec![0]);
-        CellIndex::from_config(NeighborIndexKind::Auto, 0.5, 1, true, true)
-            .shard_occupancy_into(&mut out);
-        assert_eq!(out, vec![0]);
     }
 
     #[test]
     fn auto_switches_to_the_cover_tree_when_coordinates_disappear() {
         use edm_common::metric::Jaccard;
         use edm_common::point::TokenSet;
-        let mut ix = CellIndex::from_config(NeighborIndexKind::Auto, 0.5, 1, true, true);
+        let mut ix = CellIndex::from_config(NeighborIndexKind::Auto, 0.5, true, true);
         // `can_grid` came from the engine's metric capability; feed the
         // selector a coordinate-less payload stream (possible because
         // capability markers are per-metric, not per-payload-instance).

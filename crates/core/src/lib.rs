@@ -60,13 +60,12 @@
 //! | [`cell`] | §3.2 Def. 4, Eq. 6–8 | cluster-cells, lazily decayed density, the strict density order |
 //! | [`slab`] | §4.3–4.4 | stable-id cell storage with slot recycling |
 //! | [`tree`] | §2.2, Def. 1–3 | DP-Tree edges, strong links, MSDSubTree traversals, invariants |
-//! | [`index`] | §4.1 "New point assignment", §4.3 dependency recomputation | sub-linear neighbor lookup over cell seeds: sharded/plain grid (occupancy auto-tuning), best-first cover tree (triangle-inequality pruning for high-d and coordinate-less payloads), linear-scan fallback |
+//! | [`index`] | §4.1 "New point assignment", §4.3 dependency recomputation | sub-linear neighbor lookup over cell seeds: uniform grid (occupancy auto-tuning), best-first cover tree (triangle-inequality pruning for high-d and coordinate-less payloads), linear-scan fallback |
 //! | [`engine`] | §4, Fig 5 | the pipeline facade over the three layers below |
 //! | `engine/ingest.rs` | §4.1 | assignment, new-cell admission, emergence, the initialization batch pass |
 //! | `engine/maintain.rs` | §4.2–4.4, Thm 1–3 | dependency maintenance, decay sweep, idle-queue ΔT_del recycling |
-//! | `engine/parallel.rs` | §6.3 (throughput) | parallel probe phase of batch ingest (probe-then-commit; serial-exact) |
-//! | `engine/pool.rs` | §6.3 (throughput) | persistent worker pool: parked workers, atomic task claiming, panic-safe barriers — the fan-out substrate for probes, commit waves, and the candidate pass |
-//! | commit waves (`engine/ingest.rs`) | §4.2 update order | shard-owned parallel commits: the sequencer applies every cross-shard effect (clock, idle queue, stats) in exact timestamp order — the serialization §4.2's dependency-maintenance arguments assume — while per-cell absorbs fan out one task per shard |
+//! | `engine/parallel.rs` | §6.3 (throughput) | parallel probe phase of batch ingest (probe-then-commit; serial-exact): chunks drained from a mutex-guarded queue, commits applied serially in timestamp order — the update order §4.2's dependency-maintenance arguments assume |
+//! | `engine/pool.rs` | §6.3 (throughput) | persistent worker pool for the probe fan-out: parked workers, lazy spawn, join on drop, a panic-safe check-in barrier around the one `unsafe` lifetime erasure |
 //! | `engine/query.rs` | §3.1, §6.3.1 | clusters, decision graph, snapshots, membership queries, invariant checkers |
 //! | [`filters`] | §4.2 Thm 1–2, Fig 11 | density & triangle-inequality update filters, runtime counters |
 //! | `edm_common::metric` kernels | §4.2 Thm 2, §6.3 | chunked 4-lane Euclidean kernels; `dist_upper_bounded` early-exits once the partial sum proves the Theorem-2 bound `\|dist(p,c) − dist(p,c′)\| > δ_c` — exact below the bound, so filter decisions are unchanged; `dist_batch` amortizes cover-tree child sweeps |
@@ -104,8 +103,6 @@ pub use evolve::{
     SplitEdge,
 };
 pub use filters::{EngineStats, FilterConfig};
-pub use index::{
-    CoverTree, LinearScan, NeighborIndex, NeighborIndexKind, ShardedGrid, UniformGrid,
-};
+pub use index::{CoverTree, LinearScan, NeighborIndex, NeighborIndexKind, UniformGrid};
 pub use snapshot::{ClusterInfo, ClusterSnapshot};
 pub use tau::TauMode;

@@ -93,32 +93,6 @@ impl<P> CellSlab<P> {
         self.slots.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|_| CellId(i as u32)))
     }
 
-    /// Mutable access to several distinct cells at once, in id order.
-    ///
-    /// `ids` must be strictly ascending (asserted): the handout walks the
-    /// slot vector left to right, splitting off one disjoint `&mut` per
-    /// id — sortedness is what proves disjointness to the borrow checker,
-    /// so no `unsafe` is involved. This is how the batch committer's
-    /// shard-owned commit waves check out every cell a wave will absorb
-    /// into before fanning the absorbs out across workers.
-    ///
-    /// # Panics
-    /// Panics when `ids` is not strictly ascending or any id is dead.
-    pub fn disjoint_mut(&mut self, ids: &[CellId]) -> Vec<&mut Cell<P>> {
-        let mut out = Vec::with_capacity(ids.len());
-        let mut rest: &mut [Option<Cell<P>>] = &mut self.slots;
-        let mut base = 0u32;
-        for &id in ids {
-            assert!(id.0 >= base, "disjoint_mut ids must be strictly ascending");
-            let offset = (id.0 - base) as usize;
-            let (left, right) = rest.split_at_mut(offset + 1);
-            out.push(left[offset].as_mut().expect("dead cell id"));
-            rest = right;
-            base = id.0 + 1;
-        }
-        out
-    }
-
     /// Mutable pairwise access to two distinct cells (tree edge updates
     /// touch parent and child together).
     ///
@@ -204,39 +178,6 @@ mod tests {
         let (cb, ca) = s.get2_mut(b, a);
         assert_eq!(cb.seed, 200);
         assert_eq!(ca.seed, 100);
-    }
-
-    #[test]
-    fn disjoint_mut_returns_every_requested_cell() {
-        let mut s = CellSlab::new();
-        let ids: Vec<CellId> = (0..6).map(|i| s.insert(cell(i))).collect();
-        s.remove(ids[2]);
-        let picks = [ids[0], ids[3], ids[5]];
-        for c in s.disjoint_mut(&picks) {
-            c.seed += 100;
-        }
-        assert_eq!(s.get(ids[0]).seed, 100);
-        assert_eq!(s.get(ids[1]).seed, 1);
-        assert_eq!(s.get(ids[3]).seed, 103);
-        assert_eq!(s.get(ids[5]).seed, 105);
-        assert!(s.disjoint_mut(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn disjoint_mut_rejects_unsorted_ids() {
-        let mut s = CellSlab::new();
-        let a = s.insert(cell(1));
-        let b = s.insert(cell(2));
-        s.disjoint_mut(&[b, a]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn disjoint_mut_rejects_duplicate_ids() {
-        let mut s = CellSlab::new();
-        let a = s.insert(cell(1));
-        s.disjoint_mut(&[a, a]);
     }
 
     #[test]

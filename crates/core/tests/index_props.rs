@@ -1,14 +1,13 @@
 //! Property tests for the neighbor-index subsystem.
 //!
-//! Two contracts guard the sub-linear indexes (plain grid, sharded grid,
-//! and cover tree):
+//! Two contracts guard the sub-linear indexes (grid and cover tree):
 //!
 //! 1. **Observational equivalence** — an engine backed by a grid index
 //!    must produce *identical* clustering output to one backed by the
 //!    brute-force linear scan on the same stream: same cells, same
 //!    dependency tree, same τ, same cluster partition, same evolution
-//!    events, same `cluster_of` answers. This holds for every shard
-//!    count — sharding is an access path, never a policy.
+//!    events, same `cluster_of` answers. An index is an access path,
+//!    never a policy.
 //! 2. **Coherence** — across arbitrary interleavings of inserts, cell
 //!    births, activations, demotions, and reservoir recycling (driven by
 //!    the idle-ordered queue), the index must mirror the live slab
@@ -16,15 +15,13 @@
 //!    goes missing), and the idle queue must keep every reservoir cell
 //!    recyclable (checked inside `check_invariants`).
 
-use std::num::NonZeroUsize;
-
 use edm_common::metric::Euclidean;
 use edm_common::point::DenseVector;
 use edm_core::index::NeighborIndexKind;
 use edm_core::{EdmConfig, EdmStream, Event};
 use proptest::prelude::*;
 
-fn engine_with_shards(kind: NeighborIndexKind, shards: usize) -> EdmStream<DenseVector, Euclidean> {
+fn engine_with(kind: NeighborIndexKind) -> EdmStream<DenseVector, Euclidean> {
     let cfg = EdmConfig::builder(0.8)
         .rate(100.0)
         .beta_for_threshold(3.0)
@@ -32,14 +29,9 @@ fn engine_with_shards(kind: NeighborIndexKind, shards: usize) -> EdmStream<Dense
         .tau_every(16)
         .maintenance_every(8)
         .neighbor_index(kind)
-        .shards(NonZeroUsize::new(shards).expect("shard counts in tests are nonzero"))
         .build()
         .expect("valid test configuration");
     EdmStream::new(cfg, Euclidean)
-}
-
-fn engine_with(kind: NeighborIndexKind) -> EdmStream<DenseVector, Euclidean> {
-    engine_with_shards(kind, 1)
 }
 
 /// Full observable state: per-cell tree data, cluster partition, τ, events.
@@ -160,48 +152,6 @@ proptest! {
         }
     }
 
-    /// The sharded grid is observationally equivalent to the linear scan
-    /// for every tested shard count — including S = 1 (the plain grid
-    /// identity) and a prime count that cannot align with any lattice
-    /// structure in the stream.
-    #[test]
-    fn sharded_grid_matches_linear_scan_for_all_shard_counts(
-        points in prop::collection::vec(((-5.0f64..15.0), (-3.0f64..3.0)), 60..220),
-        shard_ix in 0usize..4,
-    ) {
-        let shards = [1usize, 2, 4, 7][shard_ix];
-        let mut linear = engine_with(NeighborIndexKind::LinearScan);
-        let mut sharded = engine_with_shards(NeighborIndexKind::Grid { side: None }, shards);
-        for (i, &(x, y)) in points.iter().enumerate() {
-            let t = i as f64 / 100.0;
-            let p = DenseVector::from([x, y]);
-            linear.insert(&p, t);
-            sharded.insert(&p, t);
-        }
-        let t = points.len() as f64 / 100.0;
-        linear.force_init();
-        sharded.force_init();
-        prop_assert_eq!(observe(&mut linear, t), observe(&mut sharded, t));
-        for gx in -2..8 {
-            for gy in -2..2 {
-                let probe = DenseVector::from([gx as f64 * 2.0, gy as f64 * 2.0]);
-                prop_assert_eq!(linear.cluster_of(&probe, t), sharded.cluster_of(&probe, t));
-            }
-        }
-        // The shard stats must meter exactly the live population. The
-        // CI harness knob only overrides *defaulted* (S = 1) configs, so
-        // the configured count stays observable for every explicit
-        // multi-shard engine even on the forced-shards leg.
-        if shards > 1 || std::env::var_os("EDM_FORCE_SHARDS").is_none() {
-            prop_assert_eq!(sharded.stats().shard_cells.len(), shards);
-        }
-        prop_assert_eq!(
-            sharded.stats().shard_cells.iter().sum::<u64>(),
-            sharded.n_cells() as u64
-        );
-        prop_assert!(sharded.check_index().is_ok());
-    }
-
     /// The cover tree is observationally equivalent to the linear scan on
     /// random streams — same contract the grid carries, proven through
     /// measured-distance pruning instead of bucket geometry. Runs in both
@@ -231,10 +181,8 @@ proptest! {
             }
         }
         // The tree never probes more than the scan would (it degenerates
-        // to the scan at worst), and its population stat mirrors the slab.
+        // to the scan at worst).
         prop_assert!(cover.stats().index_probed <= linear.stats().index_probed);
-        prop_assert_eq!(cover.stats().shard_cells.len(), 1);
-        prop_assert_eq!(cover.stats().shard_cells[0], cover.n_cells() as u64);
         prop_assert!(cover.check_index().is_ok());
     }
 
@@ -347,43 +295,5 @@ proptest! {
         if ops.iter().filter(|(_, j)| *j).count() >= 5 {
             prop_assert!(auto.stats().recycled > 0, "recycling never fired");
         }
-    }
-
-    /// Coherence under recycling holds per shard too: arbitrary
-    /// interleavings of births, absorptions, and ΔT_del expiries keep
-    /// every shard mirroring its slice of the slab and the idle queue
-    /// covering the whole reservoir.
-    #[test]
-    fn sharded_index_mirrors_slab_across_recycling_interleavings(
-        ops in prop::collection::vec(
-            ((-20.0f64..20.0), (-20.0f64..20.0), any::<bool>()),
-            40..160,
-        ),
-        shard_ix in 0usize..3,
-    ) {
-        let shards = [2usize, 4, 7][shard_ix];
-        let cfg = EdmConfig::builder(0.8)
-            .rate(100.0)
-            .beta_for_threshold(3.0)
-            .init_points(10)
-            .tau_every(16)
-            .maintenance_every(4)
-            .recycle_horizon(5.0)
-            .shards(NonZeroUsize::new(shards).expect("nonzero"))
-            .build()
-            .expect("valid test configuration");
-        let mut e = EdmStream::new(cfg, Euclidean);
-        let mut t = 0.0;
-        for (i, &(x, y, jump)) in ops.iter().enumerate() {
-            t += if jump { 7.0 } else { 0.01 };
-            e.insert(&DenseVector::from([x, y]), t);
-            prop_assert!(e.check_index().is_ok(), "index diverged: {:?}", e.check_index());
-            if i % 7 == 0 && e.is_initialized() {
-                prop_assert!(e.check_invariants(t).is_ok(), "{:?}", e.check_invariants(t));
-            }
-        }
-        e.force_init();
-        prop_assert!(e.check_index().is_ok());
-        prop_assert!(e.check_invariants(t).is_ok());
     }
 }

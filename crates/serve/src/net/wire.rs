@@ -254,6 +254,25 @@ pub(crate) fn write_query<P: WirePoint>(out: &mut Vec<u8>, q: &Query<P>) {
     });
 }
 
+/// Longest prefix of an unknown query tag, in bytes, that the error
+/// echoes back. The error frame carries its detail twice (`message` and
+/// `detail`), so echoing a whole 1 MiB tag would cost a ~2 MiB reply.
+const TAG_ECHO_MAX: usize = 64;
+
+/// The `unknown query` detail: the tag quoted in full when it is short,
+/// else its first [`TAG_ECHO_MAX`] bytes (cut back to a char boundary)
+/// followed by a marker giving the full length.
+fn unknown_query_detail(tag: &str) -> String {
+    if tag.len() <= TAG_ECHO_MAX {
+        return format!("unknown query {tag:?}");
+    }
+    let mut end = TAG_ECHO_MAX;
+    while !tag.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("unknown query {:?}... (truncated, {} bytes)", &tag[..end], tag.len())
+}
+
 /// Decodes a request payload into a query, or says precisely why not.
 pub fn decode_query<P: WirePoint>(payload: &[u8]) -> Result<Query<P>, ProtocolError> {
     let doc =
@@ -284,7 +303,7 @@ pub fn decode_query<P: WirePoint>(payload: &[u8]) -> Result<Query<P>, ProtocolEr
         "snapshot_age" => Ok(Query::SnapshotAge),
         "stats" => Ok(Query::Stats),
         "health" => Ok(Query::Health),
-        other => Err(bad(&format!("unknown query {other:?}"))),
+        other => Err(bad(&unknown_query_detail(other))),
     }
 }
 
@@ -702,7 +721,21 @@ mod tests {
         let bad_json: Result<Q, _> = decode_query(b"{not json");
         assert_eq!(bad_json.unwrap_err().code(), "bad_json");
         let unknown: Result<Q, _> = decode_query(br#"{"q":"flush_all"}"#);
-        assert_eq!(unknown.unwrap_err().code(), "bad_query");
+        assert_eq!(
+            unknown.unwrap_err(),
+            ProtocolError::BadQuery { detail: "unknown query \"flush_all\"".into() }
+        );
+        // A huge unknown tag is echoed as a short, marked prefix: the
+        // error frame stays small instead of carrying the tag twice.
+        // One ASCII byte first puts byte 64 inside a two-byte 'é'.
+        let huge = format!(r#"{{"q":"a{}"}}"#, "é".repeat(1 << 19));
+        let err = decode_query::<DenseVector>(huge.as_bytes()).unwrap_err();
+        let ProtocolError::BadQuery { detail } = &err else { panic!("{err:?}") };
+        assert!(detail.starts_with("unknown query \"aé"), "{detail}");
+        assert!(detail.ends_with("\"... (truncated, 1048577 bytes)"), "{detail}");
+        assert_eq!(detail.matches('é').count(), 31, "cut back to a char boundary: {detail}");
+        let frame = encode_result(&Err(err));
+        assert!(frame.len() < 1024, "error frame is {} bytes", frame.len());
         let missing_arg: Result<Q, _> = decode_query(br#"{"q":"digest_since"}"#);
         assert_eq!(missing_arg.unwrap_err().code(), "bad_query");
         let empty_point: Result<Q, _> = decode_query(br#"{"q":"cluster_of","point":[]}"#);

@@ -420,19 +420,16 @@ fn digest_readers_see_monotone_composable_windows_under_sustained_ingest() {
 }
 
 #[test]
-fn parallel_sharded_engine_drains_and_shuts_down_cleanly() {
-    // The writer thread owns an engine whose ingest fans out to a
-    // persistent worker pool and whose commits ride shard-owned waves
-    // (threads 4 × shards 4, wave threshold lowered so short soak
-    // batches form waves). Shutdown must drain every queued batch into
-    // the engine — no point lost, no worker leaked, no poisoned writer.
+fn parallel_engine_drains_and_shuts_down_cleanly() {
+    // The writer thread owns an engine whose ingest probes fan out to a
+    // persistent worker pool (4 threads). Shutdown must drain every
+    // queued batch into the engine — no point lost, no worker leaked, no
+    // poisoned writer.
     let workers_before = edm_core::live_pool_workers();
     let cfg = EdmConfig::builder(1.2)
         .rate(1000.0)
         .beta_for_threshold(3.0)
         .init_points(64)
-        .shards(NonZeroUsize::new(4).expect("nonzero"))
-        .commit_wave_min(4)
         .ingest_threads(NonZeroUsize::new(4).expect("nonzero"))
         .build()
         .expect("valid test configuration");

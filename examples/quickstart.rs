@@ -37,11 +37,6 @@ fn main() {
         // mean occupancy leaves the target band (EngineStats counts the
         // rebuilds in `grid_rebuilds`).
         .neighbor_index(NeighborIndexKind::Grid { side: None })
-        // Also the default: one index shard. Raising it splits the grid
-        // into hash-independent per-shard grids (occupancy per shard in
-        // `EngineStats::shard_cells`) — the isolation seam for multi-core
-        // work; leave at 1 for best single-threaded latency.
-        .shards(std::num::NonZeroUsize::new(1).expect("1 is nonzero"))
         // Batch ingest can fan its assignment probes out across worker
         // threads (probe-then-commit; output identical to the serial
         // loop at any count — see the README's "Threading model"). Two

@@ -14,13 +14,12 @@
 //!    reused), for every generation triple the run produced.
 //!
 //! Both properties are driven over random streams, with recycling
-//! interleavings on and off, across the Grid, CoverTree, and sharded-Grid
-//! backends. Deterministic companions below the proptest block pin the
+//! interleavings on and off, across the Grid and CoverTree backends.
+//! Deterministic companions below the proptest block pin the
 //! typed-error contract: disabled tracking, lossy windows, evicted
 //! generations, and cursor-past-eviction detection.
 
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 
 use edmstream::{
     BirthKind, ClusterId, DenseVector, EdmConfig, EdmStream, EndKind, Euclidean, Event, EventKind,
@@ -28,19 +27,14 @@ use edmstream::{
 };
 use proptest::prelude::*;
 
-fn engine(
-    kind: NeighborIndexKind,
-    shards: usize,
-    recycle: bool,
-) -> EdmStream<DenseVector, Euclidean> {
+fn engine(kind: NeighborIndexKind, recycle: bool) -> EdmStream<DenseVector, Euclidean> {
     let mut b = EdmConfig::builder(0.8)
         .rate(100.0)
         .beta_for_threshold(3.0)
         .init_points(25)
         .tau_every(16)
         .maintenance_every(8)
-        .neighbor_index(kind)
-        .shards(NonZeroUsize::new(shards).expect("nonzero shard count"));
+        .neighbor_index(kind);
     if recycle {
         b = b.recycle_horizon(5.0);
     }
@@ -247,7 +241,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Lineage answers agree with brute-force replay on random streams,
-    /// with ΔT_del recycling interleavings, across all three index
+    /// with ΔT_del recycling interleavings, across both index
     /// backends — and the digest algebra composes over every generation
     /// triple the run published.
     #[test]
@@ -256,18 +250,14 @@ proptest! {
             ((-20.0f64..20.0), (-20.0f64..20.0), any::<bool>()),
             60..220,
         ),
-        backend_ix in 0usize..3,
+        backend_ix in 0usize..2,
         recycle in any::<bool>(),
     ) {
-        let (kind, shards) = [
-            (NeighborIndexKind::Grid { side: None }, 1),
-            (NeighborIndexKind::CoverTree, 1),
-            (NeighborIndexKind::Grid { side: None }, 4),
-        ][backend_ix];
+        let kind = [NeighborIndexKind::Grid { side: None }, NeighborIndexKind::CoverTree][backend_ix];
         // Recycling off → drop the time jumps so the stream stays dense.
         let pts: Vec<(f64, f64, bool)> =
             points.iter().map(|&(x, y, j)| (x, y, j && recycle)).collect();
-        let mut e = engine(kind, shards, recycle);
+        let mut e = engine(kind, recycle);
         let raw = drive(&mut e, &pts, 40);
         prop_assert_eq!(e.evolution_events_lost(), 0, "ample capacity must stay lossless");
         let replay = Replay::from_events(&raw);
@@ -285,7 +275,7 @@ proptest! {
             80..200,
         ),
     ) {
-        let mut e = engine(NeighborIndexKind::Grid { side: None }, 1, true);
+        let mut e = engine(NeighborIndexKind::Grid { side: None }, true);
         // Publish generation 1 immediately so every structural event of
         // the run lands strictly inside the digest window (events before
         // the first sealed generation are outside any window).

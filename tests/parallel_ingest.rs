@@ -17,28 +17,6 @@ use edmstream::{DenseVector, EdmConfig, EdmStream, Euclidean, Event, NeighborInd
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
-fn engine_sharded(
-    threads: usize,
-    shards: usize,
-    recycle_horizon: f64,
-    wave_min: usize,
-) -> EdmStream<DenseVector, Euclidean> {
-    let cfg = EdmConfig::builder(0.8)
-        .rate(100.0)
-        .beta_for_threshold(3.0)
-        .init_points(25)
-        .tau_every(16)
-        .maintenance_every(8)
-        .recycle_horizon(recycle_horizon)
-        .shards(NonZeroUsize::new(shards).expect("nonzero"))
-        .commit_wave_min(wave_min)
-        .parallel_candidates_min(16)
-        .ingest_threads(NonZeroUsize::new(threads).expect("nonzero"))
-        .build()
-        .expect("valid test configuration");
-    EdmStream::new(cfg, Euclidean)
-}
-
 fn engine_with_index(
     threads: usize,
     recycle_horizon: f64,
@@ -200,140 +178,5 @@ proptest! {
             let got = observe(&mut e, t);
             prop_assert_eq!(&got, &want, "threads={}", threads);
         }
-    }
-
-    /// Shard-owned commit waves must be invisible: for every shard count
-    /// the parallel engines (which route phase-2 commits through the
-    /// wave planner + sequencer) must match a *serial* engine with the
-    /// identical shard configuration, point for point. `commit_wave_min`
-    /// is dropped to 4 so that even these short random streams form
-    /// waves, and the recycling horizon again toggles ΔT_del mid-stream.
-    #[test]
-    fn sharded_commit_waves_are_observationally_equivalent(
-        points in prop::collection::vec(((-5.0f64..15.0), (-3.0f64..3.0)), 60..280),
-        chunk in 1usize..96,
-        recycle_fast in 0usize..2,
-    ) {
-        let batch: Vec<(DenseVector, f64)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (DenseVector::from([x, y]), i as f64 / 100.0))
-            .collect();
-        let t = batch.len() as f64 / 100.0;
-        let horizon = if recycle_fast == 1 { 1.0 } else { 1e9 };
-
-        for shards in [1usize, 4] {
-            // The reference is serial *at the same shard count*: shard
-            // layout changes probe counters, so equivalence is always
-            // serial-vs-parallel within one configuration.
-            let mut reference = engine_sharded(1, shards, horizon, 4);
-            for (p, ts) in &batch {
-                reference.insert(p, *ts);
-            }
-            let want = observe(&mut reference, t);
-
-            for threads in [2usize, 4] {
-                let mut e = engine_sharded(threads, shards, horizon, 4);
-                for window in batch.chunks(chunk) {
-                    e.insert_batch(window);
-                }
-                let got = observe(&mut e, t);
-                prop_assert_eq!(&got.0, &want.0, "cells diverged (threads={}, shards={})", threads, shards);
-                prop_assert_eq!(&got.1, &want.1, "clusters diverged (threads={}, shards={})", threads, shards);
-                prop_assert_eq!(got.2, want.2, "tau diverged (threads={}, shards={})", threads, shards);
-                prop_assert_eq!(&got.3, &want.3, "events diverged (threads={}, shards={})", threads, shards);
-                prop_assert_eq!(&got.4, &want.4, "stats diverged (threads={}, shards={})", threads, shards);
-                prop_assert!(e.check_invariants(t).is_ok());
-                prop_assert!(e.check_index().is_ok());
-            }
-        }
-    }
-}
-
-/// Like [`engine_sharded`] but with an activation threshold high enough
-/// that cells never turn active: every post-init point is an absorb into
-/// an inactive cell, which is the exact shape the wave planner accepts.
-fn engine_wavy(threads: usize, shards: usize) -> EdmStream<DenseVector, Euclidean> {
-    let cfg = EdmConfig::builder(0.8)
-        .rate(100.0)
-        .beta_for_threshold(1e4)
-        .age_adjusted_threshold(false)
-        .init_points(25)
-        .tau_every(64)
-        .maintenance_every(32)
-        .shards(NonZeroUsize::new(shards).expect("nonzero"))
-        .commit_wave_min(4)
-        .ingest_threads(NonZeroUsize::new(threads).expect("nonzero"))
-        .build()
-        .expect("valid test configuration");
-    EdmStream::new(cfg, Euclidean)
-}
-
-/// A dense absorb-heavy stream over a sharded grid must actually take the
-/// wave path (`commit_waves > 0`) — otherwise the sharded equivalence
-/// property above would vacuously test the serial arm — and still match
-/// the serial engine exactly.
-#[test]
-fn commit_waves_fire_and_stay_equivalent_on_absorb_heavy_stream() {
-    // 24 well-separated sites, revisited round-robin: after the first
-    // cycle every point lands in an existing inactive cell, which is
-    // precisely the shape the wave planner accepts.
-    let sites: Vec<(f64, f64)> =
-        (0..24).map(|i| ((i % 6) as f64 * 3.0, (i / 6) as f64 * 3.0)).collect();
-    let batch: Vec<(DenseVector, f64)> = (0..600)
-        .map(|i| {
-            let (x, y) = sites[i % sites.len()];
-            (DenseVector::from([x, y]), i as f64 / 100.0)
-        })
-        .collect();
-    let t = batch.len() as f64 / 100.0;
-
-    let mut reference = engine_wavy(1, 4);
-    for (p, ts) in &batch {
-        reference.insert(p, *ts);
-    }
-    let want = observe(&mut reference, t);
-
-    let mut e = engine_wavy(4, 4);
-    e.insert_batch(&batch);
-    let waves = e.stats().commit_waves;
-    let wave_points = e.stats().wave_points;
-    let got = observe(&mut e, t);
-
-    assert!(waves > 0, "wave path never fired on an absorb-heavy sharded stream");
-    assert!(wave_points >= waves, "each wave must commit at least one point");
-    assert_eq!(got, want, "wave-committed engine diverged from serial");
-}
-
-/// Serial engines and single-shard layouts must never enter the wave
-/// path: the planner is gated on `ingest_threads > 1 && commit_routes > 1`.
-#[test]
-fn waves_never_fire_serially_or_on_single_shard() {
-    let sites: Vec<(f64, f64)> =
-        (0..24).map(|i| ((i % 6) as f64 * 3.0, (i / 6) as f64 * 3.0)).collect();
-    let batch: Vec<(DenseVector, f64)> = (0..400)
-        .map(|i| {
-            let (x, y) = sites[i % sites.len()];
-            (DenseVector::from([x, y]), i as f64 / 100.0)
-        })
-        .collect();
-
-    // The CI force-env legs reroute any knob left at 1 back to 4, which
-    // is exactly the gate this test exercises — skip the half the env
-    // re-parallelizes (debug builds honor the knobs; see engine/mod.rs).
-    for (threads, shards) in [(1usize, 4usize), (4, 1)] {
-        if threads == 1 && std::env::var_os("EDM_FORCE_INGEST_THREADS").is_some() {
-            continue;
-        }
-        if shards == 1 && std::env::var_os("EDM_FORCE_SHARDS").is_some() {
-            continue;
-        }
-        let mut e = engine_wavy(threads, shards);
-        e.insert_batch(&batch);
-        assert_eq!(
-            e.stats().commit_waves,
-            0,
-            "waves must be gated off at threads={threads}, shards={shards}"
-        );
     }
 }

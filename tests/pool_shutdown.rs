@@ -22,8 +22,6 @@ fn engine(threads: usize) -> EdmStream<DenseVector, Euclidean> {
         .rate(100.0)
         .beta_for_threshold(3.0)
         .init_points(25)
-        .shards(NonZeroUsize::new(4).expect("nonzero"))
-        .commit_wave_min(4)
         .ingest_threads(NonZeroUsize::new(threads).expect("nonzero"))
         .build()
         .expect("valid test configuration");
@@ -63,8 +61,8 @@ fn dropping_engine_mid_batch_joins_all_workers() {
 
     {
         let mut e = engine(4);
-        // Enough points to leave init, fan out probe rounds, and commit
-        // waves — the pool is hot (workers parked between rounds, not
+        // Enough points to leave init and fan out probe rounds — the
+        // pool is hot (workers parked between rounds, not
         // exited) at the moment the engine is dropped.
         let points = batch(700);
         for window in points.chunks(64) {
