@@ -5,7 +5,7 @@
 //! This is the measurement behind the paper's real-time pitch (§6.3.1
 //! reports ~7 ms query response *while* the stream runs): with the
 //! lock-free publication path, a read costs one atomic pin, an `Arc`
-//! clone, and a nearest-seed scan over the published members — latency
+//! clone, and a nearest-seed search in the published member table — latency
 //! must stay flat as reader count grows because readers share nothing
 //! mutable.
 //! The scenario is `scenarios::highd_engine` (16-d, 512 active member

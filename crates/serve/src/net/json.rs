@@ -15,7 +15,11 @@
 //!   formatting — so `encode(decode(x)) == x` byte-for-byte, which is
 //!   what lets the loopback test compare TCP answers with in-process
 //!   answers as raw bytes. Non-finite floats encode as `null` (JSON has
-//!   no NaN/Inf); no published payload produces them.
+//!   no NaN/Inf). One answer field can carry one: a `ClusterOf` probe
+//!   far enough from every seed overflows its squared distance, so an
+//!   `out_of_radius` answer's `nearest` is infinite. The decoder reads
+//!   `null` there back as infinity; finite coordinates produce no other
+//!   non-finite distance.
 //! * **One flat, borrowing [`Document`] per frame**: the payload is
 //!   checked as UTF-8 once, up front, so strings and number tokens are
 //!   slices of it, and every value lands in one node list. A string is
@@ -150,6 +154,11 @@ impl<'d, 'a> Json<'d, 'a> {
     /// This value's elements, if it is an array.
     pub fn elements(self) -> Option<impl Iterator<Item = Json<'d, 'a>>> {
         matches!(self.node(), Node::Arr { .. }).then(|| self.children())
+    }
+
+    /// Whether this value is JSON `null`.
+    pub(crate) fn is_null(self) -> bool {
+        matches!(self.node(), Node::Null)
     }
 
     /// This value as a `u64` (numbers only, exact).

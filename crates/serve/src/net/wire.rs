@@ -480,7 +480,11 @@ fn response_from_json(v: Json<'_, '_>) -> Option<QueryResponse> {
                 },
                 "empty_snapshot" => Assignment::EmptySnapshot,
                 "out_of_radius" => Assignment::OutOfRadius {
-                    nearest: o.get("nearest")?.as_f64()?,
+                    // An overflowed distance is infinite and crosses as
+                    // `null` (see the `json` module docs).
+                    nearest: o
+                        .get("nearest")
+                        .and_then(|n| n.as_f64().or(n.is_null().then_some(f64::INFINITY)))?,
                     r: o.get("r")?.as_f64()?,
                 },
                 _ => return None,

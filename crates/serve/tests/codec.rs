@@ -247,6 +247,23 @@ fn dimension_mismatch_has_its_own_wire_code() {
     assert_eq!(decode_result(&enc), Some(r));
 }
 
+#[test]
+fn an_overflowed_nearest_distance_round_trips_as_infinity() {
+    use edm_serve::Assignment;
+    // A finite probe far enough out overflows the squared distance, and
+    // the infinite `nearest` crosses the wire as `null`.
+    let r: WireResult = Ok(Ok(QueryResponse::ClusterOf(Assignment::OutOfRadius {
+        nearest: f64::INFINITY,
+        r: 0.5,
+    })));
+    let enc = encode_result(&r);
+    assert_eq!(
+        enc,
+        br#"{"ok":{"resp":"cluster_of","outcome":{"kind":"out_of_radius","nearest":null,"r":0.5}}}"#
+    );
+    assert_eq!(decode_result(&enc), Some(r));
+}
+
 /// Decoding must stay linear in the frame's bytes: a frame at the default
 /// 1 MiB cap decodes in milliseconds. The bound is generous (a quadratic
 /// decoder takes seconds to minutes here, even in release builds).

@@ -120,3 +120,33 @@ fn tcp_probes_of_another_dimensionality_are_refused_and_readers_survive() {
     assert!(handle.stats().net_query_errors >= 4 * readers as u64);
     net.shutdown();
 }
+
+#[test]
+fn a_probe_whose_distance_overflows_gets_the_in_process_answer_over_tcp() {
+    let (_server, handle) = served();
+    let net = NetServer::bind(handle.clone(), NetConfig::builder().build().unwrap())
+        .expect("bind loopback");
+    let mut client = NetClient::connect(net.local_addr()).expect("connect loopback");
+
+    // Finite coordinates, but the squared distance to every seed
+    // overflows: the nearest distance is infinite.
+    let mut far = point(0, DIM);
+    far.coords_mut()[0] = 1e200;
+    let q = Query::ClusterOf { point: far };
+    let local = handle.execute(&q);
+    assert!(
+        matches!(local, Ok(QueryResponse::ClusterOf(Assignment::OutOfRadius { nearest, .. }))
+            if nearest == f64::INFINITY),
+        "{local:?}"
+    );
+    assert_eq!(
+        client.exchange(&encode_query(&q)).expect("answered"),
+        encode_result(&Ok(local.clone()))
+    );
+    assert_eq!(client.query(&q).expect("answered"), local.unwrap());
+
+    // The connection keeps serving.
+    let valid = client.query(&Query::ClusterOf { point: point(2, DIM) });
+    assert!(matches!(valid, Ok(QueryResponse::ClusterOf(Assignment::Member { .. }))), "{valid:?}");
+    net.shutdown();
+}
