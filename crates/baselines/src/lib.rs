@@ -22,6 +22,7 @@
 //! that periodic step is exactly what makes their response time spike
 //! (paper §6.3.1) and their throughput collapse on wide streams.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -93,10 +93,9 @@ fn bench_index_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_scaling_insert");
     group.sample_size(30);
     for &n_cells in &[512usize, 2_048, 8_192] {
-        for (label, kind) in [
-            ("linear", NeighborIndexKind::LinearScan),
-            ("grid", NeighborIndexKind::Grid { side: None }),
-        ] {
+        for (label, kind) in
+            [("linear", NeighborIndexKind::LinearScan), ("grid", NeighborIndexKind::Grid)]
+        {
             let (mut e, mut t) = seeded_engine(kind, n_cells);
             // Probes cycle over a small working set of existing cell
             // sites (jittered within r): always absorbed, never a new
@@ -130,10 +129,9 @@ fn bench_active_absorb(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_scaling_active_absorb");
     group.sample_size(30);
     for &n_reservoir in &[512usize, 2_048, 8_192] {
-        for (label, kind) in [
-            ("linear", NeighborIndexKind::LinearScan),
-            ("grid", NeighborIndexKind::Grid { side: None }),
-        ] {
+        for (label, kind) in
+            [("linear", NeighborIndexKind::LinearScan), ("grid", NeighborIndexKind::Grid)]
+        {
             // Activation threshold ≈ 3 sustained points: the 64 hot sites
             // activate during warmup, the one-point reservoir seeds never
             // do. Decay ~0.2 %/s over the bench's microsecond timestamps
@@ -205,7 +203,7 @@ const HD_POINTS: usize = 8_192;
 
 const HD_KINDS: [(&str, NeighborIndexKind); 3] = [
     ("linear", NeighborIndexKind::LinearScan),
-    ("grid", NeighborIndexKind::Grid { side: None }),
+    ("grid", NeighborIndexKind::Grid),
     ("cover", NeighborIndexKind::CoverTree),
 ];
 

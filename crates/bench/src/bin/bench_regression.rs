@@ -548,8 +548,7 @@ fn main() {
             failures += 1;
         }
     }
-    let (grid_pps, _) =
-        scenarios::highd_measure(NeighborIndexKind::Grid { side: None }, 51, HIGHD_SMOKE_POINTS);
+    let (grid_pps, _) = scenarios::highd_measure(NeighborIndexKind::Grid, 51, HIGHD_SMOKE_POINTS);
     let (cover_pps, cover_recomputes) =
         scenarios::highd_measure(NeighborIndexKind::CoverTree, 51, HIGHD_SMOKE_POINTS);
     let fresh_ratio = cover_pps / grid_pps;

@@ -14,6 +14,7 @@
 //! where `<experiment>` ∈ {tab2, fig2, fig6, fig7, fig8, fig9, fig10,
 //! fig11, fig12, fig13, fig14, fig15, tab4, fig16, fig17, all}.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -21,8 +21,9 @@ use edm_serve::{BackpressurePolicy, EdmServer, ServeConfig, ServeHandle};
 pub const CROWDED_CELLS: usize = 8_192;
 /// Dimensionality of the crowded scenario.
 pub const CROWDED_DIM: usize = 8;
-/// Seeds per grid bucket: mean occupancy sits exactly at the
-/// auto-tuner's upper band edge, so the layout is stable.
+/// Seeds per grid bucket: every bucket holds this many pairwise
+/// r-separated seeds, so each assignment probe compares against a full
+/// bucket.
 pub const CROWDED_PER_BUCKET: usize = 8;
 
 /// The `j`-th crowded-scenario seed: a 2-d lattice of bucket sites
@@ -303,7 +304,7 @@ pub fn mixed_measure(readers: usize, points: usize, batch: usize) -> MixedRun {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let (engine, mut t) = highd_engine(NeighborIndexKind::Grid { side: None }, SERVE_DIM);
+    let (engine, mut t) = highd_engine(NeighborIndexKind::Grid, SERVE_DIM);
     let server = EdmServer::spawn(
         engine,
         ServeConfig {
@@ -514,7 +515,7 @@ pub fn net_measure(queries: usize, warm_points: usize, digest_queries: usize) ->
     // Same warmed layout as the mixed scenario, quiesced: ingest a warm
     // stream, drain, final publish — every probe then reads one frozen
     // generation and the measurement is pure read-path latency.
-    let (engine, mut t) = highd_engine(NeighborIndexKind::Grid { side: None }, SERVE_DIM);
+    let (engine, mut t) = highd_engine(NeighborIndexKind::Grid, SERVE_DIM);
     let server = EdmServer::spawn(
         engine,
         ServeConfig::builder()

@@ -11,6 +11,7 @@
 //! free of any clustering policy.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod decay;

@@ -59,15 +59,20 @@ pub enum ConfigError {
         /// The offending τ.
         tau: f64,
     },
+    /// An explicit τ₀ pick must be positive.
+    NonPositiveTau0 {
+        /// The offending τ₀.
+        tau: f64,
+    },
+    /// An explicit reservoir recycling horizon must be positive.
+    NonPositiveRecycleHorizon {
+        /// The offending horizon, in seconds.
+        seconds: f64,
+    },
     /// The evolution-event buffer needs room for at least one event.
     ZeroEventCapacity,
     /// The digest history needs room for at least one generation record.
     ZeroDigestHistory,
-    /// An explicit grid-index bucket side must be positive and finite.
-    NonPositiveGridSide {
-        /// The offending side length.
-        side: f64,
-    },
     /// Batch ingest needs at least one thread. Unreachable through the
     /// builder (whose setter takes a [`std::num::NonZeroUsize`]); guards
     /// configs smuggled in from deserialization/FFI.
@@ -94,11 +99,12 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonPositiveStaticTau { tau } => {
                 write!(f, "static tau must be positive (got {tau})")
             }
+            ConfigError::NonPositiveTau0 { tau } => write!(f, "tau0 must be positive (got {tau})"),
+            ConfigError::NonPositiveRecycleHorizon { seconds } => {
+                write!(f, "recycle_horizon must be positive (got {seconds} s)")
+            }
             ConfigError::ZeroEventCapacity => write!(f, "event_capacity must be positive"),
             ConfigError::ZeroDigestHistory => write!(f, "digest_history must be positive"),
-            ConfigError::NonPositiveGridSide { side } => {
-                write!(f, "grid-index bucket side must be positive and finite (got {side})")
-            }
             ConfigError::ZeroIngestThreads => {
                 write!(f, "batch ingest needs at least one thread")
             }
@@ -164,7 +170,7 @@ pub struct EdmConfig {
     pub(crate) digest_history: usize,
     /// Neighbor-index backing for cell assignment and dependency search.
     /// Defaulted on deserialization so configs persisted before the field
-    /// existed still load (as `Grid { side: None }`).
+    /// existed still load (as `Grid`).
     #[serde(default)]
     pub(crate) neighbor_index: NeighborIndexKind,
     /// Worker threads for the probe phase of batch ingest (1 = the plain
@@ -253,18 +259,17 @@ impl EdmConfig {
                 return Err(ConfigError::NonPositiveStaticTau { tau });
             }
         }
+        if let Some(tau) = self.tau0.filter(|&t| t <= 0.0 || t.is_nan()) {
+            return Err(ConfigError::NonPositiveTau0 { tau });
+        }
+        if let Some(seconds) = self.recycle_horizon.filter(|&s| s <= 0.0 || s.is_nan()) {
+            return Err(ConfigError::NonPositiveRecycleHorizon { seconds });
+        }
         if self.event_capacity == 0 {
             return Err(ConfigError::ZeroEventCapacity);
         }
         if self.digest_history == 0 {
             return Err(ConfigError::ZeroDigestHistory);
-        }
-        if let NeighborIndexKind::Grid { side: Some(side) } = self.neighbor_index {
-            // NaN fails is_finite, so everything not strictly positive and
-            // finite is rejected.
-            if !side.is_finite() || side <= 0.0 {
-                return Err(ConfigError::NonPositiveGridSide { side });
-            }
         }
         if self.ingest_threads == 0 {
             return Err(ConfigError::ZeroIngestThreads);
@@ -436,7 +441,8 @@ impl EdmConfigBuilder {
 
     /// Pins the "user's pick" τ₀ from the initial decision graph; `None`
     /// restores the default (simulating the interaction with the
-    /// largest-gap heuristic).
+    /// largest-gap heuristic). A pick must be positive
+    /// ([`ConfigError::NonPositiveTau0`]; NaN is rejected, +∞ accepted).
     pub fn tau0(mut self, tau0: impl Into<Option<f64>>) -> Self {
         self.cfg.tau0 = tau0.into();
         self
@@ -463,6 +469,9 @@ impl EdmConfigBuilder {
     /// Overrides the reservoir recycling horizon in seconds; `None`
     /// restores the paper's Theorem 3 formula, which degenerates for
     /// strongly decaying configurations (large λ) — see the module docs.
+    /// An override must be positive
+    /// ([`ConfigError::NonPositiveRecycleHorizon`]; NaN is rejected, +∞
+    /// accepted and never recycles).
     pub fn recycle_horizon(mut self, seconds: impl Into<Option<f64>>) -> Self {
         self.cfg.recycle_horizon = seconds.into();
         self
@@ -502,9 +511,11 @@ impl EdmConfigBuilder {
     }
 
     /// Picks the neighbor index backing cell assignment and dependency
-    /// search. The default `Grid { side: None }` probes only the 3^d
-    /// bucket shell around each point (sub-linear in cell count) and
-    /// degrades to an exact scan for payloads without coordinates;
+    /// search, once: the engine builds it at construction and never
+    /// switches or re-tunes it. The default
+    /// [`NeighborIndexKind::Grid`] buckets seeds at side `r`, probes only
+    /// the 3^d bucket shell around each point (sub-linear in cell count)
+    /// and degrades to an exact scan for payloads without coordinates;
     /// [`NeighborIndexKind::CoverTree`] prunes through measured distances
     /// instead of coordinate geometry — the pick for high-dimensional
     /// payloads (where uniform buckets degenerate into occupied-bucket
@@ -648,25 +659,38 @@ mod tests {
     #[test]
     fn default_neighbor_index_is_the_grid() {
         let cfg = EdmConfig::builder(0.5).build().unwrap();
-        assert_eq!(cfg.neighbor_index(), NeighborIndexKind::Grid { side: None });
+        assert_eq!(cfg.neighbor_index(), NeighborIndexKind::Grid);
         let linear =
             cfg.to_builder().neighbor_index(NeighborIndexKind::LinearScan).build().unwrap();
         assert_eq!(linear.neighbor_index(), NeighborIndexKind::LinearScan);
     }
 
     #[test]
-    fn rejects_degenerate_grid_side() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = EdmConfig::builder(0.5)
-                .neighbor_index(NeighborIndexKind::Grid { side: Some(bad) })
-                .build()
-                .unwrap_err();
-            assert!(matches!(err, ConfigError::NonPositiveGridSide { .. }), "{bad}: {err:?}");
+    fn rejects_nonpositive_tau0_and_recycle_horizon() {
+        for bad in [0.0, -1.0, f64::NAN] {
+            let err = EdmConfig::builder(0.5).tau0(bad).build().unwrap_err();
+            assert!(matches!(err, ConfigError::NonPositiveTau0 { .. }), "{bad}: {err:?}");
+            let err = EdmConfig::builder(0.5).recycle_horizon(bad).build().unwrap_err();
+            assert!(matches!(err, ConfigError::NonPositiveRecycleHorizon { .. }), "{bad}: {err:?}");
+            // Configs smuggled past the builder are caught by check().
+            let mut smuggled = EdmConfig::builder(0.5).build().unwrap();
+            smuggled.tau0 = Some(bad);
+            assert!(matches!(smuggled.check(), Err(ConfigError::NonPositiveTau0 { .. })));
+            smuggled.tau0 = None;
+            smuggled.recycle_horizon = Some(bad);
+            assert!(matches!(smuggled.check(), Err(ConfigError::NonPositiveRecycleHorizon { .. })));
         }
-        assert!(EdmConfig::builder(0.5)
-            .neighbor_index(NeighborIndexKind::Grid { side: Some(0.25) })
-            .build()
-            .is_ok());
+        // Every value in use stays valid, +∞ included (the static-τ rule).
+        for ok in [2.0, 3.5, f64::INFINITY] {
+            assert!(EdmConfig::builder(0.5).tau0(ok).build().is_ok(), "tau0 {ok}");
+        }
+        for ok in [2.0, 3_600.0, 1e6, f64::MAX, f64::INFINITY] {
+            assert!(EdmConfig::builder(0.5).recycle_horizon(ok).build().is_ok(), "horizon {ok}");
+        }
+        assert!(ConfigError::NonPositiveTau0 { tau: -1.0 }.to_string().contains("-1"));
+        assert!(ConfigError::NonPositiveRecycleHorizon { seconds: -2.0 }
+            .to_string()
+            .contains("-2"));
     }
 
     #[test]

@@ -296,9 +296,10 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         // Commit phase. A cached probe stays valid while the structures it
         // read are untouched *near the point*: cell births go into the
         // birth ledger and are checked through the index's conflict
-        // geometry; recycling and grid rebuilds (both only possible inside
-        // the maintenance cadence) invalidate every remaining probe — they
-        // remove or re-file cells, which birth tracking cannot describe.
+        // geometry; recycling and cover-tree radius re-tightening (counted
+        // in `grid_rebuilds`; both only possible inside the maintenance
+        // cadence) invalidate every remaining probe — they remove cells or
+        // tighten search bounds, which birth tracking cannot describe.
         let mut ledger = std::mem::take(&mut self.ledger);
         ledger.reset();
         let mut invalidate_all = false;

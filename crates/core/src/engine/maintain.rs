@@ -350,16 +350,10 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                 }
             });
         }
-        // Index self-maintenance: occupancy-band auto-tuning, cover-tree
-        // radius re-tightening, and `Auto` backend re-selection (all
-        // counted so rebuild churn is observable — and so the parallel
-        // commit loop invalidates cached probes whenever the index's
-        // pruning geometry changed under them). The cumulative probe
-        // counters feed the auto-selector's prune-rate evidence.
-        self.index.note_probe_stats(self.stats.index_probed, self.stats.index_pruned);
-        let index_changes = self.index.maintain(&self.slab, &self.metric);
-        self.stats.grid_rebuilds += index_changes;
-        self.stats.index_switches = self.index.auto_switches();
+        // Index self-maintenance: cover-tree radius re-tightening, counted
+        // so the parallel commit loop invalidates cached probes whenever
+        // the index's pruning bounds changed under them.
+        self.stats.grid_rebuilds += self.index.maintain(&self.slab, &self.metric);
     }
 
     // ----- evolution bookkeeping (paper §3.3) -----

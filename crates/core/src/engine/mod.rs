@@ -37,6 +37,7 @@
 mod ingest;
 mod maintain;
 mod parallel;
+#[allow(unsafe_code)]
 mod pool;
 mod query;
 #[cfg(test)]
@@ -139,7 +140,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// [`EdmConfig::check`]; this constructor only debug-asserts.
     pub fn new(cfg: EdmConfig, metric: M) -> Self {
         debug_assert!(cfg.check().is_ok(), "config bypassed builder validation: {:?}", cfg.check());
-        // Test-harness knobs: `EDM_FORCE_INGEST_THREADS=<n>` forces the
+        // Test-harness knob: `EDM_FORCE_INGEST_THREADS=<n>` forces the
         // parallel batch-ingest path onto engines that left the knob at
         // its default — so an entire test suite can run an extra pass
         // with phase-1 probing live (the CI test matrix does exactly that;
@@ -160,30 +161,21 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                     cfg.ingest_threads = n;
                 }
             }
-            // `EDM_FORCE_INDEX=auto` swaps the defaulted index for the
-            // runtime auto-selector, mirroring the knob above: only when
-            // the caller left the index at its default, and only in debug
-            // builds.
-            if matches!(cfg.neighbor_index, crate::index::NeighborIndexKind::Grid { side: None })
-                && std::env::var("EDM_FORCE_INDEX").as_deref() == Ok("auto")
-            {
-                cfg.neighbor_index = crate::index::NeighborIndexKind::Auto;
-            }
             cfg
         };
         let active_thr = cfg.active_threshold();
         let dt_del = cfg.delta_t_del();
         // Each index backend is only built when the metric vouches for
-        // the capability its pruning rests on: grid kinds need the
+        // the capability its pruning rests on: the grid needs the
         // axis-domination bound ([`Metric::dominates_coordinate_axes`]),
         // the cover tree needs the triangle inequality
         // ([`Metric::is_metric`]). Anything else gets the exact linear
         // scan, so a custom metric can never make an index silently drop
-        // a true neighbor.
+        // a true neighbor. The index chosen here is kept for the engine's
+        // whole life.
         let axis_bound = metric.dominates_coordinate_axes();
-        let true_metric = metric.is_metric();
         let index_kind = match cfg.neighbor_index() {
-            crate::index::NeighborIndexKind::Grid { .. } if !axis_bound => {
+            crate::index::NeighborIndexKind::Grid if !axis_bound => {
                 crate::index::NeighborIndexKind::LinearScan
             }
             crate::index::NeighborIndexKind::CoverTree if !metric.is_metric() => {
@@ -200,7 +192,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             log: EvolutionLog::with_capacity(cfg.event_capacity()),
             tracker: EvolutionTracker::new(cfg.event_capacity(), cfg.digest_history()),
             stats: EngineStats::default(),
-            index: CellIndex::from_config(index_kind, cfg.r(), axis_bound, true_metric),
+            index: CellIndex::from_config(index_kind, cfg.r(), axis_bound),
             scratch: ScratchDistances::default(),
             idle: IdleQueue::default(),
             probe_pool: ProbePool::default(),

@@ -15,11 +15,11 @@
 //!    in the same batch could have changed its answer *or its probed
 //!    set*: a cell birth near the point (decided by
 //!    [`crate::index::NeighborIndex::probe_conflicts`]), any recycling,
-//!    or a grid rebuild sends the point back through the serial scan —
-//!    counted in [`crate::EngineStats::probe_revalidations`]. Output is
-//!    therefore observationally identical to the serial per-point loop at
-//!    every thread count; parallelism only changes who computes the
-//!    probes.
+//!    or a cover-tree radius re-tightening sends the point back through
+//!    the serial scan — counted in
+//!    [`crate::EngineStats::probe_revalidations`]. Output is therefore
+//!    observationally identical to the serial per-point loop at every
+//!    thread count; parallelism only changes who computes the probes.
 //!
 //! The pool's threads persist across rounds and park between them, so
 //! steady-state probing costs a wake/park cycle instead of a spawn/join
@@ -149,12 +149,7 @@ mod tests {
 
     fn slab_grid(n: usize) -> (CellSlab<DenseVector>, CellIndex) {
         let mut slab = CellSlab::new();
-        let mut index = CellIndex::from_config(
-            crate::index::NeighborIndexKind::Grid { side: None },
-            0.5,
-            true,
-            true,
-        );
+        let mut index = CellIndex::from_config(crate::index::NeighborIndexKind::Grid, 0.5, true);
         for i in 0..n {
             let seed = DenseVector::from([(i % 16) as f64 * 2.0, (i / 16) as f64 * 2.0]);
             let id = slab.insert(Cell::new(seed, 0.0));

@@ -52,11 +52,10 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         &self.stats
     }
 
-    /// Human-readable label of the active neighbor-index backend (e.g.
-    /// `"grid"`, `"cover-tree"`). Under
-    /// [`crate::index::NeighborIndexKind::Auto`] the label carries an
-    /// `auto:` prefix and tracks the currently selected backend — the
-    /// observable face of runtime index selection.
+    /// Human-readable label of the neighbor-index backend the engine
+    /// built (`"linear"`, `"grid"` or `"cover-tree"`) — after any
+    /// capability downgrade, so a grid config on a metric without the
+    /// axis bound reports `"linear"`.
     pub fn index_label(&self) -> &'static str {
         self.index.label()
     }

@@ -622,13 +622,7 @@ fn cover_tree_indexes_token_sets_the_grid_can_only_scan() {
     assert_eq!(scan.n_clusters(), tree.n_clusters());
     assert_eq!(scan.n_cells(), tree.n_cells());
     assert_eq!(scan.stats().absorbed, tree.stats().absorbed);
-    // Under the CI leg's `EDM_FORCE_INDEX=auto` the defaulted grid
-    // config becomes the auto selector, whose capability gate hands
-    // Jaccard the cover tree — pruning is then expected (and the
-    // output equality above already proved it changes nothing).
-    if std::env::var_os("EDM_FORCE_INDEX").is_none() {
-        assert_eq!(scan.stats().index_pruned, 0, "grid config must have downgraded to the scan");
-    }
+    assert_eq!(scan.stats().index_pruned, 0, "grid config must have downgraded to the scan");
     assert!(tree.stats().index_pruned > 0, "the tree must prune even without coordinates");
     tree.check_index().unwrap();
     tree.check_invariants(6.0).unwrap();
@@ -660,134 +654,6 @@ fn cover_tree_downgrades_for_distances_that_never_vouched_for_the_axioms() {
     assert_eq!(e.stats().index_pruned, 0, "engine must run the exact scan");
     assert!(e.stats().index_probed > 0);
     e.check_index().unwrap();
-}
-
-// ----- runtime index auto-selection -----
-
-/// Distinct 8-dimensional lattice points (pairwise distance ≥ 2, so with
-/// r well below that every point founds its own cell): the cell count
-/// grows past the auto-selector's population floor while the 3^8 = 6561
-/// candidate shell dwarfs the occupied-bucket count — the sweep regime
-/// the selector must recognize.
-fn high_d_lattice(n: usize) -> Vec<(DenseVector, f64)> {
-    (0..n)
-        .map(|i| {
-            let coords: [f64; 8] = std::array::from_fn(|k| ((i >> (2 * k)) & 3) as f64 * 2.0);
-            (DenseVector::from(coords), i as f64 / 100.0)
-        })
-        .collect()
-}
-
-#[test]
-fn auto_index_keeps_the_grid_for_low_dimensional_dense_vectors() {
-    let auto_cfg = mini_cfg(0.5)
-        .to_builder()
-        .neighbor_index(crate::index::NeighborIndexKind::Auto)
-        .build()
-        .unwrap();
-    let grid_cfg = mini_cfg(0.5);
-    let mut auto = EdmStream::new(auto_cfg, Euclidean);
-    let mut grid = EdmStream::new(grid_cfg, Euclidean);
-    // A spread 2-d lattice: enough cells to clear the selector's
-    // population floor, with occupied buckets comfortably beyond the
-    // 3² = 9 candidate shell — grid territory, and it must stay that way.
-    for e in [&mut auto, &mut grid] {
-        for i in 0..400usize {
-            let p = DenseVector::from([(i % 20) as f64 * 1.5, (i / 20) as f64 * 1.5]);
-            e.insert(&p, i as f64 / 100.0);
-        }
-    }
-    assert_eq!(auto.index_label(), "auto:grid");
-    assert_eq!(auto.stats().index_switches, 0);
-    assert_eq!(grid.stats().index_switches, 0, "fixed backends never switch");
-    let t = 4.0;
-    let (a_cells, a_clusters, a_tau, a_events, _) = observe(&mut auto, t);
-    let (g_cells, g_clusters, g_tau, g_events, _) = observe(&mut grid, t);
-    assert_eq!(a_cells, g_cells);
-    assert_eq!(a_clusters, g_clusters);
-    assert_eq!(a_tau, g_tau);
-    assert_eq!(a_events, g_events);
-    auto.check_index().unwrap();
-}
-
-#[test]
-fn auto_index_switches_to_the_cover_tree_on_high_dimensional_streams() {
-    let auto_cfg = mini_cfg(0.5)
-        .to_builder()
-        .neighbor_index(crate::index::NeighborIndexKind::Auto)
-        .build()
-        .unwrap();
-    let cover_cfg = mini_cfg(0.5)
-        .to_builder()
-        .neighbor_index(crate::index::NeighborIndexKind::CoverTree)
-        .build()
-        .unwrap();
-    let stream = high_d_lattice(400);
-    let mut auto = EdmStream::new(auto_cfg, Euclidean);
-    let mut cover = EdmStream::new(cover_cfg, Euclidean);
-    for e in [&mut auto, &mut cover] {
-        for (p, t) in &stream {
-            e.insert(p, *t);
-        }
-    }
-    assert_eq!(auto.index_label(), "auto:cover-tree");
-    assert_eq!(auto.stats().index_switches, 1, "one confirmed grid → cover switch");
-    assert!(auto.stats().grid_rebuilds >= 1, "the switch is counted as a rebuild");
-    assert_eq!(cover.index_label(), "cover-tree");
-    // Backend selection must never change answers: identical structure,
-    // clusters, τ and events against the fixed cover tree.
-    let t = 4.0;
-    let (a_cells, a_clusters, a_tau, a_events, _) = observe(&mut auto, t);
-    let (c_cells, c_clusters, c_tau, c_events, _) = observe(&mut cover, t);
-    assert_eq!(a_cells, c_cells);
-    assert_eq!(a_clusters, c_clusters);
-    assert_eq!(a_tau, c_tau);
-    assert_eq!(a_events, c_events);
-    auto.check_index().unwrap();
-    auto.check_invariants(t).unwrap();
-}
-
-#[test]
-fn auto_index_starts_on_the_cover_tree_for_token_sets() {
-    use edm_common::metric::Jaccard;
-    use edm_common::point::TokenSet;
-    // Jaccard vouches for the metric axioms but has no coordinate
-    // embedding: the auto selector's capability gate lands on the cover
-    // tree at construction — no evidence gathering, no switch event.
-    let base = EdmConfig::builder(0.6)
-        .rate(100.0)
-        .beta_for_threshold(2.0)
-        .init_points(10)
-        .maintenance_every(8)
-        .build()
-        .unwrap();
-    let auto_cfg =
-        base.to_builder().neighbor_index(crate::index::NeighborIndexKind::Auto).build().unwrap();
-    let cover_cfg = base
-        .to_builder()
-        .neighbor_index(crate::index::NeighborIndexKind::CoverTree)
-        .build()
-        .unwrap();
-    let stream: Vec<(TokenSet, f64)> = (0..600)
-        .map(|i| {
-            let topic = (i % 8) as u32 * 100;
-            let k = 1 + ((i / 8) % 6) as u32;
-            (TokenSet::new(vec![topic, topic + k]), i as f64 / 100.0)
-        })
-        .collect();
-    let mut auto = EdmStream::new(auto_cfg, Jaccard);
-    let mut cover = EdmStream::new(cover_cfg, Jaccard);
-    for (p, t) in &stream {
-        auto.insert(p, *t);
-        cover.insert(p, *t);
-    }
-    assert_eq!(auto.index_label(), "auto:cover-tree");
-    assert_eq!(auto.stats().index_switches, 0, "capability chose at construction");
-    assert!(auto.stats().index_pruned > 0, "the tree must prune without coordinates");
-    assert_eq!(auto.n_clusters(), cover.n_clusters());
-    assert_eq!(auto.n_cells(), cover.n_cells());
-    assert_eq!(auto.stats().absorbed, cover.stats().absorbed);
-    auto.check_index().unwrap();
 }
 
 // ----- parallel probe-then-commit batch ingest -----
@@ -990,35 +856,6 @@ fn cover_tree_parallel_ingest_matches_the_serial_loop() {
     assert!(parallel.stats().probe_tasks > 0);
     assert!(parallel.check_index().is_ok());
     assert!(parallel.check_invariants(t).is_ok());
-}
-
-#[test]
-fn auto_parallel_ingest_matches_and_switches_identically() {
-    // The auto selector feeds on deterministic occupancy and prune
-    // statistics, so a parallel ingest must land on the same backend at
-    // the same cadence as the serial loop — `index_switches` is *not*
-    // exempt from the equivalence contract.
-    let batch = high_d_lattice(400);
-    let t = batch.len() as f64 / 100.0;
-    let auto = |threads: usize| {
-        parallel_cfg(threads)
-            .to_builder()
-            .neighbor_index(crate::index::NeighborIndexKind::Auto)
-            .build()
-            .unwrap()
-    };
-    let mut serial = EdmStream::new(auto(1), Euclidean);
-    for (p, ts) in &batch {
-        serial.insert(p, *ts);
-    }
-    let mut parallel = EdmStream::new(auto(4), Euclidean);
-    for window in batch.chunks(64) {
-        parallel.insert_batch(window);
-    }
-    assert_eq!(serial.stats().index_switches, 1);
-    assert_eq!(parallel.index_label(), "auto:cover-tree");
-    assert_eq!(observe(&mut serial, t), observe(&mut parallel, t));
-    assert!(parallel.check_index().is_ok());
 }
 
 #[test]

@@ -102,8 +102,11 @@ pub struct EngineStats {
     /// cells minus probes) — zero under
     /// [`crate::index::NeighborIndexKind::LinearScan`].
     pub index_pruned: u64,
-    /// Occupancy-band auto-tuning rebuilds of the grid index. See
-    /// [`crate::index::UniformGrid::maintain`].
+    /// Maintenance cadences on which the cover tree re-tightened its
+    /// covering radii (each invalidates the parallel committer's cached
+    /// probes). Always zero on the grid and the linear scan, which keep a
+    /// fixed layout. The name predates that: it is kept because the
+    /// repository benchmark reads the field as `index.grid_rebuilds`.
     pub grid_rebuilds: u64,
     /// Assignment probes computed by the parallel probe phase of
     /// `insert_batch` (phase 1 of probe-then-commit; zero when
@@ -111,10 +114,10 @@ pub struct EngineStats {
     pub probe_tasks: u64,
     /// Pre-computed probes the commit phase had to redo serially because
     /// an earlier commit in the same batch touched their neighborhood
-    /// (cell births nearby, recycling, or a grid rebuild). High values
-    /// mean the workload creates/recycles too much for the batch size —
-    /// the two-phase path degrades toward serial cost, never toward
-    /// wrong output.
+    /// (cell births nearby, recycling, or a cover-tree re-tightening).
+    /// High values mean the workload creates/recycles too much for the
+    /// batch size — the two-phase path degrades toward serial cost, never
+    /// toward wrong output.
     pub probe_revalidations: u64,
     /// Batches (sub-batches of `insert_batch`) that took the two-phase
     /// probe-then-commit path instead of the serial per-point loop.
@@ -137,13 +140,9 @@ pub struct EngineStats {
     /// load.
     #[serde(default)]
     pub probe_revalidations_avoided: u64,
-    /// Backend switches performed by the
-    /// [`crate::index::NeighborIndexKind::Auto`] runtime index selector
-    /// (grid ↔ cover tree ↔ linear). Zero under every fixed index kind.
-    /// Identical between serial and parallel ingestion of the same
-    /// stream — selection is driven by deterministic occupancy and
-    /// prune-rate evidence at the maintenance cadence, so it is *not*
-    /// exempt from the observational-equivalence contract.
+    /// Neighbor-index backend switches. Always zero: the engine picks its
+    /// index once, at construction, and never switches it. Kept because
+    /// the repository benchmark reads the field as `index.switches`.
     /// Serde-defaulted so stats persisted before the field existed still
     /// load.
     #[serde(default)]

@@ -648,7 +648,7 @@ impl<P: GridCoords> NeighborIndex<P> for CoverTree {
         // lower bounds and can shrink the probed set of a cached parallel
         // probe — so a cadence that actually re-tightened something must
         // count as a rebuild, invalidating the batch committer's cached
-        // probes exactly like a grid retune does.
+        // probes exactly like recycling does.
         u64::from(self.retighten(slab, metric) > 0)
     }
 

@@ -1,7 +1,7 @@
 //! Uniform-grid neighbor index over cell seeds.
 //!
-//! Seeds are quantized into buckets of side `s` (by default the
-//! cluster-cell radius `r`). Two facts make the bucket geometry a sound
+//! Seeds are quantized into buckets of side `s` (the engine always uses
+//! the cluster-cell radius `r`). Two facts make the bucket geometry a sound
 //! pruning device for any metric dominating per-axis coordinate
 //! differences (see [`edm_common::point::GridCoords`]):
 //!
@@ -59,43 +59,13 @@ thread_local! {
     static KEY_SCRATCH: RefCell<KeyScratch> = RefCell::default();
 }
 
-/// Mean bucketed-cells-per-occupied-bucket above which an auto-tuning
-/// grid halves its side (crowded buckets make every probe scan long id
-/// lists — the high-dimensional degeneration ROADMAP flags for PAMAP2).
-const OCCUPANCY_HI: f64 = 8.0;
-/// Mean occupancy below which an auto-tuning grid doubles a previously
-/// refined side back toward its initial value (population shrank, e.g.
-/// after heavy recycling; a finer grid than needed wastes probe shells).
-const OCCUPANCY_LO: f64 = 1.2;
-/// Bucketed-cell count below which auto-tuning never engages — rebuilds
-/// on tiny populations cost more than crowded buckets do.
-const AUTO_TUNE_MIN_CELLS: usize = 256;
-/// Finest side auto-tuning may reach, as a fraction of the initial side.
-const AUTO_TUNE_MAX_REFINE: f64 = 1024.0;
-
 /// Uniform grid over cell seeds with bucket side `side`.
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
-    /// Bucket side length (defaults to the cluster-cell radius `r`).
+    /// Bucket side length (the engine uses the cluster-cell radius `r`).
     side: f64,
-    /// The side the grid was built with — the coarsest (and default)
-    /// side auto-tuning is allowed to return to.
-    initial_side: f64,
-    /// Whether occupancy-band auto-tuning may rebuild the grid.
-    auto_tune: bool,
-    /// Rebuilds performed by auto-tuning (mirrored into
-    /// [`crate::EngineStats::grid_rebuilds`]).
-    rebuilds: u64,
-    /// Bucketed-cell count at the last rebuild; coarsening only engages
-    /// after the population halves, so refine → thin-out → coarsen cannot
-    /// oscillate on a steady population.
-    cells_at_rebuild: usize,
     /// Dimensionality of the bucketed seeds, fixed by the first one seen.
     dim: Option<usize>,
-    /// Cells currently filed in coordinate buckets — kept incrementally
-    /// so the occupancy probe of the auto-tuner is O(1), not a walk over
-    /// every occupied bucket each maintenance cadence.
-    n_bucketed: usize,
     /// Occupied buckets only; values are the ids of the seeds inside.
     buckets: FxHashMap<Box<[i64]>, Vec<CellId>>,
     /// Cells whose payload exposes no coordinates (or the wrong
@@ -109,23 +79,17 @@ pub struct UniformGrid {
 }
 
 impl UniformGrid {
-    /// Creates an empty grid with the given bucket side, auto-tuning off
-    /// (the side is pinned; an explicitly configured side is a user
-    /// decision the index must respect).
+    /// Creates an empty grid with the given bucket side.
     ///
     /// # Panics
-    /// Panics unless `side` is positive and finite — enforced earlier by
-    /// config validation ([`crate::ConfigError::NonPositiveGridSide`]).
+    /// Panics unless `side` is positive and finite — the engine never
+    /// asks for such a grid: [`super::CellIndex::from_config`] builds the
+    /// linear scan for a degenerate radius.
     pub fn new(side: f64) -> Self {
         assert!(side > 0.0 && side.is_finite(), "grid side must be positive and finite");
         UniformGrid {
             side,
-            initial_side: side,
-            auto_tune: false,
-            rebuilds: 0,
-            cells_at_rebuild: 0,
             dim: None,
-            n_bucketed: 0,
             buckets: fx_map(),
             unbucketed: Vec::new(),
             lo: Vec::new(),
@@ -133,37 +97,9 @@ impl UniformGrid {
         }
     }
 
-    /// Creates an empty grid that may refine its side when mean bucket
-    /// occupancy leaves the target band (see [`UniformGrid::maintain`]).
-    /// Used for the defaulted `side: None` configuration, where the side
-    /// is the engine's guess rather than the user's choice.
-    pub fn auto_tuned(side: f64) -> Self {
-        UniformGrid { auto_tune: true, ..UniformGrid::new(side) }
-    }
-
-    /// Bucket side length currently in force.
+    /// Bucket side length.
     pub fn side(&self) -> f64 {
         self.side
-    }
-
-    /// Number of occupied buckets (diagnostics).
-    pub fn occupied_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Bucketed cells per occupied bucket (`0` while empty) — the
-    /// quantity auto-tuning keeps inside its target band.
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.buckets.is_empty() {
-            0.0
-        } else {
-            self.bucketed_len() as f64 / self.buckets.len() as f64
-        }
-    }
-
-    /// Auto-tuning rebuilds performed so far.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
     }
 
     /// The per-axis distance beyond which a coordinate-bearing structural
@@ -215,19 +151,6 @@ impl UniformGrid {
         })
     }
 
-    /// Cells filed in coordinate buckets (excludes the unbucketed list).
-    /// O(1): queried on every maintenance cadence (occupancy probe); the
-    /// counter's agreement with the buckets is verified in
-    /// `check_coherence`, off the hot path.
-    fn bucketed_len(&self) -> usize {
-        self.n_bucketed
-    }
-
-    /// Total cells the grid holds (bucketed + unbucketed).
-    fn indexed_len(&self) -> usize {
-        self.bucketed_len() + self.unbucketed.len()
-    }
-
     /// Checks that `id` (with seed coordinates `coords`) is filed exactly
     /// once where this grid's quantization says it belongs.
     fn check_filed(&self, id: CellId, coords: Option<&[f64]>) -> Result<(), String> {
@@ -245,82 +168,6 @@ impl UniformGrid {
             }
         }
         Ok(())
-    }
-
-    /// Occupancy-band auto-tuning (the ROADMAP "bucket side auto-tuning"
-    /// item): when the mean occupancy of occupied buckets leaves the
-    /// `[OCCUPANCY_LO, OCCUPANCY_HI]` band, pick a better side and rebuild
-    /// the grid from `slab` in O(cells held). Crowded buckets (high-d
-    /// streams pack many r-separated seeds per r-cube) halve the side;
-    /// a refined grid whose population has since halved coarsens back
-    /// toward the initial side. Returns rebuilds performed (0 or 1).
-    ///
-    /// Correctness never depends on the side — every query derives its
-    /// reach from the side in force — so tuning is pure access-path
-    /// optimization, invisible to clustering output.
-    pub fn maintain<P: GridCoords>(&mut self, slab: &CellSlab<P>) -> u64 {
-        if !self.auto_tune || self.buckets.is_empty() {
-            return 0;
-        }
-        let n = self.bucketed_len();
-        if n < AUTO_TUNE_MIN_CELLS {
-            return 0;
-        }
-        let occupancy = n as f64 / self.buckets.len() as f64;
-        let new_side = if occupancy > OCCUPANCY_HI {
-            let floor = self.initial_side / AUTO_TUNE_MAX_REFINE;
-            (self.side * 0.5).max(floor)
-        } else if occupancy < OCCUPANCY_LO
-            && self.side < self.initial_side
-            && n < self.cells_at_rebuild / 2
-        {
-            (self.side * 2.0).min(self.initial_side)
-        } else {
-            return 0;
-        };
-        if new_side == self.side {
-            return 0;
-        }
-        self.side = new_side;
-        self.rebuild(slab);
-        self.cells_at_rebuild = self.bucketed_len();
-        self.rebuilds += 1;
-        1
-    }
-
-    /// Re-files every cell this grid holds under the current side, in one
-    /// O(cells held) pass.
-    fn rebuild<P: GridCoords>(&mut self, slab: &CellSlab<P>) {
-        let ids: Vec<CellId> = self.buckets.drain().flat_map(|(_, ids)| ids).collect();
-        self.n_bucketed = 0;
-        self.lo.clear();
-        self.hi.clear();
-        for id in ids {
-            self.file(id, slab.get(id).seed.grid_coords());
-        }
-    }
-
-    /// Files a cell under the current side (shared by insert + rebuild).
-    fn file(&mut self, id: CellId, coords: Option<&[f64]>) {
-        if self.dim.is_none() {
-            self.dim = coords.map(|c| c.len());
-        }
-        match self.key_of(coords) {
-            Some(key) => {
-                if self.buckets.is_empty() {
-                    self.lo = key.to_vec();
-                    self.hi = key.to_vec();
-                } else {
-                    for ((l, h), &k) in self.lo.iter_mut().zip(self.hi.iter_mut()).zip(key.iter()) {
-                        *l = (*l).min(k);
-                        *h = (*h).max(k);
-                    }
-                }
-                self.buckets.entry(key).or_default().push(id);
-                self.n_bucketed += 1;
-            }
-            None => self.unbucketed.push(id),
-        }
     }
 
     /// Quantizes coordinates into a bucket key.
@@ -423,7 +270,25 @@ impl UniformGrid {
 
 impl<P: GridCoords> NeighborIndex<P> for UniformGrid {
     fn on_insert<M: Metric<P>>(&mut self, id: CellId, seed: &P, _slab: &CellSlab<P>, _metric: &M) {
-        self.file(id, seed.grid_coords());
+        let coords = seed.grid_coords();
+        if self.dim.is_none() {
+            self.dim = coords.map(|c| c.len());
+        }
+        match self.key_of(coords) {
+            Some(key) => {
+                if self.buckets.is_empty() {
+                    self.lo = key.to_vec();
+                    self.hi = key.to_vec();
+                } else {
+                    for ((l, h), &k) in self.lo.iter_mut().zip(self.hi.iter_mut()).zip(key.iter()) {
+                        *l = (*l).min(k);
+                        *h = (*h).max(k);
+                    }
+                }
+                self.buckets.entry(key).or_default().push(id);
+            }
+            None => self.unbucketed.push(id),
+        }
     }
 
     fn on_remove<M: Metric<P>>(&mut self, id: CellId, seed: &P, _slab: &CellSlab<P>, _metric: &M) {
@@ -431,7 +296,6 @@ impl<P: GridCoords> NeighborIndex<P> for UniformGrid {
             let bucket = self.buckets.get_mut(&key).expect("removing cell from unknown bucket");
             let pos = bucket.iter().position(|&c| c == id).expect("cell missing from its bucket");
             bucket.swap_remove(pos);
-            self.n_bucketed -= 1;
             if bucket.is_empty() {
                 self.buckets.remove(&key);
             }
@@ -635,14 +499,7 @@ impl<P: GridCoords> NeighborIndex<P> for UniformGrid {
     }
 
     fn check_coherence<M: Metric<P>>(&self, slab: &CellSlab<P>, _metric: &M) -> Result<(), String> {
-        let counted = self.buckets.values().map(Vec::len).sum::<usize>();
-        if counted != self.n_bucketed {
-            return Err(format!(
-                "occupancy counter says {} cells, buckets hold {counted}",
-                self.n_bucketed
-            ));
-        }
-        let indexed = self.indexed_len();
+        let indexed = self.buckets.values().map(Vec::len).sum::<usize>() + self.unbucketed.len();
         if indexed != slab.len() {
             return Err(format!("index holds {indexed} cells, slab holds {}", slab.len()));
         }
@@ -780,11 +637,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_tuning_refines_crowded_buckets_and_stays_coherent() {
-        let mut grid = UniformGrid::auto_tuned(1.0);
+    fn crowded_buckets_answer_nearest_queries_exactly() {
+        // Five far-apart copies of a 120-seed crowd: every occupied bucket
+        // holds 120 pairwise-far seeds, and the 3^8 shell outnumbers the
+        // occupied buckets, so queries take the occupied-bucket sweep.
+        let mut grid = UniformGrid::new(1.0);
         let (mut slab, ids) = crowded_8d_slab(120);
-        // Clone the crowd at a far offset so the population clears the
-        // minimum-cells bar while every bucket stays overfull.
         let far: Vec<CellId> = (0..4)
             .flat_map(|k| {
                 ids.iter()
@@ -799,43 +657,16 @@ mod tests {
         for &id in ids.iter().chain(far.iter()) {
             grid.on_insert(id, &slab.get(id).seed, &slab, &Euclidean);
         }
-        assert!(grid.mean_occupancy() > OCCUPANCY_HI);
-        let before = grid.side();
-        assert_eq!(grid.maintain(&slab), 1, "crowded grid must rebuild");
-        assert!(grid.side() < before);
-        assert_eq!(grid.rebuilds(), 1);
         assert!(grid.check_coherence(&slab, &Euclidean).is_ok());
-        // Queries stay exact across the retune.
-        let q = DenseVector::new(vec![0.05; 8]);
-        let hit = grid.nearest_matching(&q, &slab, &Euclidean, &mut |_, _| true);
-        let brute = slab
-            .iter()
-            .map(|(id, c)| (id, c.seed.dist(&q)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .map(|(id, _)| id);
-        assert_eq!(hit.map(|(id, _)| id), brute);
-        // A pinned side never tunes, however crowded.
-        let mut pinned = UniformGrid::new(1.0);
-        for &id in ids.iter().chain(far.iter()) {
-            pinned.on_insert(id, &slab.get(id).seed, &slab, &Euclidean);
+        for q in [DenseVector::new(vec![0.05; 8]), DenseVector::new(vec![100.4; 8])] {
+            let hit = grid.nearest_matching(&q, &slab, &Euclidean, &mut |_, _| true);
+            let brute = slab
+                .iter()
+                .map(|(id, c)| (id, c.seed.dist(&q)))
+                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
+                .map(|(id, _)| id);
+            assert_eq!(hit.map(|(id, _)| id), brute);
         }
-        assert_eq!(pinned.maintain(&slab), 0);
-        assert_eq!(pinned.side(), 1.0);
-        // Coarsening re-engages only once the population halves (600 cells
-        // at the refine; 280 survivors clear the minimum-cells bar while
-        // sitting under half), and the band settles without oscillating.
-        let all: Vec<CellId> = slab.iter().map(|(id, _)| id).collect();
-        for &id in all.iter().skip(280) {
-            let cell = slab.remove(id);
-            grid.on_remove(id, &cell.seed, &slab, &Euclidean);
-        }
-        let mut rounds = 0;
-        while grid.maintain(&slab) == 1 {
-            rounds += 1;
-            assert!(rounds < 32, "auto-tuning must settle, not oscillate");
-        }
-        assert!(grid.rebuilds() > 1, "the shrunken population must coarsen at least once");
-        assert!(grid.check_coherence(&slab, &Euclidean).is_ok());
     }
 
     #[test]

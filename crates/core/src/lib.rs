@@ -60,7 +60,7 @@
 //! | [`cell`] | §3.2 Def. 4, Eq. 6–8 | cluster-cells, lazily decayed density, the strict density order |
 //! | [`slab`] | §4.3–4.4 | stable-id cell storage with slot recycling |
 //! | [`tree`] | §2.2, Def. 1–3 | DP-Tree edges, strong links, MSDSubTree traversals, invariants |
-//! | [`index`] | §4.1 "New point assignment", §4.3 dependency recomputation | sub-linear neighbor lookup over cell seeds: uniform grid (occupancy auto-tuning), best-first cover tree (triangle-inequality pruning for high-d and coordinate-less payloads), linear-scan fallback |
+//! | [`index`] | §4.1 "New point assignment", §4.3 dependency recomputation | sub-linear neighbor lookup over cell seeds, one index per engine fixed at construction: uniform grid at bucket side `r`, best-first cover tree (triangle-inequality pruning for high-d and coordinate-less payloads), linear-scan fallback |
 //! | [`engine`] | §4, Fig 5 | the pipeline facade over the three layers below |
 //! | `engine/ingest.rs` | §4.1 | assignment, new-cell admission, emergence, the initialization batch pass |
 //! | `engine/maintain.rs` | §4.2–4.4, Thm 1–3 | dependency maintenance, decay sweep, idle-queue ΔT_del recycling |
@@ -77,6 +77,7 @@
 //! | [`error`] | — | typed errors of the fallible entry points |
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod cell;

@@ -57,7 +57,7 @@ proptest! {
         points in prop::collection::vec(((-5.0f64..15.0), (-3.0f64..3.0)), 60..300),
     ) {
         let mut linear = engine_with(NeighborIndexKind::LinearScan);
-        let mut grid = engine_with(NeighborIndexKind::Grid { side: None });
+        let mut grid = engine_with(NeighborIndexKind::Grid);
         for (i, &(x, y)) in points.iter().enumerate() {
             let t = i as f64 / 100.0;
             let p = DenseVector::from([x, y]);
@@ -84,26 +84,6 @@ proptest! {
             grid.n_cells()
         );
         prop_assert!(grid.stats().index_probed < linear.stats().index_probed);
-    }
-
-    /// A non-default bucket side (coarser and finer than r) is still exact.
-    #[test]
-    fn custom_grid_sides_stay_exact(
-        points in prop::collection::vec(((-4.0f64..10.0), (-2.0f64..2.0)), 60..200),
-        side in 0.3f64..2.5,
-    ) {
-        let mut linear = engine_with(NeighborIndexKind::LinearScan);
-        let mut grid = engine_with(NeighborIndexKind::Grid { side: Some(side) });
-        for (i, &(x, y)) in points.iter().enumerate() {
-            let t = i as f64 / 100.0;
-            let p = DenseVector::from([x, y]);
-            linear.insert(&p, t);
-            grid.insert(&p, t);
-        }
-        let t = points.len() as f64 / 100.0;
-        linear.force_init();
-        grid.force_init();
-        prop_assert_eq!(observe(&mut linear, t), observe(&mut grid, t));
     }
 
     /// Insert order + reservoir recycling never leave a stale entry in the
@@ -234,18 +214,18 @@ proptest! {
         }
     }
 
-    /// Runtime index auto-selection is an access-path decision, never a
-    /// policy: an engine on [`NeighborIndexKind::Auto`] must match the
-    /// linear scan exactly even when the stream drives it through a live
-    /// grid → cover-tree switch *and* ΔT_del recycling interleavings. A
-    /// high-dimensional warmup lattice clears the selector's population
-    /// floor so the sweep-regime signal forces a confirmed switch before
-    /// the random interleavings begin; the switch drains and refiles the
-    /// whole index mid-stream, which is exactly the moment staleness
-    /// bugs would surface.
+    /// High-dimensional grids stay exact: on an 8-d stream where up to 12
+    /// pairwise-r-separated seeds share one bucket (so every probe takes
+    /// the occupied-bucket sweep over buckets holding more than 8 seeds),
+    /// interleaved with ΔT_del recycling jumps, the grid and the cover
+    /// tree must match the linear scan exactly and stay coherent after
+    /// every insert.
     #[test]
-    fn auto_index_matches_linear_scan_across_switch_and_recycling(
-        ops in prop::collection::vec((0usize..1024, any::<bool>()), 40..160),
+    fn crowded_8d_buckets_match_linear_scan_across_recycling(
+        ops in prop::collection::vec(
+            ((0usize..3), (0usize..CROWD.len()), (0.0f64..0.02), any::<bool>()),
+            40..160,
+        ),
     ) {
         let cfg = |kind| {
             EdmConfig::builder(0.8)
@@ -259,41 +239,50 @@ proptest! {
                 .build()
                 .expect("valid test configuration")
         };
-        // 8-d lattice points (pairwise distance ≥ 2 > r): every distinct
-        // code founds a cell, repeats absorb.
-        let lattice = |u: usize| {
-            DenseVector::from(std::array::from_fn::<f64, 8, _>(|k| {
-                ((u >> (2 * k)) & 3) as f64 * 2.0
-            }))
-        };
         let mut linear = EdmStream::new(cfg(NeighborIndexKind::LinearScan), Euclidean);
-        let mut auto = EdmStream::new(cfg(NeighborIndexKind::Auto), Euclidean);
+        let mut grid = EdmStream::new(cfg(NeighborIndexKind::Grid), Euclidean);
+        let mut cover = EdmStream::new(cfg(NeighborIndexKind::CoverTree), Euclidean);
+        prop_assert_eq!(grid.index_label(), "grid");
+        // Warm-up: seed every code in every bucket, then the random ops.
+        let warmup = (0..3).flat_map(|b| (0..CROWD.len()).map(move |c| (b, c, 0.0, false)));
         let mut t = 0.0;
-        for i in 0..300usize {
-            t += 0.01;
-            let p = lattice(i);
-            linear.insert(&p, t);
-            auto.insert(&p, t);
-        }
-        prop_assert_eq!(auto.stats().index_switches, 1, "warmup must confirm the switch");
-        prop_assert_eq!(auto.index_label(), "auto:cover-tree");
-        for (i, &(u, jump)) in ops.iter().enumerate() {
+        for (i, (bucket, code, jitter, jump)) in warmup.chain(ops.iter().copied()).enumerate() {
             t += if jump { 7.0 } else { 0.01 };
-            let p = lattice(u);
-            linear.insert(&p, t);
-            auto.insert(&p, t);
-            prop_assert!(auto.check_index().is_ok(), "index diverged: {:?}", auto.check_index());
-            if i % 7 == 0 && auto.is_initialized() {
-                prop_assert!(auto.check_invariants(t).is_ok(), "{:?}", auto.check_invariants(t));
+            let p = crowd_point(bucket, code, jitter);
+            for e in [&mut linear, &mut grid, &mut cover] {
+                e.insert(&p, t);
+                prop_assert!(e.check_index().is_ok(), "index diverged: {:?}", e.check_index());
+                if i % 7 == 0 && e.is_initialized() {
+                    prop_assert!(e.check_invariants(t).is_ok(), "{:?}", e.check_invariants(t));
+                }
             }
         }
-        linear.force_init();
-        auto.force_init();
-        prop_assert_eq!(observe(&mut linear, t), observe(&mut auto, t));
-        prop_assert!(auto.check_index().is_ok());
-        prop_assert!(auto.check_invariants(t).is_ok());
-        if ops.iter().filter(|(_, j)| *j).count() >= 5 {
-            prop_assert!(auto.stats().recycled > 0, "recycling never fired");
+        for e in [&mut linear, &mut grid, &mut cover] {
+            e.force_init();
+        }
+        let reference = observe(&mut linear, t);
+        prop_assert_eq!(&reference, &observe(&mut grid, t));
+        prop_assert_eq!(&reference, &observe(&mut cover, t));
+        // The sweep still prunes buckets beyond the probe's reach.
+        prop_assert!(grid.stats().index_pruned > 0, "grid pruned nothing");
+        if ops.iter().filter(|op| op.3).count() >= 5 {
+            prop_assert!(grid.stats().recycled > 0, "recycling never fired");
         }
     }
+}
+
+/// Even-weight 8-bit codes: distinct codes differ on at least two axes.
+const CROWD: [u32; 12] = [0, 3, 5, 6, 9, 10, 12, 15, 17, 18, 20, 23];
+
+/// An 8-d point of crowd `code` in bucket `bucket` (bucket side 0.8 = r):
+/// every coordinate sits at `0.02 + 0.7·bit + jitter` inside its bucket,
+/// with the jitter under 0.02, so points of distinct codes lie at least
+/// 0.68·√2 ≈ 0.96 > r apart and still share one bucket. Buckets sit 4
+/// apart on the first axis.
+fn crowd_point(bucket: usize, code: usize, jitter: f64) -> DenseVector {
+    DenseVector::from(std::array::from_fn::<f64, 8, _>(|k| {
+        let base = if k == 0 { 4.0 * bucket as f64 } else { 0.0 };
+        let bit = f64::from(CROWD[code] >> k & 1);
+        base + 0.02 + 0.7 * bit + jitter * (k + 1) as f64 / 8.0
+    }))
 }

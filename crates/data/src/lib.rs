@@ -11,6 +11,7 @@
 //!   the paper's Table 2 (SDS, HDS and surrogates for KDDCUP99, CoverType,
 //!   PAMAP2, NADS; see DESIGN.md §5 for the substitution rationale).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -14,6 +14,7 @@
 //! * [`util`] — pairwise-distance quantile sampling, the paper's method of
 //!   choosing the cell radius `r` (§6.7).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -15,6 +15,7 @@
 //!   score it against a reference with tolerance-windowed matching, so
 //!   EDMStream and the four baselines are judged by one yardstick.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -55,6 +55,7 @@
 //! | [`net::NetServer`] | §6.3.1 "monitoring applications" | the paper's remote dashboards: the same queries over TCP, answers identical by construction |
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod config;
@@ -65,6 +66,7 @@ mod query;
 mod queue;
 mod server;
 mod stats;
+#[allow(unsafe_code)]
 pub mod swap;
 
 pub use config::{BackpressurePolicy, ServeConfig, ServeConfigBuilder, ServeConfigError};

@@ -33,10 +33,9 @@ fn main() {
         // through a uniform grid with bucket side r, so an insert probes
         // only the 3x3 bucket shell around the point instead of every
         // cell. `LinearScan` is the exact fallback for exotic metrics.
-        // With `side: None` the grid also auto-tunes its bucket side when
-        // mean occupancy leaves the target band (EngineStats counts the
-        // rebuilds in `grid_rebuilds`).
-        .neighbor_index(NeighborIndexKind::Grid { side: None })
+        // The engine builds the index once and never switches or re-tunes
+        // it.
+        .neighbor_index(NeighborIndexKind::Grid)
         // Batch ingest can fan its assignment probes out across worker
         // threads (probe-then-commit; output identical to the serial
         // loop at any count — see the README's "Threading model"). Two

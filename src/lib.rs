@@ -56,6 +56,7 @@
 //! # Ok::<(), edmstream::ConfigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use edm_baselines as baselines;

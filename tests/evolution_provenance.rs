@@ -253,7 +253,7 @@ proptest! {
         backend_ix in 0usize..2,
         recycle in any::<bool>(),
     ) {
-        let kind = [NeighborIndexKind::Grid { side: None }, NeighborIndexKind::CoverTree][backend_ix];
+        let kind = [NeighborIndexKind::Grid, NeighborIndexKind::CoverTree][backend_ix];
         // Recycling off → drop the time jumps so the stream stays dense.
         let pts: Vec<(f64, f64, bool)> =
             points.iter().map(|&(x, y, j)| (x, y, j && recycle)).collect();
@@ -275,7 +275,7 @@ proptest! {
             80..200,
         ),
     ) {
-        let mut e = engine(NeighborIndexKind::Grid { side: None }, true);
+        let mut e = engine(NeighborIndexKind::Grid, true);
         // Publish generation 1 immediately so every structural event of
         // the run lands strictly inside the digest window (events before
         // the first sealed generation are outside any window).
