@@ -14,8 +14,8 @@
 //! Besides the console table, the run rewrites the `net_read_latency`
 //! (and `host`) section of the committed `BENCH_ingest.json`. The CI
 //! gate re-measures this section fresh; on 1-cpu hosts it records
-//! without comparing (client, server readers, and acceptor timeshare a
-//! single core there, so percentiles price the scheduler).
+//! without comparing (client, server connection thread, and acceptor
+//! timeshare a single core there, so percentiles price the scheduler).
 
 use std::path::Path;
 

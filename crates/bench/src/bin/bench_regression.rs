@@ -29,8 +29,8 @@
 //!    slower hosts). The `mixed_read_write` and `net_read_latency`
 //!    sections are **recorded but never compared when either host has
 //!    one cpu** — with readers (or the TCP client and the server's
-//!    reader pool) timesharing a single core, read latency prices the
-//!    scheduler, not the serving path. An empty comparison set is a hard
+//!    connection thread) timesharing a single core, read latency prices
+//!    the scheduler, not the serving path. An empty comparison set is a hard
 //!    failure only when the baseline itself yielded no entries (sections
 //!    missing or unparsable); when entries exist but every one was
 //!    legitimately skipped (effective-parallelism mismatch, 1-cpu mixed
@@ -105,8 +105,8 @@ const NET_SMOKE_WARM: usize = 1 << 13;
 const NET_SMOKE_DIGESTS: usize = 64;
 
 /// Effective parallelism of the network smoke: the querying client and
-/// the server reader thread answering it run concurrently (the acceptor
-/// idles once the one connection is up).
+/// the server connection thread answering it run concurrently (the
+/// acceptor idles once the one connection is up).
 const NET_SMOKE_THREADS: usize = 2;
 
 /// Distance evaluations per (dimensionality, kernel path) in the raw

@@ -6,10 +6,10 @@
 //! no serialization crate, nothing beyond the standard library:
 //!
 //! ```text
-//! clients ──TCP──> acceptor thread ──[pending]──> reader pool (fixed N)
-//!                    │ cap check                    │ read frame
-//!                    │ busy frame when full         │ decode → ServeHandle::execute
-//!                    └ net_connections*             └ encode → write frame
+//! clients ──TCP──> acceptor thread ──spawn──> one thread per connection
+//!                    │ cap check                │ read frame
+//!                    │ busy frame when full     │ decode → ServeHandle::execute
+//!                    └ net_connections*         └ encode → write frame
 //! ```
 //!
 //! Every decoded request funnels into [`crate::ServeHandle::execute`] —
@@ -23,34 +23,40 @@
 //!
 //! Operational behavior:
 //!
-//! - **Connection cap** ([`NetConfigBuilder::max_connections`]): over
-//!   the cap the acceptor answers one typed `busy` frame and closes —
-//!   counted in [`crate::ServeStats::net_connections_rejected`].
+//! - **Connection cap** ([`NetConfigBuilder::max_connections`]): every
+//!   admitted connection is answered at once, on its own thread, until
+//!   it closes or idles past the read timeout. Over the cap the acceptor
+//!   answers one typed `busy` frame and closes — counted in
+//!   [`crate::ServeStats::net_connections_rejected`]. The cap is also
+//!   the resource bound: at most cap + 1 threads (with the acceptor) and
+//!   cap × `max_frame_bytes` of request buffers.
 //! - **Timeouts**: per-connection read/write timeouts; an idle or stuck
-//!   peer is dropped, never a held reader thread.
+//!   peer is dropped and its thread ends.
+//! - **Isolation**: a panic while answering one connection (the metric
+//!   is caller code) ends that connection's thread alone; the connection
+//!   closes at once and its slot is free again.
 //! - **Typed errors end-to-end**: malformed frames get `bad_json` /
 //!   `bad_query` / `oversized_frame` response frames (counted in
 //!   [`crate::ServeStats::net_protocol_errors`]); the connection
 //!   survives everything except an oversized prefix (whose payload
 //!   cannot be skipped safely). Decoding is linear in the frame's bytes,
-//!   so even a frame at the size cap costs a reader milliseconds.
+//!   so even a frame at the size cap costs its thread milliseconds.
 //! - **Buffered frame I/O**: both ends read through a buffer, so a frame
 //!   that fits it (every request, most responses) arrives in one `read`
 //!   call, and write each frame with one call from a reused buffer.
 //! - **Graceful shutdown**: [`NetServer::shutdown`] stops the acceptor,
 //!   lets in-flight requests finish writing their response, answers
-//!   queued-but-unserved connections with a `shutting_down` frame, and
+//!   connections admitted as it began with a `shutting_down` frame, and
 //!   joins every thread. [`live_net_threads`] observes the invariant.
 
 pub mod json;
 pub mod wire;
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -64,13 +70,15 @@ use wire::{
     FrameError, ProtocolError, WirePoint, WireResult,
 };
 
-/// Process-wide count of live network threads (acceptors + readers),
-/// mirroring [`edm_core::live_pool_workers`]: after [`NetServer::shutdown`]
-/// (or drop) joins everything, a count that stays elevated is a leak.
+/// Process-wide count of live network threads (acceptors + connection
+/// threads), mirroring [`edm_core::live_pool_workers`]: after
+/// [`NetServer::shutdown`] (or drop) joins everything, a count that stays
+/// elevated is a leak.
 static LIVE_NET_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of [`NetServer`] threads currently alive in this process,
-/// across all servers. Diagnostic for leak checks in tests.
+/// across all servers: each server's acceptor plus one thread per
+/// connection it is serving. Diagnostic for leak checks in tests.
 pub fn live_net_threads() -> usize {
     LIVE_NET_THREADS.load(SeqCst)
 }
@@ -105,16 +113,14 @@ impl Drop for NetThreadGuard {
 /// let cfg = NetConfig::builder()
 ///     .addr("127.0.0.1:0")
 ///     .max_connections(32)
-///     .reader_threads(2)
 ///     .build()?;
-/// assert_eq!(cfg.reader_threads(), 2);
+/// assert_eq!(cfg.max_connections(), 32);
 /// # Ok::<(), edm_serve::net::NetConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
     addr: String,
     max_connections: usize,
-    reader_threads: usize,
     read_timeout: Duration,
     write_timeout: Duration,
     max_frame_bytes: usize,
@@ -122,7 +128,7 @@ pub struct NetConfig {
 
 impl NetConfig {
     /// A builder starting from the defaults: `127.0.0.1:0` (ephemeral
-    /// loopback port), 64 connections, 4 readers, 30 s read / 10 s write
+    /// loopback port), 64 connections, 30 s read / 10 s write
     /// timeouts, 1 MiB frames.
     pub fn builder() -> NetConfigBuilder {
         NetConfigBuilder::default()
@@ -137,11 +143,6 @@ impl NetConfig {
     /// Accepted-and-unfinished connection cap.
     pub fn max_connections(&self) -> usize {
         self.max_connections
-    }
-
-    /// Fixed reader-pool size.
-    pub fn reader_threads(&self) -> usize {
-        self.reader_threads
     }
 
     /// Per-connection read timeout (idle peers are dropped after it).
@@ -167,8 +168,6 @@ pub enum NetConfigError {
     EmptyAddr,
     /// `max_connections` must be ≥ 1.
     ZeroMaxConnections,
-    /// `reader_threads` must be ≥ 1.
-    ZeroReaderThreads,
     /// Timeouts must be positive (a zero timeout would make every read
     /// or write fail instantly).
     ZeroTimeout,
@@ -186,7 +185,6 @@ impl std::fmt::Display for NetConfigError {
         match self {
             NetConfigError::EmptyAddr => write!(f, "bind address must not be empty"),
             NetConfigError::ZeroMaxConnections => write!(f, "max_connections must be at least 1"),
-            NetConfigError::ZeroReaderThreads => write!(f, "reader_threads must be at least 1"),
             NetConfigError::ZeroTimeout => write!(f, "timeouts must be positive"),
             NetConfigError::FrameCapTooSmall { got, min } => {
                 write!(f, "max_frame_bytes {got} below the {min}-byte minimum")
@@ -202,7 +200,6 @@ impl std::error::Error for NetConfigError {}
 pub struct NetConfigBuilder {
     addr: String,
     max_connections: usize,
-    reader_threads: usize,
     read_timeout: Duration,
     write_timeout: Duration,
     max_frame_bytes: usize,
@@ -213,7 +210,6 @@ impl Default for NetConfigBuilder {
         NetConfigBuilder {
             addr: "127.0.0.1:0".into(),
             max_connections: 64,
-            reader_threads: 4,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             max_frame_bytes: 1 << 20,
@@ -228,17 +224,11 @@ impl NetConfigBuilder {
         self
     }
 
-    /// Accepted-and-unfinished connection cap (≥ 1); over it, clients
-    /// get a typed `busy` frame.
+    /// Accepted-and-unfinished connection cap (≥ 1); each admitted
+    /// connection gets its own thread, and over the cap clients get a
+    /// typed `busy` frame.
     pub fn max_connections(mut self, n: usize) -> Self {
         self.max_connections = n;
-        self
-    }
-
-    /// Fixed reader-pool size (≥ 1). Each reader serves one connection
-    /// at a time to completion.
-    pub fn reader_threads(mut self, n: usize) -> Self {
-        self.reader_threads = n;
         self
     }
 
@@ -268,9 +258,6 @@ impl NetConfigBuilder {
         if self.max_connections == 0 {
             return Err(NetConfigError::ZeroMaxConnections);
         }
-        if self.reader_threads == 0 {
-            return Err(NetConfigError::ZeroReaderThreads);
-        }
         if self.read_timeout.is_zero() || self.write_timeout.is_zero() {
             return Err(NetConfigError::ZeroTimeout);
         }
@@ -285,7 +272,6 @@ impl NetConfigBuilder {
         Ok(NetConfig {
             addr: self.addr,
             max_connections: self.max_connections,
-            reader_threads: self.reader_threads,
             read_timeout: self.read_timeout,
             write_timeout: self.write_timeout,
             max_frame_bytes: self.max_frame_bytes,
@@ -343,47 +329,46 @@ impl std::error::Error for NetError {
 // server
 // ---------------------------------------------------------------------
 
-/// Connections accepted but not yet picked up by a reader.
-struct Pending {
-    queue: VecDeque<(u64, TcpStream)>,
-    closed: bool,
-}
-
-/// State shared by the acceptor and the reader pool.
+/// State shared by the acceptor and the connection threads.
 struct NetShared {
     shutdown: AtomicBool,
-    pending: Mutex<Pending>,
-    available: Condvar,
-    /// Accepted-and-unfinished connections, against the cap.
-    live_connections: AtomicUsize,
     /// Read-half clones of every in-service connection, so shutdown can
-    /// wake blocked readers without cutting their in-flight response.
+    /// wake blocked reads without cutting their in-flight response.
     registry: Mutex<HashMap<u64, TcpStream>>,
     cfg: NetConfig,
 }
 
-impl NetShared {
-    fn unregister(&self, id: u64) {
-        self.registry.lock().unwrap().remove(&id);
-        self.live_connections.fetch_sub(1, SeqCst);
+/// A connection's registry entry, removed when its thread ends — by
+/// return or by panic — so a finished thread holds neither socket open.
+struct Registered {
+    shared: Arc<NetShared>,
+    id: u64,
+}
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        // Runs while a panicking connection thread unwinds, so it must not
+        // panic itself; a map insert or remove never leaves it invalid.
+        let mut registry = self.shared.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        registry.remove(&self.id);
     }
 }
 
 /// A running TCP front end over one [`crate::ServeHandle`].
 ///
-/// One acceptor thread plus a fixed reader pool; see the [module
-/// docs](self) for the full operational contract. Dropping the server
-/// without [`NetServer::shutdown`] performs the same graceful shutdown.
+/// One acceptor thread, which spawns one thread per admitted connection;
+/// see the [module docs](self) for the full operational contract.
+/// Dropping the server without [`NetServer::shutdown`] performs the same
+/// graceful shutdown.
 pub struct NetServer {
     local_addr: SocketAddr,
     shared: Arc<NetShared>,
     acceptor: Option<JoinHandle<()>>,
-    readers: Vec<JoinHandle<()>>,
 }
 
 impl NetServer {
     /// Binds the configured address and starts serving `handle`'s query
-    /// surface. The handle is cloned per reader thread; counters flow
+    /// surface. The handle is cloned per connection thread; counters flow
     /// into the same [`crate::ServeStats`] as in-process reads.
     pub fn bind<P, M>(handle: ServeHandle<P, M>, cfg: NetConfig) -> Result<NetServer, NetError>
     where
@@ -394,38 +379,20 @@ impl NetServer {
         let local_addr = listener.local_addr().map_err(NetError::Bind)?;
         let shared = Arc::new(NetShared {
             shutdown: AtomicBool::new(false),
-            pending: Mutex::new(Pending { queue: VecDeque::new(), closed: false }),
-            available: Condvar::new(),
-            live_connections: AtomicUsize::new(0),
             registry: Mutex::new(HashMap::new()),
             cfg,
         });
 
-        let mut readers = Vec::with_capacity(shared.cfg.reader_threads);
-        for i in 0..shared.cfg.reader_threads {
-            let shared = Arc::clone(&shared);
-            let handle = handle.clone();
-            let reader = std::thread::Builder::new()
-                .name(format!("edm-net-reader-{i}"))
-                .spawn(move || {
-                    let _guard = NetThreadGuard::enter();
-                    reader_loop(handle, shared);
-                })
-                .expect("spawn edm-net reader thread");
-            readers.push(reader);
-        }
-
         let acceptor_shared = Arc::clone(&shared);
-        let acceptor_handle = handle;
         let acceptor = std::thread::Builder::new()
             .name("edm-net-acceptor".into())
             .spawn(move || {
                 let _guard = NetThreadGuard::enter();
-                acceptor_loop(listener, acceptor_handle, acceptor_shared);
+                acceptor_loop(listener, handle, acceptor_shared);
             })
             .expect("spawn edm-net acceptor thread");
 
-        Ok(NetServer { local_addr, shared, acceptor: Some(acceptor), readers })
+        Ok(NetServer { local_addr, shared, acceptor: Some(acceptor) })
     }
 
     /// The actually-bound address — read the real port here after
@@ -435,37 +402,27 @@ impl NetServer {
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish
-    /// writing their response, answer queued-but-unserved connections
+    /// writing their response, answer connections admitted as it began
     /// with a typed `shutting_down` frame, and join every thread.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        if self.acceptor.is_none() {
+        let Some(acceptor) = self.acceptor.take() else {
             return;
-        }
+        };
         self.shared.shutdown.store(true, SeqCst);
-        // Close the pending queue so idle readers exit.
-        {
-            let mut pending = self.shared.pending.lock().unwrap();
-            pending.closed = true;
-        }
-        self.shared.available.notify_all();
         // Wake the acceptor out of accept() with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
-        // Wake readers blocked waiting for a peer's *next* request:
-        // shutting down only the read half turns their pending read into
-        // EOF while an in-flight response can still be written.
+        // Wake connection threads blocked waiting for a peer's *next*
+        // request: shutting down only the read half turns their pending
+        // read into EOF while an in-flight response can still be written.
         for stream in self.shared.registry.lock().unwrap().values() {
             let _ = stream.shutdown(Shutdown::Read);
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for reader in self.readers.drain(..) {
-            let _ = reader.join();
-        }
+        // The acceptor joins every connection thread before it returns.
+        let _ = acceptor.join();
     }
 }
 
@@ -481,12 +438,15 @@ where
     M: Metric<P> + Clone + Send + 'static,
 {
     let mut next_id: u64 = 0;
+    // Connection threads not yet seen finished: their number is the live
+    // count the cap is checked against.
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) => {
                 if shared.shutdown.load(SeqCst) {
-                    return;
+                    break;
                 }
                 continue;
             }
@@ -494,21 +454,15 @@ where
         if shared.shutdown.load(SeqCst) {
             // The wake-up connection (or a late client); either way the
             // server no longer answers.
-            return;
+            break;
+        }
+        // A finished thread has already closed both of its sockets, so
+        // the join does not block; a panic it ended with stays there.
+        for finished in connections.extract_if(.., |t| t.is_finished()) {
+            let _ = finished.join();
         }
         let c = handle.counters();
-        // Reserve a slot against the cap before queueing.
-        let mut live = shared.live_connections.load(SeqCst);
-        let admitted = loop {
-            if live >= shared.cfg.max_connections {
-                break false;
-            }
-            match shared.live_connections.compare_exchange(live, live + 1, SeqCst, SeqCst) {
-                Ok(_) => break true,
-                Err(actual) => live = actual,
-            }
-        };
-        if !admitted {
+        if connections.len() >= shared.cfg.max_connections {
             c.add(&c.net_rejected_connections, 1);
             let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
             refuse(
@@ -525,45 +479,30 @@ where
         if let Ok(clone) = stream.try_clone() {
             shared.registry.lock().unwrap().insert(id, clone);
         }
-        let mut pending = shared.pending.lock().unwrap();
-        if pending.closed {
-            drop(pending);
-            shared.unregister(id);
-            refuse(&stream, ProtocolError::ShuttingDown);
-            return;
-        }
-        pending.queue.push_back((id, stream));
-        drop(pending);
-        shared.available.notify_one();
-    }
-}
-
-fn reader_loop<P, M>(handle: ServeHandle<P, M>, shared: Arc<NetShared>)
-where
-    P: WirePoint + GridCoords + Send + Sync + 'static,
-    M: Metric<P> + Clone + Send + 'static,
-{
-    loop {
-        let (id, stream) = {
-            let mut pending = shared.pending.lock().unwrap();
-            loop {
-                if let Some(conn) = pending.queue.pop_front() {
-                    break conn;
-                }
-                if pending.closed {
+        let registered = Registered { shared: Arc::clone(&shared), id };
+        let handle = handle.clone();
+        // If the spawn fails the closure is dropped: the connection
+        // closes and `registered` frees its entry.
+        let spawned =
+            std::thread::Builder::new().name(format!("edm-net-conn-{id}")).spawn(move || {
+                let _guard = NetThreadGuard::enter();
+                let shared = &registered.shared;
+                if shared.shutdown.load(SeqCst) {
+                    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+                    refuse(&stream, ProtocolError::ShuttingDown);
                     return;
                 }
-                pending = shared.available.wait(pending).unwrap();
-            }
-        };
-        if shared.shutdown.load(SeqCst) {
-            let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-            refuse(&stream, ProtocolError::ShuttingDown);
-            shared.unregister(id);
-            continue;
+                serve_connection(&stream, &handle, shared);
+            });
+        if let Ok(thread) = spawned {
+            connections.push(thread);
         }
-        serve_connection(&stream, &handle, &shared);
-        shared.unregister(id);
+    }
+    // Close the listener first, so clients connecting during the drain
+    // are refused rather than left in its backlog.
+    drop(listener);
+    for thread in connections {
+        let _ = thread.join();
     }
 }
 
@@ -729,16 +668,11 @@ mod tests {
         let cfg = NetConfig::builder().build().unwrap();
         assert_eq!(cfg.addr(), "127.0.0.1:0");
         assert_eq!(cfg.max_connections(), 64);
-        assert_eq!(cfg.reader_threads(), 4);
         assert_eq!(cfg.max_frame_bytes(), 1 << 20);
         assert_eq!(NetConfig::builder().addr("").build(), Err(NetConfigError::EmptyAddr));
         assert_eq!(
             NetConfig::builder().max_connections(0).build(),
             Err(NetConfigError::ZeroMaxConnections)
-        );
-        assert_eq!(
-            NetConfig::builder().reader_threads(0).build(),
-            Err(NetConfigError::ZeroReaderThreads)
         );
         assert_eq!(
             NetConfig::builder().read_timeout(Duration::ZERO).build(),

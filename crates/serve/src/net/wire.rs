@@ -42,7 +42,7 @@
 //! Encoding writes each field straight into one byte buffer; decoding
 //! parses the payload once into one flat document (see [`super::json`]).
 //! Both are linear in the frame's bytes, so the largest frame the cap
-//! admits costs a reader thread milliseconds, whatever it holds.
+//! admits costs a connection thread milliseconds, whatever it holds.
 
 use std::io::{self, Read, Write};
 use std::time::Duration;

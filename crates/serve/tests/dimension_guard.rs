@@ -1,7 +1,7 @@
 //! A `ClusterOf` point must have the published members' dimensionality.
 //! The distance kernels compare coordinate by coordinate and pick their
 //! loop from the probe's length, so an unchecked 32-d probe against 16-d
-//! seeds indexes past a seed's end (panicking the reader that served it),
+//! seeds indexes past a seed's end (panicking the thread that served it),
 //! and a 3-d or 17-d probe silently answers from the coordinates the two
 //! happen to share. Every such probe must be refused with the same typed
 //! error in process and over TCP, and the server must keep answering.
@@ -79,12 +79,8 @@ fn in_process_probes_of_another_dimensionality_are_refused() {
 #[test]
 fn tcp_probes_of_another_dimensionality_are_refused_and_readers_survive() {
     let (_server, handle) = served();
-    let readers = 2;
-    let net = NetServer::bind(
-        handle.clone(),
-        NetConfig::builder().reader_threads(readers).build().unwrap(),
-    )
-    .expect("bind loopback");
+    let net = NetServer::bind(handle.clone(), NetConfig::builder().build().unwrap())
+        .expect("bind loopback");
     let connect = || {
         NetClient::connect_with(
             net.local_addr(),
@@ -95,11 +91,12 @@ fn tcp_probes_of_another_dimensionality_are_refused_and_readers_survive() {
         .expect("connect loopback")
     };
 
-    // Twice as many oversized probes as readers, each on a fresh
-    // connection: a reader that died on one would leave the pool short.
+    // Oversized probes, each on a fresh connection: a connection thread
+    // that died on one would drop its connection before the next query.
     let wide = Query::ClusterOf { point: point(1, 32) };
     let local = encode_result(&Ok(handle.execute(&wide)));
-    for _ in 0..2 * readers {
+    const CONNECTIONS: u64 = 4;
+    for _ in 0..CONNECTIONS {
         let mut client = connect();
         assert_eq!(client.exchange(&encode_query(&wide)).expect("answered"), local);
         match client.query(&wide) {
@@ -117,7 +114,7 @@ fn tcp_probes_of_another_dimensionality_are_refused_and_readers_survive() {
         matches!(answer, Ok(QueryResponse::ClusterOf(Assignment::Member { .. }))),
         "{answer:?}"
     );
-    assert!(handle.stats().net_query_errors >= 4 * readers as u64);
+    assert!(handle.stats().net_query_errors >= 2 * CONNECTIONS);
     net.shutdown();
 }
 

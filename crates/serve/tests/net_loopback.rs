@@ -2,16 +2,17 @@
 //! stream. The central claim is *answer identity* — a remote client and
 //! an in-process `execute` call asking the same question get the same
 //! bytes — plus the operational contracts: multi-client soak under live
-//! ingest, typed errors for hostile frames, the connection cap, and
-//! thread-clean shutdown.
+//! ingest, every admitted connection answered while others stay
+//! connected, typed errors for hostile frames, the connection cap, a
+//! panic isolated to the connection it hit, and thread-clean shutdown.
 
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use edm_common::metric::Euclidean;
+use edm_common::metric::{Euclidean, Metric};
 use edm_common::point::DenseVector;
 use edm_core::{EdmConfig, EdmStream};
 use edm_data::gen::sds::{self, SdsConfig};
@@ -31,7 +32,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn sds_engine() -> EdmStream<DenseVector, Euclidean> {
+fn sds_engine<M: Metric<DenseVector>>(metric: M) -> EdmStream<DenseVector, M> {
     // The serve_live example's SDS parameters, on the scaled-down stream.
     let cfg = EdmConfig::builder(0.3)
         .decay(edm_common::DecayModel::new(0.998, 200.0))
@@ -41,15 +42,17 @@ fn sds_engine() -> EdmStream<DenseVector, Euclidean> {
         .tau_every(128)
         .build()
         .expect("valid SDS configuration");
-    EdmStream::new(cfg, Euclidean)
+    EdmStream::new(cfg, metric)
 }
 
 /// Serves a scaled-down SDS stream to quiescence: ingest everything,
 /// shut the serving tier down (final publish), and return the handle —
 /// a frozen snapshot every query below answers deterministically from.
-fn quiesced_sds_handle() -> ServeHandle<DenseVector, Euclidean> {
+fn quiesced_sds_handle<M: Metric<DenseVector> + Clone + 'static>(
+    metric: M,
+) -> ServeHandle<DenseVector, M> {
     let server = EdmServer::spawn(
-        sds_engine(),
+        sds_engine(metric),
         ServeConfig::builder()
             .queue_capacity(32)
             .publish_every_batches(4)
@@ -66,10 +69,33 @@ fn quiesced_sds_handle() -> ServeHandle<DenseVector, Euclidean> {
     handle
 }
 
+/// Connects until the server admits the client (answers `Health`). A slot
+/// comes back once the thread that held it has finished, which is just
+/// after its connection closed, so a client reconnecting at the cap may be
+/// refused first.
+fn admitted_client(addr: SocketAddr) -> NetClient {
+    let timeout = Duration::from_secs(3);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut client = NetClient::connect_with(addr, timeout, timeout, 1 << 20).expect("connect");
+        match client.query(&Query::<DenseVector>::Health) {
+            Ok(QueryResponse::Health(HealthStatus::Ok)) => return client,
+            // Still at the cap — either the typed busy frame, or an I/O
+            // error when the reject's close RSTs our already-sent
+            // request before the frame is read.
+            Err(NetError::Protocol(ProtocolError::Busy { .. })) | Err(NetError::Io(_)) => {
+                assert!(Instant::now() < deadline, "slot never freed");
+                thread::sleep(Duration::from_millis(10));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn tcp_answers_are_byte_identical_to_in_process_execute() {
     let _guard = lock();
-    let handle = quiesced_sds_handle();
+    let handle = quiesced_sds_handle(Euclidean);
     let (oldest, latest) = handle.digest_generations().expect("evolution on by default");
 
     let net = NetServer::bind(handle.clone(), NetConfig::builder().build().unwrap())
@@ -152,7 +178,7 @@ fn tcp_answers_are_byte_identical_to_in_process_execute() {
 fn four_clients_soak_under_live_ingest() {
     let _guard = lock();
     let server = EdmServer::spawn(
-        sds_engine(),
+        sds_engine(Euclidean),
         ServeConfig::builder()
             .queue_capacity(8)
             .publish_every_batches(1)
@@ -160,9 +186,8 @@ fn four_clients_soak_under_live_ingest() {
             .build()
             .expect("valid serve configuration"),
     );
-    let net =
-        NetServer::bind(server.handle(), NetConfig::builder().reader_threads(4).build().unwrap())
-            .expect("bind loopback");
+    let net = NetServer::bind(server.handle(), NetConfig::builder().build().unwrap())
+        .expect("bind loopback");
     let addr = net.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -235,9 +260,40 @@ fn four_clients_soak_under_live_ingest() {
 }
 
 #[test]
+fn every_admitted_connection_is_answered_while_others_stay_connected() {
+    let _guard = lock();
+    let threads_before = live_net_threads();
+    let net =
+        NetServer::bind(quiesced_sds_handle(Euclidean), NetConfig::builder().build().unwrap())
+            .expect("bind loopback");
+    let connect = || {
+        let timeout = Duration::from_secs(3);
+        NetClient::connect_with(net.local_addr(), timeout, timeout, 1 << 20).expect("connect")
+    };
+    let generation = |client: &mut NetClient| {
+        let answer = client.query(&Query::<DenseVector>::Generation);
+        assert!(matches!(answer, Ok(QueryResponse::Generation(_))), "{answer:?}");
+    };
+
+    // Eight monitors, each answered once and left connected; a ninth
+    // must still be answered at once.
+    let mut held: Vec<NetClient> = (0..8).map(|_| connect()).collect();
+    held.iter_mut().for_each(generation);
+
+    let mut ninth = connect();
+    let started = Instant::now();
+    generation(&mut ninth);
+    assert!(started.elapsed() < Duration::from_secs(1), "answered while eight others are held");
+    assert_eq!(live_net_threads(), threads_before + 1 + 9, "the acceptor and one per connection");
+
+    net.shutdown();
+    assert_eq!(live_net_threads(), threads_before, "every connection thread joined");
+}
+
+#[test]
 fn hostile_frames_get_typed_errors_and_the_server_survives() {
     let _guard = lock();
-    let handle = quiesced_sds_handle();
+    let handle = quiesced_sds_handle(Euclidean);
     let net = NetServer::bind(
         handle.clone(),
         NetConfig::builder().max_frame_bytes(4096).build().unwrap(),
@@ -306,12 +362,11 @@ fn hostile_frames_get_typed_errors_and_the_server_survives() {
 #[test]
 fn connection_cap_rejects_with_typed_busy() {
     let _guard = lock();
-    let handle = quiesced_sds_handle();
-    let net = NetServer::bind(
-        handle.clone(),
-        NetConfig::builder().max_connections(1).reader_threads(1).build().unwrap(),
-    )
-    .expect("bind loopback");
+    let threads_before = live_net_threads();
+    let handle = quiesced_sds_handle(Euclidean);
+    let net =
+        NetServer::bind(handle.clone(), NetConfig::builder().max_connections(1).build().unwrap())
+            .expect("bind loopback");
 
     // First client occupies the single slot.
     let mut first = NetClient::connect(net.local_addr()).expect("first client");
@@ -330,6 +385,8 @@ fn connection_cap_rejects_with_typed_busy() {
         Some(Err(ProtocolError::Busy { max_connections })) => assert_eq!(max_connections, 1),
         other => panic!("unexpected {other:?}"),
     }
+    // The cap bounds the threads: the acceptor and the first connection's.
+    assert_eq!(live_net_threads(), threads_before + 2);
 
     // The slot-holder is unaffected; the rejection was counted.
     assert!(matches!(
@@ -342,21 +399,7 @@ fn connection_cap_rejects_with_typed_busy() {
 
     // Freeing the slot readmits new clients.
     drop(first);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut third = loop {
-        let mut c = NetClient::connect(net.local_addr()).expect("third connects");
-        match c.query(&Query::<DenseVector>::Health) {
-            Ok(QueryResponse::Health(HealthStatus::Ok)) => break c,
-            // Still at the cap — either the typed busy frame, or an I/O
-            // error when the reject's close RSTs our already-sent
-            // request before the frame is read.
-            Err(NetError::Protocol(ProtocolError::Busy { .. })) | Err(NetError::Io(_)) => {
-                assert!(Instant::now() < deadline, "slot never freed");
-                thread::sleep(Duration::from_millis(10));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    };
+    let mut third = admitted_client(net.local_addr());
     assert!(matches!(
         third.query(&Query::<DenseVector>::NClusters),
         Ok(QueryResponse::NClusters(_))
@@ -370,21 +413,20 @@ fn shutdown_drains_in_flight_work_and_leaks_no_threads() {
     let _guard = lock();
     let threads_before = live_net_threads();
 
-    let handle = quiesced_sds_handle();
-    let net =
-        NetServer::bind(handle.clone(), NetConfig::builder().reader_threads(3).build().unwrap())
-            .expect("bind loopback");
+    let handle = quiesced_sds_handle(Euclidean);
+    let net = NetServer::bind(handle.clone(), NetConfig::builder().build().unwrap())
+        .expect("bind loopback");
     // The gauge is incremented by each thread as it starts; give the
-    // freshly spawned pool a moment to come up.
+    // freshly spawned acceptor a moment to come up.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while live_net_threads() != threads_before + 4 {
-        assert!(Instant::now() < deadline, "acceptor + 3 readers never came up");
+    while live_net_threads() != threads_before + 1 {
+        assert!(Instant::now() < deadline, "the acceptor never came up");
         thread::sleep(Duration::from_millis(2));
     }
     let addr = net.local_addr();
 
     // A client parked mid-connection: it asked one question and now
-    // idles, leaving its reader blocked in read_frame. Shutdown must
+    // idles, leaving its thread blocked in read_frame. Shutdown must
     // not wait out the 30 s read timeout.
     let mut parked = NetClient::connect(addr).expect("parked client");
     assert!(matches!(
@@ -428,4 +470,55 @@ fn shutdown_drains_in_flight_work_and_leaks_no_threads() {
     // pure add-on over the serving tier.
     assert!(handle.health().is_ok());
     assert!(handle.n_clusters() >= 1);
+}
+
+/// Euclidean distance that panics on any point whose first coordinate is
+/// 666: caller code failing on the thread that answers a query.
+#[derive(Clone)]
+struct PanicsOn666;
+
+impl Metric<DenseVector> for PanicsOn666 {
+    fn dist(&self, a: &DenseVector, b: &DenseVector) -> f64 {
+        if a.coords()[0] == 666.0 || b.coords()[0] == 666.0 {
+            panic!("the metric refuses 666");
+        }
+        Euclidean.dist(a, b)
+    }
+
+    fn name(&self) -> &'static str {
+        "panics-on-666"
+    }
+}
+
+#[test]
+fn a_panic_answering_one_connection_ends_only_that_connection() {
+    let _guard = lock();
+    let threads_before = live_net_threads();
+    let net = NetServer::bind(
+        quiesced_sds_handle(PanicsOn666),
+        NetConfig::builder().max_connections(2).build().unwrap(),
+    )
+    .expect("bind loopback");
+
+    // More panics than the cap: each must close its own connection at
+    // once and give its slot back.
+    let poison = Query::ClusterOf { point: DenseVector::from([666.0, 0.0]) };
+    for i in 0..5 {
+        let mut client = admitted_client(net.local_addr());
+        let started = Instant::now();
+        match client.query(&poison) {
+            Err(NetError::Io(_)) => {}
+            other => panic!("panicking query {i}: unexpected {other:?}"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(1), "query {i} waited out its timeout");
+    }
+
+    // Held open until the gauge is read, so its thread is still serving.
+    let mut fresh = admitted_client(net.local_addr());
+    let answer = fresh.query(&Query::ClusterOf { point: DenseVector::from([5.0, 0.0]) });
+    assert!(matches!(answer, Ok(QueryResponse::ClusterOf(_))), "{answer:?}");
+    assert_eq!(live_net_threads(), threads_before + 2, "the acceptor and the fresh connection");
+
+    net.shutdown();
+    assert_eq!(live_net_threads(), threads_before, "every network thread joined");
 }

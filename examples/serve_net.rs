@@ -51,7 +51,6 @@ fn main() {
     let net_cfg = NetConfig::builder()
         .addr("127.0.0.1:0")
         .max_connections(8)
-        .reader_threads(2)
         .read_timeout(Duration::from_secs(30))
         .build()
         .expect("valid network configuration");
