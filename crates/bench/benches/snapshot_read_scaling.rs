@@ -8,7 +8,11 @@
 //! * `Published::freeze` p50 — a publication that builds its member
 //!   table from scratch;
 //! * `SnapshotPublisher::publish` p50 with the member set unchanged — a
-//!   publication in steady state.
+//!   publication in steady state;
+//!
+//! and on the writer's side, `EdmStream::insert` p50 of one absorb within
+//! 0.2 of a member, with evolution tracking on (the default) — the path
+//! every point of a served writer takes, evolution diff included.
 //!
 //! Read cost should stay nearly flat as the member count grows; the
 //! publication costs grow with it.
@@ -37,6 +41,8 @@ const MEMBERS: [usize; 3] = [512, 2_048, 8_192];
 const PROBES: usize = 1 << 14;
 /// Timed publications per path and member count.
 const PUBLICATIONS: usize = 64;
+/// Timed absorbs per member count, after the publications.
+const ABSORBS: usize = 2_048;
 /// Largest probe offset from its member, along dimension 0.
 const JITTER: f64 = 0.2;
 
@@ -111,6 +117,7 @@ struct Row {
     assign_p99_us: f64,
     freeze_p50_us: f64,
     publish_reuse_p50_us: f64,
+    absorb_p50_us: f64,
 }
 
 fn measure(members: usize) -> Row {
@@ -136,6 +143,14 @@ fn measure(members: usize) -> Row {
     let publish_ns = timed(PUBLICATIONS, |_| publisher.publish(&mut e));
     assert_eq!(publisher.source().latest().n_members(), members);
 
+    let mut t = e.stream_time();
+    let absorbed = e.stats().absorbed;
+    let absorb_ns = timed(ABSORBS, |i| {
+        t += 1e-4;
+        e.insert(std::hint::black_box(&probes[i]), t);
+    });
+    assert_eq!(e.stats().absorbed, absorbed + ABSORBS as u64, "every probe must absorb");
+
     Row {
         members,
         warm_s,
@@ -143,25 +158,28 @@ fn measure(members: usize) -> Row {
         assign_p99_us: percentile(&assign_ns, 0.99),
         freeze_p50_us: percentile(&freeze_ns, 0.50),
         publish_reuse_p50_us: percentile(&publish_ns, 0.50),
+        absorb_p50_us: percentile(&absorb_ns, 0.50),
     }
 }
 
 fn main() {
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
-        "snapshot_read_scaling: {DIM}-d highd layout, {PROBES} probes and \
-         {PUBLICATIONS} publications per size, {cpus} cpu(s)"
+        "snapshot_read_scaling: {DIM}-d highd layout, {PROBES} probes, \
+         {PUBLICATIONS} publications and {ABSORBS} absorbs per size, {cpus} cpu(s)"
     );
     let rows: Vec<Row> = MEMBERS.iter().map(|&m| measure(m)).collect();
     for r in &rows {
         println!(
             "snapshot_read_scaling/members{}: assign p50 {:.2} us, p99 {:.2} us; \
-             freeze p50 {:.1} us; publish (unchanged members) p50 {:.1} us; warm-up {:.1} s",
+             freeze p50 {:.1} us; publish (unchanged members) p50 {:.1} us; \
+             absorb p50 {:.1} us; warm-up {:.1} s",
             r.members,
             r.assign_p50_us,
             r.assign_p99_us,
             r.freeze_p50_us,
             r.publish_reuse_p50_us,
+            r.absorb_p50_us,
             r.warm_s
         );
     }
@@ -171,12 +189,14 @@ fn main() {
         .map(|r| {
             format!(
                 "{{\"members\": {}, \"assign_p50_us\": {:.2}, \"assign_p99_us\": {:.2}, \
-                 \"freeze_p50_us\": {:.1}, \"publish_reuse_p50_us\": {:.1}}}",
+                 \"freeze_p50_us\": {:.1}, \"publish_reuse_p50_us\": {:.1}, \
+                 \"absorb_p50_us\": {:.1}}}",
                 r.members,
                 r.assign_p50_us,
                 r.assign_p99_us,
                 r.freeze_p50_us,
-                r.publish_reuse_p50_us
+                r.publish_reuse_p50_us,
+                r.absorb_p50_us
             )
         })
         .collect();

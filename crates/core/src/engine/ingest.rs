@@ -169,6 +169,18 @@ impl ScratchDistances {
     }
 }
 
+/// The checked entry points' timestamp gate: `t` must be finite and not
+/// behind the stream clock `now`.
+fn admissible(now: Timestamp, t: Timestamp) -> Result<(), EdmError> {
+    if !t.is_finite() {
+        return Err(EdmError::NonFiniteTime { t });
+    }
+    if t < now - 1e-9 {
+        return Err(EdmError::TimeRegression { now, t });
+    }
+    Ok(())
+}
+
 impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// Feeds one stream point — the infallible hot path. Out-of-order
     /// timestamps are a debug assertion here; ingest from untrusted
@@ -189,12 +201,11 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         }
     }
 
-    /// Feeds one stream point, rejecting timestamps behind the stream
-    /// clock with [`EdmError::TimeRegression`] instead of asserting.
+    /// Feeds one stream point, rejecting NaN and infinite timestamps with
+    /// [`EdmError::NonFiniteTime`] and timestamps behind the stream clock
+    /// with [`EdmError::TimeRegression`] instead of asserting.
     pub fn try_insert(&mut self, p: &P, t: Timestamp) -> Result<(), EdmError> {
-        if t < self.now - 1e-9 {
-            return Err(EdmError::TimeRegression { now: self.now, t });
-        }
+        admissible(self.now, t)?;
         self.insert(p, t);
         Ok(())
     }
@@ -247,8 +258,8 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     }
 
     /// Batch variant of [`EdmStream::try_insert`]: stops at the first
-    /// out-of-order timestamp, reporting its index alongside the error;
-    /// points before it are already ingested.
+    /// non-finite or out-of-order timestamp, reporting its index alongside
+    /// the error; points before it are already ingested.
     pub fn try_insert_batch(&mut self, batch: &[(P, Timestamp)]) -> Result<(), (usize, EdmError)> {
         if self.cfg.ingest_threads <= 1 {
             for (i, (p, t)) in batch.iter().enumerate() {
@@ -256,14 +267,14 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             }
             return Ok(());
         }
-        // Find the first regression upfront so the parallel path only ever
+        // Find the first offender upfront so the parallel path only ever
         // sees a clean prefix; like the serial loop, everything before the
         // offender is ingested.
         let mut now = self.now;
         for (i, (_, t)) in batch.iter().enumerate() {
-            if *t < now - 1e-9 {
+            if let Err(e) = admissible(now, *t) {
                 self.insert_batch(&batch[..i]);
-                return Err((i, EdmError::TimeRegression { now, t: *t }));
+                return Err((i, e));
             }
             now = now.max(*t);
         }
@@ -431,7 +442,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             .unwrap_or_else(|| suggest_tau_from_deltas(&deltas).unwrap_or(4.0 * self.cfg.r));
         self.tau_ctl.initialize(&deltas, tau0);
         deltas.clear();
-        self.structure_dirty = true;
+        self.touched.extend_from_slice(&self.active_ids);
         self.run_diff(t);
         self.update_reservoir_peak();
     }
@@ -470,7 +481,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                     self.active_ids.push(cid);
                     self.stats.activations += 1;
                     self.dependency_maintenance(p, cid, before, after, t, true);
-                    self.structure_dirty = true;
                 } else {
                     // Still in the reservoir; its idle clock restarts
                     // (the entry carrying the old absorption time goes
@@ -493,10 +503,11 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         if self.stats.points.is_multiple_of(self.cfg.tau_every) {
             let deltas = self.active_deltas_sorted();
             if self.tau_ctl.update(&deltas) {
-                self.structure_dirty = true;
+                // A new τ can re-cut any strong link.
+                self.touched.extend_from_slice(&self.active_ids);
             }
         }
-        if self.structure_dirty {
+        if !self.touched.is_empty() || !self.decayed.is_empty() {
             self.run_diff(t);
         }
         self.update_reservoir_peak();

@@ -20,6 +20,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use edm_common::hash::{fx_set, FxHashSet};
 use edm_common::metric::Metric;
 use edm_common::point::GridCoords;
 use edm_common::time::Timestamp;
@@ -200,7 +201,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             if d < self.slab.get(c).delta {
                 tree::set_dep(&mut self.slab, c, cprime, d);
                 self.stats.dep_updates += 1;
-                self.structure_dirty = true;
+                self.touched.push(c);
             }
         }
 
@@ -220,7 +221,8 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         if needs_recompute {
             self.stats.dep_recomputes += 1;
             self.recompute_dep(cprime, after, t);
-            self.structure_dirty = true;
+            // Also how a freshly activated cell reaches the next diff.
+            self.touched.push(cprime);
         }
         self.stats.dep_update_nanos += started.elapsed().as_nanos() as u64;
     }
@@ -304,18 +306,18 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             if self.apex.is_some_and(|a| !self.slab.get(a).active) {
                 self.apex = self.densest_active(t);
             }
-            if self.cfg.track_evolution {
-                for (cluster, cells) in by_cluster {
-                    if let Some(cluster) = cluster {
-                        self.log.push(
-                            t,
-                            EventKind::Adjust { kind: AdjustKind::BecameOutliers, cluster, cells },
-                        );
-                        self.stats.events += 1;
-                    }
+            // Labelled only while evolution is tracked. The next diff
+            // reconsiders every cluster that lost cells here.
+            for (cluster, cells) in by_cluster {
+                if let Some(cluster) = cluster {
+                    self.log.push(
+                        t,
+                        EventKind::Adjust { kind: AdjustKind::BecameOutliers, cluster, cells },
+                    );
+                    self.stats.events += 1;
+                    self.decayed.push(cluster);
                 }
             }
-            self.structure_dirty = true;
         }
         // Memory recycling: inactive cells idle for ΔT_del are deleted
         // (Theorem 3: they can never become active again in time). The
@@ -358,37 +360,84 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
 
     // ----- evolution bookkeeping (paper §3.3) -----
 
+    /// Diffs the MSDSubTrees this point's structural changes reached
+    /// against the clusters they replace, writes the new labels back and
+    /// clears the touched-cell record. A no-op while evolution is not
+    /// tracked.
     pub(super) fn run_diff(&mut self, t: Timestamp) {
-        self.structure_dirty = false;
-        if !self.cfg.track_evolution {
-            return;
+        let started = std::time::Instant::now();
+        let mut touched = std::mem::take(&mut self.touched);
+        let mut decayed = std::mem::take(&mut self.decayed);
+        if self.cfg.track_evolution {
+            let groups = self.reached_subtrees(&touched, &decayed);
+            self.stats.diff_cells += groups.iter().map(|g| g.members.len() as u64).sum::<u64>();
+            let before = self.log.total();
+            let assignments = self.registry.diff(t, &groups, &decayed, &mut self.log);
+            self.stats.events += self.log.total() - before;
+            for (cell, cid) in assignments {
+                self.slab.get_mut(cell).cluster = Some(cid);
+            }
+            // Every event-recording site funnels through here (each of the
+            // sweep's adjust events files a decayed cluster, so a diff —
+            // and this sync — always follows), which keeps the lineage tracker's cursor
+            // ahead of the log's eviction point unless one diff alone
+            // overflows `event_capacity`.
+            self.tracker.sync(&self.log);
+            self.stats.diff_nanos += started.elapsed().as_nanos() as u64;
         }
+        touched.clear();
+        decayed.clear();
+        self.touched = touched;
+        self.decayed = decayed;
+    }
+
+    /// The MSDSubTrees a structural change reached, ascending by root,
+    /// each with its members' current labels: the closure of the touched
+    /// cells' subtrees and the decayed clusters under "a collected member
+    /// carries cluster X" ⇒ "collect the subtree now holding X's old
+    /// root". A cluster outside the closure has the same members and root
+    /// as at the last diff — so the full diff over every active cell would
+    /// map it to itself with no event, and leaving it out changes neither
+    /// ids nor events.
+    fn reached_subtrees(&self, touched: &[CellId], decayed: &[ClusterId]) -> Vec<GroupInput> {
         let tau = self.tau_ctl.tau();
-        let mut groups: edm_common::hash::FxHashMap<CellId, GroupInput> =
-            edm_common::hash::fx_map();
-        for id in self.sorted_active_ids() {
-            let cell = self.slab.get(id);
-            let root = tree::strong_root(&self.slab, id, tau);
-            groups
-                .entry(root)
-                .or_insert_with(|| GroupInput { root, members: Vec::new() })
-                .members
-                .push((id, cell.cluster));
+        let slab = &self.slab;
+        let in_tree = |id: CellId| slab.contains(id) && slab.get(id).active;
+        let mut roots: Vec<CellId> = touched
+            .iter()
+            .filter(|&&c| in_tree(c))
+            .map(|&c| tree::strong_root(slab, c, tau))
+            .collect();
+        let mut ids: Vec<ClusterId> = decayed.to_vec();
+        let mut seen_roots: FxHashSet<CellId> = fx_set();
+        let mut seen_ids: FxHashSet<ClusterId> = fx_set();
+        let mut groups = Vec::new();
+        let mut cells = Vec::new();
+        loop {
+            if let Some(id) = ids.pop() {
+                if !seen_ids.insert(id) {
+                    continue;
+                }
+                if let Some(meta) = self.registry.cluster(id) {
+                    if in_tree(meta.root) {
+                        roots.push(tree::strong_root(slab, meta.root, tau));
+                    }
+                }
+                continue;
+            }
+            let Some(root) = roots.pop() else { break };
+            if !seen_roots.insert(root) {
+                continue;
+            }
+            cells.clear();
+            tree::collect_strong_subtree(slab, root, tau, &mut cells);
+            let members: Vec<(CellId, Option<ClusterId>)> =
+                cells.iter().map(|&c| (c, slab.get(c).cluster)).collect();
+            ids.extend(members.iter().filter_map(|&(_, label)| label));
+            groups.push(GroupInput { root, members });
         }
-        let mut group_vec: Vec<GroupInput> = groups.into_values().collect();
-        group_vec.sort_by_key(|g| g.root);
-        let before = self.log.total();
-        let assignments = self.registry.diff(t, &group_vec, &mut self.log);
-        self.stats.events += self.log.total() - before;
-        for (cell, cid) in assignments {
-            self.slab.get_mut(cell).cluster = Some(cid);
-        }
-        // Every event-recording site funnels through here (maintenance's
-        // adjust events mark the structure dirty, so a diff — and this
-        // sync — always follows), which keeps the lineage tracker's
-        // cursor ahead of the log's eviction point unless one diff alone
-        // overflows `event_capacity`.
-        self.tracker.sync(&self.log);
+        groups.sort_unstable_by_key(|g| g.root);
+        groups
     }
 
     /// The densest active cell at `t` by full scan of the registry

@@ -24,10 +24,11 @@
 //!   lookups, the event-log cursors, and the invariant checkers tests
 //!   drive.
 //!
-//! Structural changes mark the tree dirty; the evolution registry then
-//! diffs the MSDSubTree partition and records emerge / disappear / split /
-//! merge / adjust events (§3.3). The adaptive-τ controller re-optimizes
-//! the separation threshold on a configurable cadence (§5).
+//! Structural changes record the cells they touched; the evolution
+//! registry then diffs the MSDSubTrees those cells reach and records
+//! emerge / disappear / split / merge / adjust events (§3.3). The
+//! adaptive-τ controller re-optimizes the separation threshold on a
+//! configurable cadence (§5).
 //!
 //! The layering is behavioral documentation, not just file hygiene: no
 //! query ever mutates engine state, ingest is the only layer that creates
@@ -126,7 +127,12 @@ pub struct EdmStream<P, M> {
     /// a negative.
     apex: Option<CellId>,
     reservoir_peak: usize,
-    structure_dirty: bool,
+    /// Cells whose dependency link changed since the last evolution diff
+    /// (re-pointed, recomputed — which covers every activation), or every
+    /// active cell after a τ change or the initialization.
+    touched: Vec<CellId>,
+    /// Clusters the decay sweep took cells from since the last diff.
+    decayed: Vec<crate::evolution::ClusterId>,
 }
 
 impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
@@ -205,7 +211,8 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             active_ids: Vec::new(),
             apex: None,
             reservoir_peak: 0,
-            structure_dirty: false,
+            touched: Vec::new(),
+            decayed: Vec::new(),
             cfg,
         }
     }

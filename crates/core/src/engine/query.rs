@@ -124,9 +124,9 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     }
 
     /// Active ids in ascending order — the iteration order every
-    /// *observable* output (groups, clusters, decision graph) is built
-    /// in, so results never depend on activation history. O(a log a) in
-    /// the active count only; the reservoir is never touched.
+    /// *observable* output (clusters, decision graph) is built in, so
+    /// results never depend on activation history. O(a log a) in the
+    /// active count only; the reservoir is never touched.
     pub(super) fn sorted_active_ids(&self) -> Vec<CellId> {
         let mut ids = self.active_ids.clone();
         ids.sort_unstable();
@@ -478,10 +478,12 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     }
 
     /// Verifies all DP-Tree invariants at time `t`, plus the active-cell
-    /// registry the dependency candidate pass walks and the idle queue's
+    /// registry the dependency candidate pass walks, the idle queue's
     /// coverage of the reservoir (every inactive cell must have a live
-    /// queue entry, or recycling would leak it forever) — test support.
+    /// queue entry, or recycling would leak it forever) and the cluster
+    /// labels the evolution diff maintains — test support.
     pub fn check_invariants(&self, t: Timestamp) -> Result<(), String> {
+        self.check_labels()?;
         tree::check_invariants(&self.slab, t, self.decay())?;
         let truly_active = self.slab.iter().filter(|(_, c)| c.active).count();
         if truly_active != self.active_ids.len() {
@@ -522,6 +524,56 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             (a, b) if a == b => Ok(()),
             (a, b) => Err(format!("apex is {a:?}, densest active cell is {b:?}")),
         }
+    }
+
+    /// The labels the evolution diff leaves behind equal the full
+    /// partition: each active cell carries the cluster registered at its
+    /// strong root, the registry holds exactly the current strong roots
+    /// with their member counts, and inactive cells carry no label. With
+    /// evolution not tracked, nothing is labelled or registered.
+    fn check_labels(&self) -> Result<(), String> {
+        if !self.cfg.track_evolution {
+            if let Some((id, _)) = self.slab.iter().find(|(_, c)| c.cluster.is_some()) {
+                return Err(format!("{id} is labelled while evolution is not tracked"));
+            }
+            if self.registry.n_clusters() != 0 {
+                return Err("clusters registered while evolution is not tracked".into());
+            }
+            return Ok(());
+        }
+        if let Some((id, _)) = self.slab.iter().find(|(_, c)| !c.active && c.cluster.is_some()) {
+            return Err(format!("inactive {id} keeps a cluster label"));
+        }
+        let tau = self.tau_ctl.tau();
+        let mut sizes: edm_common::hash::FxHashMap<CellId, usize> = edm_common::hash::fx_map();
+        for &id in &self.active_ids {
+            let root = tree::strong_root(&self.slab, id, tau);
+            *sizes.entry(root).or_insert(0) += 1;
+            let label = self.slab.get(id).cluster;
+            let want = self.registry.cluster_at_root(root);
+            if want.is_none() || label != want {
+                return Err(format!("{id} carries {label:?}, its strong root {root} has {want:?}"));
+            }
+        }
+        self.registry.check_roots()?;
+        if self.registry.n_clusters() != sizes.len() {
+            return Err(format!(
+                "registry holds {} clusters, the tree has {} strong roots",
+                self.registry.n_clusters(),
+                sizes.len()
+            ));
+        }
+        for (id, meta) in self.registry.clusters() {
+            if sizes.get(&meta.root) != Some(&meta.size) {
+                return Err(format!(
+                    "cluster {id} records {} members at {}, the tree has {:?}",
+                    meta.size,
+                    meta.root,
+                    sizes.get(&meta.root)
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Verifies the neighbor index mirrors the live slab exactly — every

@@ -348,6 +348,38 @@ fn try_insert_rejects_time_regression_and_batch_reports_index() {
 }
 
 #[test]
+fn try_insert_rejects_non_finite_timestamps_and_batch_reports_index() {
+    use crate::error::EdmError;
+    for threads in [1usize, 4] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut e = EdmStream::new(parallel_cfg(threads), Euclidean);
+            feed_two_blobs(&mut e, 100);
+            let now = e.stream_time();
+            let err = e.try_insert(&DenseVector::from([0.1, 0.0]), bad).unwrap_err();
+            assert!(
+                matches!(err, EdmError::NonFiniteTime { t } if t.to_bits() == bad.to_bits()),
+                "{bad}: {err:?}"
+            );
+            assert_eq!(e.stream_time(), now, "{bad} moved the clock");
+            // Batch: index 2 is the offender; points 0 and 1 are ingested.
+            let points = e.stats().points;
+            let batch: Vec<(DenseVector, f64)> = [now + 0.01, now + 0.02, bad, now + 0.03]
+                .iter()
+                .map(|&t| (DenseVector::from([0.1, 0.0]), t))
+                .collect();
+            let (i, err) = e.try_insert_batch(&batch).unwrap_err();
+            assert_eq!(i, 2, "threads={threads}, {bad}");
+            assert!(matches!(err, EdmError::NonFiniteTime { .. }), "{bad}: {err:?}");
+            assert_eq!(e.stats().points, points + 2);
+            assert_eq!(e.stream_time(), now + 0.02);
+            e.check_invariants(e.stream_time()).unwrap();
+            // The clock still accepts finite points afterwards.
+            e.try_insert(&DenseVector::from([0.1, 0.0]), now + 0.03).unwrap();
+        }
+    }
+}
+
+#[test]
 fn snapshot_freezes_state_and_aligns_event_cursor() {
     let mut e = EdmStream::new(mini_cfg(0.5), Euclidean);
     feed_two_blobs(&mut e, 300);
@@ -1040,4 +1072,251 @@ fn publish_cadence_summaries_track_centroid_mass_and_extent() {
         assert_eq!(rolling.last_seen, again.generation());
     }
     assert_eq!(e.tracked_summaries().count(), 2);
+}
+
+// ----- the evolution diff over touched clusters == the full diff -----
+
+/// The reference evolution bookkeeping, the full diff: every active cell
+/// regrouped by strong root and every live cluster matched, on its own
+/// registry, log and labels. The engine's sweep events (`BecameOutliers`)
+/// are logged outside the diff, so the replica's log has none.
+struct FullDiffReplica {
+    registry: crate::evolution::ClusterRegistry,
+    log: crate::evolution::EvolutionLog,
+    labels: edm_common::hash::FxHashMap<CellId, crate::evolution::ClusterId>,
+}
+
+impl FullDiffReplica {
+    fn new() -> Self {
+        FullDiffReplica {
+            registry: crate::evolution::ClusterRegistry::new(),
+            log: crate::evolution::EvolutionLog::new(),
+            labels: edm_common::hash::fx_map(),
+        }
+    }
+
+    /// Diffs `e`'s whole current partition at `t`.
+    fn diff(&mut self, e: &EdmStream<DenseVector, Euclidean>, t: f64) {
+        use crate::evolution::GroupInput;
+        // A cell that left the tree lost its label; one that entered has none.
+        self.labels.retain(|&id, _| e.slab.contains(id) && e.slab.get(id).active);
+        let mut groups: std::collections::BTreeMap<CellId, GroupInput> = Default::default();
+        for id in e.sorted_active_ids() {
+            let root = crate::tree::strong_root(&e.slab, id, e.tau());
+            groups
+                .entry(root)
+                .or_insert_with(|| GroupInput { root, members: Vec::new() })
+                .members
+                .push((id, self.labels.get(&id).copied()));
+        }
+        let groups: Vec<GroupInput> = groups.into_values().collect();
+        let live: Vec<u64> = self.registry.clusters().map(|(id, _)| id).collect();
+        for (cell, id) in self.registry.diff(t, &groups, &live, &mut self.log) {
+            self.labels.insert(cell, id);
+        }
+    }
+}
+
+/// Live clusters of a registry as sorted `(root, id, size, born)` rows.
+fn registry_rows(reg: &crate::evolution::ClusterRegistry) -> Vec<(u32, u64, usize, u64)> {
+    let mut rows: Vec<(u32, u64, usize, u64)> =
+        reg.clusters().map(|(id, m)| (m.root.0, id, m.size, m.born.to_bits())).collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// The reference streams' config: density halves every stream second, so
+/// the sweep demotes starved cells within a few hundred points, and
+/// reservoir cells idle for 2 s are recycled.
+fn reference_cfg(tau: TauMode) -> EdmConfig {
+    EdmConfig::builder(0.5)
+        .rate(100.0)
+        .decay(edm_common::decay::DecayModel::new(0.5, 1.0))
+        .beta_for_threshold(3.0)
+        .init_points(20)
+        .tau_every(8)
+        .maintenance_every(4)
+        .recycle_horizon(2.0)
+        .tau_mode(tau)
+        .build()
+        .expect("reference config is valid")
+}
+
+/// One reference-stream point, from its index `i` and the raw draws:
+/// mostly four blobs, one of which starves in each 80-point phase so
+/// clusters die and return; a bridge between the two nearest blobs that
+/// can merge them and, once it decays, split them again; and outliers
+/// that seed reservoir cells.
+fn reference_point(i: usize, site: u64, u: f64, v: f64) -> DenseVector {
+    const BLOBS: [[f64; 2]; 4] = [[0.0, 0.0], [1.6, 0.0], [6.0, 0.0], [6.0, 4.0]];
+    match site {
+        0..=5 => {
+            let starved = (i / 80) % 4;
+            let mut b = site as usize % 4;
+            if b == starved {
+                b = (b + 1) % 4;
+            }
+            DenseVector::from([BLOBS[b][0] + 0.6 * u - 0.3, BLOBS[b][1] + 0.6 * v - 0.3])
+        }
+        6 => DenseVector::from([0.8 + 0.4 * u - 0.2, 0.2 * v]),
+        _ => DenseVector::from([30.0 * u - 10.0, 30.0 * v - 10.0]),
+    }
+}
+
+/// What a reference stream put the engine through.
+#[derive(Debug, Default, Clone, Copy)]
+struct Coverage {
+    births: u64,
+    activations: u64,
+    deactivations: u64,
+    recycled: u64,
+    tau_changes: u64,
+    emerges: u64,
+    disappears: u64,
+    splits: u64,
+    merges: u64,
+}
+
+/// Drives one engine over `ops` (`(site, u, v, step)` draws) and checks it
+/// after every point against a [`FullDiffReplica`]: the same diff events
+/// in the same order, the same label on every active cell, the same
+/// registered clusters, and `check_invariants` (whose label check covers
+/// the registry against the tree).
+fn run_against_full_diff(tau: TauMode, ops: &[(u64, f64, f64, u64)]) -> Result<Coverage, String> {
+    let mut e = EdmStream::new(reference_cfg(tau), Euclidean);
+    let mut replica = FullDiffReplica::new();
+    let (mut seen, mut seen_replica) = (EventCursor::START, EventCursor::START);
+    let mut cov = Coverage::default();
+    let mut t = 0.0;
+    for (i, &(site, u, v, step)) in ops.iter().enumerate() {
+        t += if step == 0 { 1.0 + 2.0 * u } else { 0.01 };
+        let tau_before = e.tau();
+        e.insert(&reference_point(i, site, u, v), t);
+        // Adaptive τ starts infinite; its first finite value is τ₀.
+        if tau_before.is_finite() && e.tau() != tau_before {
+            cov.tau_changes += 1;
+        }
+        replica.diff(&e, t);
+        let got: Vec<crate::Event> = e
+            .events_since(seen)
+            .into_iter()
+            .filter(|ev| {
+                !matches!(
+                    ev.kind,
+                    EventKind::Adjust { kind: crate::evolution::AdjustKind::BecameOutliers, .. }
+                )
+            })
+            .collect();
+        let want: Vec<crate::Event> = replica.log.events_since(seen_replica).cloned().collect();
+        if got != want {
+            return Err(format!("point {i} (t={t}): events {got:?}, full diff {want:?}"));
+        }
+        for ev in &got {
+            match ev.kind {
+                EventKind::Emerge { .. } => cov.emerges += 1,
+                EventKind::Disappear { .. } => cov.disappears += 1,
+                EventKind::Split { .. } => cov.splits += 1,
+                EventKind::Merge { .. } => cov.merges += 1,
+                EventKind::Adjust { .. } => {}
+            }
+        }
+        seen = e.event_cursor();
+        seen_replica = replica.log.cursor();
+        for &id in &e.active_ids {
+            let (label, want) = (e.slab.get(id).cluster, replica.labels.get(&id).copied());
+            if label != want {
+                return Err(format!("point {i}: {id} labelled {label:?}, full diff {want:?}"));
+            }
+        }
+        let (rows, want) = (registry_rows(&e.registry), registry_rows(&replica.registry));
+        if rows != want {
+            return Err(format!("point {i}: clusters {rows:?}, full diff {want:?}"));
+        }
+        e.check_invariants(t).map_err(|err| format!("point {i}: {err}"))?;
+    }
+    let s = e.stats();
+    cov.births = s.new_cells;
+    cov.activations = s.activations;
+    cov.deactivations = s.deactivations;
+    cov.recycled = s.recycled;
+    Ok(cov)
+}
+
+/// Ops for [`run_against_full_diff`]: site 0–7, two unit draws, and a
+/// step in 0–39 (0 jumps the clock 1–3 s, anything else advances 10 ms).
+fn reference_ops() -> impl proptest::prelude::Strategy<Value = Vec<(u64, f64, f64, u64)>> {
+    proptest::prelude::prop::collection::vec(
+        (0u64..8, 0.0f64..1.0, 0.0f64..1.0, 0u64..40),
+        100..500,
+    )
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+    /// Diffing only the clusters a structural change reached yields the
+    /// full diff's events, labels and registry after every point, under a
+    /// fixed and an adaptive τ.
+    #[test]
+    fn touched_cluster_diff_matches_the_full_diff(
+        ops in reference_ops(),
+        adaptive in proptest::prelude::any::<bool>(),
+    ) {
+        let tau = if adaptive { TauMode::Adaptive { alpha: None } } else { TauMode::Static(1.0) };
+        if let Err(e) = run_against_full_diff(tau, &ops) {
+            return Err(format!("{tau:?}: {e}"));
+        }
+    }
+}
+
+/// The reference streams reach every kind of structural change the
+/// restricted diff must handle, under both τ modes.
+#[test]
+fn reference_streams_cover_every_structural_change() {
+    for tau in [TauMode::Static(1.0), TauMode::Adaptive { alpha: None }] {
+        let mut total = Coverage::default();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..4 {
+            let ops: Vec<(u64, f64, f64, u64)> = (0..400)
+                .map(|_| {
+                    let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
+                    (draw() % 8, unit(draw()), unit(draw()), draw() % 40)
+                })
+                .collect();
+            let c = run_against_full_diff(tau, &ops).unwrap();
+            total.births += c.births;
+            total.activations += c.activations;
+            total.deactivations += c.deactivations;
+            total.recycled += c.recycled;
+            total.tau_changes += c.tau_changes;
+            total.emerges += c.emerges;
+            total.disappears += c.disappears;
+            total.splits += c.splits;
+            total.merges += c.merges;
+        }
+        let Coverage {
+            births,
+            activations,
+            deactivations,
+            recycled,
+            tau_changes,
+            emerges,
+            disappears,
+            splits,
+            merges,
+        } = total;
+        assert!(
+            [births, activations, deactivations, recycled, emerges, disappears, splits, merges]
+                .iter()
+                .all(|&n| n > 0),
+            "{tau:?}: {total:?}"
+        );
+        assert_eq!(tau_changes > 0, matches!(tau, TauMode::Adaptive { .. }), "{tau:?}: {total:?}");
+    }
 }

@@ -21,6 +21,13 @@ pub enum EdmError {
         /// The offending earlier timestamp.
         t: Timestamp,
     },
+    /// A point arrived with a NaN or infinite timestamp. The stream clock
+    /// and every decay computation need finite times. Match with
+    /// `matches!`: NaN never equals itself.
+    NonFiniteTime {
+        /// The offending timestamp.
+        t: Timestamp,
+    },
 }
 
 impl std::fmt::Display for EdmError {
@@ -30,6 +37,7 @@ impl std::fmt::Display for EdmError {
             EdmError::TimeRegression { now, t } => {
                 write!(f, "stream time went backwards: now {now}, got {t}")
             }
+            EdmError::NonFiniteTime { t } => write!(f, "stream time must be finite, got {t}"),
         }
     }
 }
@@ -38,7 +46,7 @@ impl std::error::Error for EdmError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EdmError::Config(e) => Some(e),
-            EdmError::TimeRegression { .. } => None,
+            EdmError::TimeRegression { .. } | EdmError::NonFiniteTime { .. } => None,
         }
     }
 }
@@ -58,6 +66,7 @@ mod tests {
         let e = EdmError::TimeRegression { now: 5.0, t: 3.0 };
         let msg = e.to_string();
         assert!(msg.contains('5') && msg.contains('3'), "{msg}");
+        assert!(EdmError::NonFiniteTime { t: f64::NAN }.to_string().contains("NaN"));
         let c: EdmError = ConfigError::ZeroInitPoints.into();
         assert!(c.to_string().contains("init_points"));
     }

@@ -7,10 +7,25 @@
 //! subtree inherits the id of the old cluster contributing most of its
 //! cells, greedily by overlap size, and the leftover flows become events.
 //!
-//! The engine calls [`ClusterRegistry::diff`] only on points that actually
-//! changed the tree structure (dependency switch, activation, deactivation,
-//! τ change), so the tracker costs nothing on the common
-//! absorb-without-restructure path.
+//! The engine diffs only on points that changed the tree structure
+//! (dependency switch, activation, deactivation, τ change), and then only
+//! the MSDSubTrees that change reached. Each point records its touched
+//! cells (re-pointed, recomputed or activated) and the clusters the decay
+//! sweep took cells from. The diff regroups the closure of those: the
+//! touched cells' current subtrees, plus, for every cluster that a
+//! collected member carries or that lost cells to the sweep, the subtree
+//! now holding that cluster's old root, repeated until nothing new is
+//! reached.
+//!
+//! A diff therefore costs O(cells in the changed clusters), not O(active
+//! cells); an absorb that restructures nothing costs nothing. The result
+//! is the full diff's. A cluster outside the closure has the same members
+//! and root as at the last diff, so the full diff would match it to itself
+//! with no event and no fresh id. Leaving it out changes no id, label or
+//! event. A τ change or the initialization touches every active cell,
+//! which makes that diff the full one.
+
+use std::collections::BTreeMap;
 
 use edm_common::hash::{fx_map, FxHashMap, FxHashSet};
 use edm_common::time::Timestamp;
@@ -265,36 +280,70 @@ impl ClusterRegistry {
         id
     }
 
-    /// Reconciles the new MSDSubTree partition with the previous one,
+    /// Metadata of live cluster `id`, if it is live.
+    pub(crate) fn cluster(&self, id: ClusterId) -> Option<&ClusterMeta> {
+        self.clusters.get(&id)
+    }
+
+    /// Reconciles new MSDSubTrees with the clusters they replace,
     /// recording events into `log` and returning the new
     /// `(cell, cluster id)` assignment for the engine to write back.
+    ///
+    /// The old side of the match is every live cluster that a member of
+    /// `groups` carries, plus the live clusters in `decayed`: those that
+    /// lost cells to the outlier reservoir, whose remaining members (if
+    /// any) must still be in `groups`. Every surviving member of an old
+    /// cluster must be in `groups`, so that each group is a whole current
+    /// MSDSubTree. Live clusters outside the old side are kept as they
+    /// are. Passing every current subtree and every live id as `decayed`
+    /// is the full diff; a caller that passes only the subtrees a change
+    /// reached gets the same ids and events, because the full diff maps
+    /// every other cluster to itself with no event.
+    ///
+    /// Events come out kind by kind (Emerge, Split, Disappear, Merge,
+    /// Adjust) and, within a kind, in ascending cluster-id order: Split by
+    /// `from`, Merge by `into`, Moved by `from` within each group (groups
+    /// in the order given).
     pub fn diff(
         &mut self,
         t: Timestamp,
         groups: &[GroupInput],
+        decayed: &[ClusterId],
         log: &mut EvolutionLog,
     ) -> Vec<(CellId, ClusterId)> {
         // 1. Vote counting: for each group, how many members came from each
-        //    old cluster (and how many are fresh).
-        let mut votes: Vec<FxHashMap<ClusterId, usize>> = Vec::with_capacity(groups.len());
+        //    old cluster (ascending by id), and how many are fresh.
+        let mut votes: Vec<Vec<(ClusterId, usize)>> = Vec::with_capacity(groups.len());
         let mut fresh: Vec<usize> = Vec::with_capacity(groups.len());
+        let mut labels: Vec<ClusterId> = Vec::new();
         for g in groups {
-            let mut v: FxHashMap<ClusterId, usize> = fx_map();
-            let mut f = 0;
-            for (_, old) in &g.members {
-                match old {
-                    Some(id) => *v.entry(*id).or_insert(0) += 1,
-                    None => f += 1,
+            labels.clear();
+            labels.extend(g.members.iter().filter_map(|&(_, old)| old));
+            labels.sort_unstable();
+            let mut v: Vec<(ClusterId, usize)> = Vec::new();
+            for &id in &labels {
+                match v.last_mut() {
+                    Some((last, n)) if *last == id => *n += 1,
+                    _ => v.push((id, 1)),
                 }
             }
+            fresh.push(g.members.len() - labels.len());
             votes.push(v);
-            fresh.push(f);
         }
+        let mut old_ids: Vec<ClusterId> = votes
+            .iter()
+            .flatten()
+            .map(|&(id, _)| id)
+            .chain(decayed.iter().copied())
+            .filter(|id| self.clusters.contains_key(id))
+            .collect();
+        old_ids.sort_unstable();
+        old_ids.dedup();
 
         // 2. Greedy max-overlap matching: (votes, group, old id) descending.
         let mut claims: Vec<(usize, usize, ClusterId)> = Vec::new();
         for (gi, v) in votes.iter().enumerate() {
-            for (&old, &n) in v {
+            for &(old, n) in v {
                 if self.clusters.contains_key(&old) {
                     claims.push((n, gi, old));
                 }
@@ -313,16 +362,16 @@ impl ClusterRegistry {
 
         // 3. Unmatched groups get fresh ids; classify as Split (their
         //    dominant old cluster persists elsewhere) or Emerge.
-        let mut splits: FxHashMap<ClusterId, Vec<ClusterId>> = fx_map();
+        let mut splits: BTreeMap<ClusterId, Vec<ClusterId>> = BTreeMap::new();
         for gi in 0..groups.len() {
             if group_id[gi].is_some() {
                 continue;
             }
             let id = self.fresh_id();
             group_id[gi] = Some(id);
-            let dominant = votes[gi].iter().max_by_key(|(cid, n)| (**n, u64::MAX - **cid));
+            let dominant = votes[gi].iter().max_by_key(|(cid, n)| (*n, u64::MAX - *cid));
             match dominant {
-                Some((&old, &n)) if n > 0 => splits.entry(old).or_default().push(id),
+                Some(&(old, n)) if n > 0 => splits.entry(old).or_default().push(id),
                 _ => log.push(t, EventKind::Emerge { cluster: id }),
             }
         }
@@ -332,31 +381,31 @@ impl ClusterRegistry {
 
         // 4. Old clusters nobody claimed: Merge when their members
         //    majority-flowed into another cluster, Disappear otherwise.
-        let mut merges: FxHashMap<ClusterId, Vec<ClusterId>> = fx_map();
-        let old_ids: Vec<ClusterId> = self.clusters.keys().copied().collect();
-        for old in old_ids {
+        //    `best[old]` is the group holding most of `old`'s members
+        //    (lowest group index on ties).
+        let mut best: FxHashMap<ClusterId, (usize, usize)> = fx_map();
+        for (gi, v) in votes.iter().enumerate() {
+            for &(old, n) in v {
+                let entry = best.entry(old).or_insert((n, gi));
+                if n > entry.0 {
+                    *entry = (n, gi);
+                }
+            }
+        }
+        let mut merges: BTreeMap<ClusterId, Vec<ClusterId>> = BTreeMap::new();
+        for &old in &old_ids {
             if claimed.contains(&old) {
                 continue;
             }
-            // Where did `old`'s surviving members go?
-            let mut best: Option<(usize, usize)> = None; // (votes, group)
-            for (gi, v) in votes.iter().enumerate() {
-                if let Some(&n) = v.get(&old) {
-                    if best.is_none_or(|(bn, bg)| n > bn || (n == bn && gi < bg)) {
-                        best = Some((n, gi));
-                    }
-                }
-            }
-            match best {
-                Some((n, gi)) if n > 0 => {
+            match best.get(&old) {
+                Some(&(n, gi)) if n > 0 => {
                     let target = group_id[gi].expect("assigned above");
                     merges.entry(target).or_default().push(old);
                 }
                 _ => log.push(t, EventKind::Disappear { cluster: old }),
             }
         }
-        for (into, mut from) in merges {
-            from.sort_unstable();
+        for (into, from) in merges {
             log.push(t, EventKind::Merge { from, into });
         }
 
@@ -366,7 +415,7 @@ impl ClusterRegistry {
         for (gi, g) in groups.iter().enumerate() {
             let id = group_id[gi].expect("assigned above");
             let continuing = claimed.contains(&id);
-            for (&old, &n) in &votes[gi] {
+            for &(old, n) in &votes[gi] {
                 if old != id && claimed.contains(&old) {
                     log.push(
                         t,
@@ -390,20 +439,42 @@ impl ClusterRegistry {
             }
         }
 
-        // 6. Rebuild metadata and produce the write-back assignment.
-        let mut assignments = Vec::new();
-        let old_meta = std::mem::take(&mut self.clusters);
-        self.root_to_cluster.clear();
+        // 6. Replace the old side's metadata in place and produce the
+        //    write-back assignment. Every old entry leaves before any new
+        //    one enters: an old root may head a different group now.
+        let mut born: FxHashMap<ClusterId, Timestamp> = fx_map();
+        for old in old_ids {
+            let meta = self.clusters.remove(&old).expect("old ids are live");
+            self.root_to_cluster.remove(&meta.root);
+            born.insert(old, meta.born);
+        }
+        let mut assignments = Vec::with_capacity(groups.iter().map(|g| g.members.len()).sum());
         for (gi, g) in groups.iter().enumerate() {
             let id = group_id[gi].expect("assigned above");
-            let born = old_meta.get(&id).map_or(t, |m| m.born);
+            let born = born.get(&id).copied().unwrap_or(t);
             self.clusters.insert(id, ClusterMeta { root: g.root, size: g.members.len(), born });
             self.root_to_cluster.insert(g.root, id);
-            for (cell, _) in &g.members {
-                assignments.push((*cell, id));
-            }
+            assignments.extend(g.members.iter().map(|&(cell, _)| (cell, id)));
         }
         assignments
+    }
+
+    /// Checks that the root index is the exact inverse of the clusters'
+    /// roots (invariant checks).
+    pub(crate) fn check_roots(&self) -> Result<(), String> {
+        if self.root_to_cluster.len() != self.clusters.len() {
+            return Err(format!(
+                "registry indexes {} roots for {} clusters",
+                self.root_to_cluster.len(),
+                self.clusters.len()
+            ));
+        }
+        for (&id, meta) in &self.clusters {
+            if self.root_to_cluster.get(&meta.root) != Some(&id) {
+                return Err(format!("cluster {id}'s root {} is not indexed to it", meta.root));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -428,7 +499,8 @@ mod tests {
         groups: Vec<GroupInput>,
         log: &mut EvolutionLog,
     ) -> FxHashMap<CellId, ClusterId> {
-        reg.diff(t, &groups, log).into_iter().collect()
+        let live: Vec<ClusterId> = reg.clusters().map(|(id, _)| id).collect();
+        reg.diff(t, &groups, &live, log).into_iter().collect()
     }
 
     #[test]
@@ -621,5 +693,95 @@ mod tests {
         diff(&mut reg, 1.0, vec![group(9, &[(3, Some(id)), (9, None)])], &mut log);
         assert_eq!(reg.cluster_at_root(cid(9)), Some(id));
         assert_eq!(reg.cluster_at_root(cid(3)), None);
+    }
+
+    #[test]
+    fn partial_diff_leaves_clusters_outside_its_old_side_alone() {
+        let mut reg = ClusterRegistry::new();
+        let mut log = EvolutionLog::new();
+        let a = diff(
+            &mut reg,
+            0.0,
+            vec![group(0, &[(0, None), (1, None)]), group(5, &[(5, None), (6, None)])],
+            &mut log,
+        );
+        let (x, y) = (a[&cid(0)], a[&cid(5)]);
+        // Only y's subtree is handed over (re-rooted at 6); x is not on the
+        // old side, so it keeps its root, size and birth.
+        let b = reg.diff(1.0, &[group(6, &[(5, Some(y)), (6, Some(y))])], &[], &mut log);
+        assert_eq!(b, vec![(cid(5), y), (cid(6), y)]);
+        assert_eq!(reg.n_clusters(), 2);
+        assert_eq!((reg.cluster_at_root(cid(0)), reg.cluster_at_root(cid(6))), (Some(x), Some(y)));
+        assert_eq!(reg.cluster_at_root(cid(5)), None);
+        let meta = reg.cluster(x).expect("x is live");
+        assert_eq!((meta.root, meta.size, meta.born), (cid(0), 2, 0.0));
+        // A cluster that lost every cell reaches the diff through `decayed`.
+        reg.diff(2.0, &[], &[x], &mut log);
+        assert_eq!(reg.n_clusters(), 1);
+        assert_eq!(log.counts(), (2, 1, 0, 0, 0));
+        assert!(reg.check_roots().is_ok());
+    }
+
+    #[test]
+    fn events_of_one_diff_come_out_in_ascending_cluster_id_order() {
+        let mut reg = ClusterRegistry::new();
+        let mut log = EvolutionLog::new();
+        // Six singleton clusters, ids 0..6 in root order.
+        let singletons: Vec<GroupInput> = (0..6).map(|i| group(i, &[(i, None)])).collect();
+        let a = diff(&mut reg, 0.0, singletons, &mut log);
+        let id = |c: u32| a[&cid(c)];
+        let cursor = log.cursor();
+        // 1 merges into 0 and 3 into 2; 4 and 5 vanish.
+        diff(
+            &mut reg,
+            1.0,
+            vec![
+                group(0, &[(0, Some(id(0))), (1, Some(id(1)))]),
+                group(2, &[(2, Some(id(2))), (3, Some(id(3)))]),
+            ],
+            &mut log,
+        );
+        let kinds: Vec<EventKind> = log.events_since(cursor).map(|e| e.kind.clone()).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::Disappear { cluster: id(4) },
+                EventKind::Disappear { cluster: id(5) },
+                EventKind::Merge { from: vec![id(1)], into: id(0) },
+                EventKind::Merge { from: vec![id(3)], into: id(2) },
+            ]
+        );
+        // Both survivors split: Split events ascend by `from`; each
+        // fragment's cells also count as moved out of its parent.
+        let cursor = log.cursor();
+        let b = diff(
+            &mut reg,
+            2.0,
+            vec![
+                group(0, &[(0, Some(id(0)))]),
+                group(1, &[(1, Some(id(0)))]),
+                group(2, &[(2, Some(id(2)))]),
+                group(3, &[(3, Some(id(2)))]),
+            ],
+            &mut log,
+        );
+        let kinds: Vec<EventKind> = log.events_since(cursor).map(|e| e.kind.clone()).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::Split { from: id(0), into: vec![b[&cid(1)]] },
+                EventKind::Split { from: id(2), into: vec![b[&cid(3)]] },
+                EventKind::Adjust {
+                    kind: AdjustKind::Moved { from: id(0) },
+                    cluster: b[&cid(1)],
+                    cells: 1,
+                },
+                EventKind::Adjust {
+                    kind: AdjustKind::Moved { from: id(2) },
+                    cluster: b[&cid(3)],
+                    cells: 1,
+                },
+            ]
+        );
     }
 }

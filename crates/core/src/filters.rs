@@ -156,6 +156,18 @@ pub struct EngineStats {
     /// the field existed still load.
     #[serde(default)]
     pub pool_rounds: u64,
+    /// Accumulated wall-clock nanoseconds in the evolution diff: regrouping
+    /// the MSDSubTrees a structural change reached, matching them against
+    /// the clusters they replace and writing the labels back. Zero while
+    /// evolution is not tracked. Serde-defaulted so stats persisted before
+    /// the field existed still load.
+    #[serde(default)]
+    pub diff_nanos: u64,
+    /// Cells the evolution diff regrouped, summed over diffs: the members
+    /// of every MSDSubTree a structural change reached. Serde-defaulted so
+    /// stats persisted before the field existed still load.
+    #[serde(default)]
+    pub diff_cells: u64,
 }
 
 impl EngineStats {
@@ -179,7 +191,8 @@ impl EngineStats {
     /// counters (`probe_tasks`, `probe_revalidations`,
     /// `probe_revalidations_avoided`, `parallel_batches`, `pool_rounds`)
     /// describe *who computed* the work
-    /// rather than clustering output, `dep_update_nanos` is wall clock,
+    /// rather than clustering output, `dep_update_nanos` and `diff_nanos`
+    /// are wall clock,
     /// and `snapshots_published` counts how often the state was
     /// *observed* (published) rather than what was clustered. All other
     /// counters must match exactly between a serial and a parallel (or
@@ -194,6 +207,7 @@ impl EngineStats {
             parallel_batches: 0,
             pool_rounds: 0,
             dep_update_nanos: 0,
+            diff_nanos: 0,
             snapshots_published: 0,
             ..self.clone()
         }

@@ -76,6 +76,27 @@ pub fn collect_subtree<P>(slab: &CellSlab<P>, root: CellId, out: &mut Vec<CellId
     }
 }
 
+/// Collects the MSDSubTree headed by `root` into `out`: `root` and every
+/// descendant reached over strong links (`δ ≤ τ`). `root` must be a strong
+/// root for the result to be a whole subtree.
+pub fn collect_strong_subtree<P>(
+    slab: &CellSlab<P>,
+    root: CellId,
+    tau: f64,
+    out: &mut Vec<CellId>,
+) {
+    let mut next = out.len();
+    out.push(root);
+    while let Some(&id) = out.get(next) {
+        next += 1;
+        for &c in &slab.get(id).children {
+            if slab.get(c).delta <= tau {
+                out.push(c);
+            }
+        }
+    }
+}
+
 /// All current MSDSubTree roots among active cells: cells whose link is
 /// absent or weak (`δ > τ`).
 pub fn strong_roots<P>(slab: &CellSlab<P>, tau: f64) -> Vec<CellId> {
@@ -211,6 +232,26 @@ mod tests {
         assert_eq!(strong_root(&slab, ids[0], 1.0), ids[0]);
         // Raising tau merges everything into the global root.
         assert_eq!(strong_root(&slab, ids[3], 10.0), ids[0]);
+    }
+
+    #[test]
+    fn strong_subtree_stops_at_weak_links() {
+        let (mut slab, ids) = slab_with(5);
+        attach(&mut slab, ids[1], ids[0], 5.0); // weak under tau=1
+        attach(&mut slab, ids[2], ids[1], 0.5);
+        attach(&mut slab, ids[3], ids[2], 0.5);
+        attach(&mut slab, ids[4], ids[0], 0.5);
+        let mut out = Vec::new();
+        collect_strong_subtree(&slab, ids[0], 1.0, &mut out);
+        out.sort();
+        assert_eq!(out, vec![ids[0], ids[4]]);
+        out.clear();
+        collect_strong_subtree(&slab, ids[1], 1.0, &mut out);
+        out.sort();
+        assert_eq!(out, vec![ids[1], ids[2], ids[3]]);
+        for &id in &out {
+            assert_eq!(strong_root(&slab, id, 1.0), ids[1]);
+        }
     }
 
     #[test]
