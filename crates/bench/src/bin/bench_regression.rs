@@ -241,15 +241,24 @@ fn baseline_entries(sections: &[(String, String)], section: &str, key_of: KeyOf<
         .collect()
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: bench_regression [--baseline path] [--out path]\n\
+         --baseline  committed baseline to gate against (default BENCH_ingest.json)\n\
+         --out       fresh artifact to write (default target/bench_regression/BENCH_ingest.fresh.json)"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut baseline_path = PathBuf::from("BENCH_ingest.json");
     let mut out_path = PathBuf::from("target/bench_regression/BENCH_ingest.fresh.json");
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--baseline" => baseline_path = args.next().expect("--baseline needs a path").into(),
-            "--out" => out_path = args.next().expect("--out needs a path").into(),
-            other => panic!("unknown flag {other:?} (expected --baseline/--out)"),
+            "--baseline" => baseline_path = args.next().unwrap_or_else(|| usage()).into(),
+            "--out" => out_path = args.next().unwrap_or_else(|| usage()).into(),
+            _ => usage(),
         }
     }
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

@@ -1,5 +1,5 @@
 //! The experiment harness: regenerates every table and figure of the
-//! EDMStream paper (see EXPERIMENTS.md for the index).
+//! EDMStream paper (see the README's quickstart for how to run it).
 //!
 //! ```text
 //! harness <experiment|all> [--scale f] [--out dir]

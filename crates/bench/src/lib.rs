@@ -1,9 +1,9 @@
 //! # edm-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! EDMStream paper's evaluation (§6). See `EXPERIMENTS.md` at the
-//! workspace root for the experiment-by-experiment index and the
-//! paper-vs-measured record.
+//! EDMStream paper's evaluation (§6). The workspace README shows how to
+//! run it and records measured results next to the paper's (Fig 11
+//! under "Architecture").
 //!
 //! Run with:
 //!

@@ -90,7 +90,8 @@ impl<P> Cell<P> {
         self.rho_time = t;
     }
 
-    /// Raw stored density and its epoch (for serialization/tests).
+    /// Raw stored density and its epoch: the key the engine's density
+    /// order files the cell under is computed from this pair.
     pub fn raw_rho(&self) -> (f64, Timestamp) {
         (self.rho, self.rho_time)
     }

@@ -17,6 +17,7 @@ use crate::index::{CellIndex, NeighborIndex};
 use crate::slab::CellSlab;
 use crate::tree;
 
+use super::order::DensityOrder;
 use super::parallel::ProbeSlot;
 use super::{suggest_tau_from_deltas, EdmStream, Phase};
 
@@ -169,9 +170,17 @@ impl ScratchDistances {
     }
 }
 
-/// The checked entry points' timestamp gate: `t` must be finite and not
-/// behind the stream clock `now`.
-fn admissible(now: Timestamp, t: Timestamp) -> Result<(), EdmError> {
+/// The timestamp gate of the checked entry points: `t` must be finite and
+/// not behind the stream clock `now` (within a 1e-9 s tolerance).
+/// [`EdmStream::try_insert`] and [`EdmStream::try_insert_batch`] apply it
+/// against [`EdmStream::stream_time`]; a front end that queues points for
+/// an engine applies the same rule against the largest timestamp it has
+/// queued.
+///
+/// # Errors
+/// [`EdmError::NonFiniteTime`] for NaN and ±∞, [`EdmError::TimeRegression`]
+/// for a `t` behind `now`.
+pub fn admissible(now: Timestamp, t: Timestamp) -> Result<(), EdmError> {
     if !t.is_finite() {
         return Err(EdmError::NonFiniteTime { t });
     }
@@ -425,6 +434,12 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         }
         // The density-ordered pass placed the densest cell first.
         self.apex = placed.first().copied();
+        let slab = &self.slab;
+        self.order = DensityOrder::build(
+            &self.cfg.decay,
+            self.start.unwrap_or(t),
+            placed.iter().map(|&id| (id, slab.get(id).raw_rho())),
+        );
         // Cells left in the reservoir enter the idle order with their
         // final absorption time — from here on the recycling layer never
         // looks at the slab to find them.
@@ -471,14 +486,17 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             Some((cid, _)) => {
                 self.stats.absorbed += 1;
                 let decay = self.cfg.decay;
-                let (before, after) = self.slab.get_mut(cid).absorb(t, &decay);
-                let was_active = self.slab.get(cid).active;
-                if was_active {
+                let cell = self.slab.get_mut(cid);
+                let filed = cell.raw_rho();
+                let (before, after) = cell.absorb(t, &decay);
+                if cell.active {
+                    self.order.refile(cid, filed, (after, t));
                     self.dependency_maintenance(p, cid, before, after, t, false);
                 } else if after >= self.threshold_at(t) {
                     // Cluster-cell emergence (DP-Tree insertion, §4.3).
                     self.slab.get_mut(cid).active = true;
                     self.active_ids.push(cid);
+                    self.order.insert(cid, (after, t));
                     self.stats.activations += 1;
                     self.dependency_maintenance(p, cid, before, after, t, true);
                 } else {

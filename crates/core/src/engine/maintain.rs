@@ -3,12 +3,15 @@
 //! The only layer that *deletes* cells. Three responsibilities:
 //!
 //! * **Dependency maintenance** (§4.2) — when a cell absorbs a point it
-//!   rises in the density order; Theorems 1 and 2 prune the cells whose
-//!   dependency could change, and the neighbor index answers the
-//!   nearest-denser search when the riser overtook its own dependency.
+//!   rises in the density order; Theorem 1 limits the cells whose
+//!   dependency could change to the window of the order it crossed (see
+//!   `order.rs`), Theorem 2 prunes most of those, and the neighbor index
+//!   answers the nearest-denser search when the riser overtook its own
+//!   dependency.
 //! * **Decay sweep** (§4.3) — on the maintenance cadence, top-most active
 //!   cells below the threshold move (with their whole subtree — children
-//!   are always sparser) back to the outlier reservoir.
+//!   are always sparser) back to the outlier reservoir. Only the prefix of
+//!   the density order below the threshold is visited.
 //! * **Recycling** (§4.4, Theorem 3) — reservoir cells idle past ΔT_del
 //!   can never become active again and are deleted. Expired cells are
 //!   found through the [`IdleQueue`], an idle-ordered priority queue with
@@ -146,47 +149,57 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         }
 
         // Candidate pass: cells whose dependency may now be `cprime`.
-        // Only tree members can depend on anything, so this walks the
-        // active registry, not the reservoir-dominated slab.
         let mut candidates: Vec<CellId> = Vec::new();
-        for &id in &self.active_ids {
-            let cell = self.slab.get(id);
-            if id == cprime {
-                continue;
-            }
-            self.stats.dep_candidates += 1;
-            // Theorem 2 first: |p,s_c| and |p,s_c'| are already in scratch
-            // when the assignment probe reached `c`, so the common case
-            // costs two reads — cheaper than the density comparison, which
-            // needs a decay evaluation per cell. Cells the index pruned
-            // fall back to its distance lower bound, which can only prune
-            // a subset of what the exact check would (still Theorem 2,
-            // one-sided), so filtering stays exact either way.
-            if filters.triangle {
-                let pruned = match self.scratch.get(id.0 as usize) {
-                    Some(p_dist_c) => (p_dist_c - p_dist_cprime).abs() > cell.delta,
-                    None => self.index.lower_bound_prunes(p, &cell.seed, p_dist_cprime, cell.delta),
-                };
-                if pruned {
+        if filters.density {
+            // Theorem 1 first: only the cells `cprime` overtook can switch
+            // to it, and they are the run of the density order between its
+            // density before and after. The window's keys decide the cells
+            // well inside it; those near an edge (ties, rounding) take the
+            // exact test. Every other tree member is skipped unvisited and
+            // counted as filtered, as the full walk would have counted it.
+            let window = self.order.window(before, after, t);
+            let others = self.active_ids.len() as u64 - 1;
+            let mut overtaken = 0u64;
+            for &(key, id) in window.entries {
+                if id == cprime {
+                    continue;
+                }
+                if !window.is_inside(key) {
+                    let rho_c = self.slab.get(id).rho_at(t, self.decay());
+                    let was_denser_c = denser_scalar(rho_c, id, before, cprime);
+                    if !was_denser_c || denser_scalar(rho_c, id, after, cprime) {
+                        continue;
+                    }
+                }
+                overtaken += 1;
+                if filters.triangle && self.triangle_prunes(p, id, p_dist_cprime) {
                     self.stats.filtered_triangle += 1;
                     continue;
                 }
+                candidates.push(id);
             }
-            let rho_c = cell.rho_at(t, self.decay());
-            // `cprime` must now outrank `c` for any update to be possible;
-            // this is not a filter but the update rule itself.
-            let now_denser_c = denser_scalar(rho_c, id, after, cprime);
-            if filters.density {
-                // Theorem 1: only cells `cprime` overtook need checking.
-                let was_denser_c = denser_scalar(rho_c, id, before, cprime);
-                if !was_denser_c || now_denser_c {
-                    self.stats.filtered_density += 1;
+            self.stats.dep_candidates += others;
+            self.stats.filtered_density += others - overtaken;
+        } else {
+            // No Theorem 1 (the wf / tif series of Fig 11): every tree
+            // member is a candidate.
+            for &id in &self.active_ids {
+                if id == cprime {
                     continue;
                 }
-            } else if now_denser_c {
-                continue;
+                self.stats.dep_candidates += 1;
+                if filters.triangle && self.triangle_prunes(p, id, p_dist_cprime) {
+                    self.stats.filtered_triangle += 1;
+                    continue;
+                }
+                // `cprime` must now outrank `c` for any update to be
+                // possible; this is not a filter but the update rule itself.
+                let rho_c = self.slab.get(id).rho_at(t, self.decay());
+                if denser_scalar(rho_c, id, after, cprime) {
+                    continue;
+                }
+                candidates.push(id);
             }
-            candidates.push(id);
         }
         for c in candidates {
             // The distance only matters when it beats δ_c; past that bound
@@ -227,6 +240,21 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         self.stats.dep_update_nanos += started.elapsed().as_nanos() as u64;
     }
 
+    /// Theorem 2: whether `c` cannot switch to the riser `cprime`, because
+    /// `||p,s_c| − |p,s_c'|| > δ_c`. `|p,s_c|` and `|p,s_c'|` are already in
+    /// scratch when the assignment probe reached both cells, so the common
+    /// case costs two reads. Cells the probe did not reach fall back to the
+    /// index's distance lower bound, which can only prune a subset of what
+    /// the exact check would (still Theorem 2, one-sided), so filtering
+    /// stays exact either way.
+    fn triangle_prunes(&self, p: &P, c: CellId, p_dist_cprime: f64) -> bool {
+        let cell = self.slab.get(c);
+        match self.scratch.get(c.0 as usize) {
+            Some(p_dist_c) => (p_dist_c - p_dist_cprime).abs() > cell.delta,
+            None => self.index.lower_bound_prunes(p, &cell.seed, p_dist_cprime, cell.delta),
+        }
+    }
+
     /// Recomputes `cell`'s dependency: the nearest denser active cell,
     /// found through the neighbor index (expanding-shell search under the
     /// grid, full scan under the linear fallback). When `cell` is the
@@ -260,7 +288,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         // threshold; their subtrees (all sparser) decay with them.
         let thr = self.threshold_at(t);
         let mut decayed_tops: Vec<CellId> = Vec::new();
-        for &id in &self.active_ids {
+        for &(_, id) in self.order.below(thr, t) {
             let cell = self.slab.get(id);
             if cell.rho_at(t, self.decay()) >= thr {
                 continue;
@@ -303,6 +331,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             // batched and rare relative to inserts).
             let slab = &self.slab;
             self.active_ids.retain(|&id| slab.get(id).active);
+            self.order.retain(|id| slab.get(id).active);
             if self.apex.is_some_and(|a| !self.slab.get(a).active) {
                 self.apex = self.densest_active(t);
             }

@@ -14,8 +14,12 @@
 //! * [`maintain`](self) — **dependency + decay + recycling**
 //!   (`maintain.rs`): the absorbing cell rose in the density order; only
 //!   cells it *overtook* can change dependency (Theorem 1), and the
-//!   triangle inequality prunes most of those (Theorem 2). On the
-//!   maintenance cadence, active cells falling below the threshold move
+//!   triangle inequality prunes most of those (Theorem 2). The active
+//!   cells are kept sorted by density (`order.rs`: each cell's key is its
+//!   log-density shifted to a common epoch, which changes only when the
+//!   cell absorbs), so the overtaken cells are one window of that order
+//!   and nothing else is visited. On the maintenance cadence, active cells
+//!   falling below the threshold — a prefix of the same order — move
 //!   (with their whole subtree) to the reservoir, and reservoir cells
 //!   idle past ΔT_del are recycled (Theorem 3) — found through an
 //!   idle-ordered queue, never by scanning the slab.
@@ -33,10 +37,13 @@
 //! The layering is behavioral documentation, not just file hygiene: no
 //! query ever mutates engine state, ingest is the only layer that creates
 //! cells, and maintain is the only layer that deletes them — so the
-//! index/slab coherence argument reduces to auditing two submodules.
+//! index/slab coherence argument reduces to auditing two submodules. The
+//! density order has the same two writers: ingest files activations and
+//! re-files absorbs, the decay sweep drops deactivated cells.
 
 mod ingest;
 mod maintain;
+mod order;
 mod parallel;
 #[allow(unsafe_code)]
 mod pool;
@@ -44,6 +51,7 @@ mod query;
 #[cfg(test)]
 mod tests;
 
+pub use ingest::admissible;
 pub use pool::live_pool_workers;
 
 use edm_common::decay::DecayModel;
@@ -62,6 +70,7 @@ use crate::tau::TauController;
 
 use ingest::{BirthLedger, ScratchDistances};
 use maintain::IdleQueue;
+use order::DensityOrder;
 use parallel::ProbePool;
 use pool::WorkerPool;
 
@@ -114,10 +123,13 @@ pub struct EdmStream<P, M> {
     dt_del: f64,
     start: Option<Timestamp>,
     now: Timestamp,
-    /// The DP-Tree population: ids of all currently active cells. Kept so
-    /// the per-absorb dependency candidate pass walks only the tree, not
-    /// the (much larger) reservoir-dominated slab.
+    /// The DP-Tree population: ids of all currently active cells, in
+    /// activation order. Publication's id-sorted walks, τ and the
+    /// unfiltered candidate pass read it; it never holds the reservoir.
     active_ids: Vec<CellId>,
+    /// The same cells in density order: Theorem 1's window of overtaken
+    /// cells and the decay sweep's prefix below the threshold.
+    order: DensityOrder,
     /// The densest active cell (the DP-Tree root, by the single-root
     /// invariant). Densities decay uniformly, so only an absorbing or
     /// freshly activated cell can displace it — an O(1) comparison per
@@ -209,6 +221,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             start: None,
             now: 0.0,
             active_ids: Vec::new(),
+            order: DensityOrder::build(&cfg.decay, 0.0, []),
             apex: None,
             reservoir_peak: 0,
             touched: Vec::new(),

@@ -206,32 +206,31 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             // keeps the sealed record correct if a future code path
             // records events outside `run_diff`.
             self.tracker.sync(&self.log);
-            let mut live: Vec<(ClusterId, f64)> = snap
-                .clusters()
-                .iter()
-                .filter(|c| c.id != u64::MAX)
-                .map(|c| (c.id, c.density))
-                .collect();
+            let mut live: Vec<(ClusterId, f64)> =
+                snap.clusters().iter().map(|c| (c.id, c.density)).collect();
             live.sort_unstable_by_key(|&(id, _)| id);
             self.tracker.seal(snap.generation(), t, live, snap.summaries());
         }
         snap
     }
 
-    /// Compact summaries of `clusters` (those with a registered
-    /// persistent identity), ascending by cluster id: density-weighted
-    /// centroid and bounding box over the member-cell seeds (`None` for
-    /// coordinate-less payloads), mass, and birth time from the identity
-    /// registry. Generations are stamped with the current publication
-    /// count; the engine's rolling map (see [`EdmStream::summary_of`])
-    /// preserves each cluster's true first observation.
+    /// Compact summaries of `clusters`, ascending by cluster id:
+    /// density-weighted centroid and bounding box over the member-cell
+    /// seeds (`None` for coordinate-less payloads), mass, and birth time
+    /// from the identity registry. Empty while evolution is not tracked:
+    /// the ids are then root cell ids, not persistent identities.
+    /// Generations are stamped with the current publication count; the
+    /// engine's rolling map (see [`EdmStream::summary_of`]) preserves each
+    /// cluster's true first observation.
     fn summaries_for(&self, t: Timestamp, clusters: &[ClusterInfo]) -> Vec<ClusterSummary> {
+        if !self.cfg.track_evolution {
+            return Vec::new();
+        }
         let born: edm_common::hash::FxHashMap<ClusterId, Timestamp> =
             self.registry.clusters().map(|(id, m)| (id, m.born)).collect();
         let generation = self.stats.snapshots_published;
         let mut out: Vec<ClusterSummary> = clusters
             .iter()
-            .filter(|c| c.id != u64::MAX)
             .map(|c| {
                 // Running density-weighted extent: (Σw·x, min, max, Σw).
                 struct Extent {
@@ -398,7 +397,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             let cell = self.slab.get(id);
             let root = tree::strong_root(&self.slab, id, tau);
             let info = by_root.entry(root).or_insert_with(|| ClusterInfo {
-                id: self.registry.cluster_at_root(root).unwrap_or(u64::MAX),
+                id: self.registry.cluster_at_root(root).unwrap_or(root.0 as u64),
                 root,
                 cells: Vec::new(),
                 density: 0.0,
@@ -478,10 +477,11 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     }
 
     /// Verifies all DP-Tree invariants at time `t`, plus the active-cell
-    /// registry the dependency candidate pass walks, the idle queue's
-    /// coverage of the reservoir (every inactive cell must have a live
-    /// queue entry, or recycling would leak it forever) and the cluster
-    /// labels the evolution diff maintains — test support.
+    /// registry, the density order Theorem 1's window reads (every active
+    /// cell filed once, under the key its stored density gives, sorted),
+    /// the idle queue's coverage of the reservoir (every inactive cell
+    /// must have a live queue entry, or recycling would leak it forever)
+    /// and the cluster labels the evolution diff maintains — test support.
     pub fn check_invariants(&self, t: Timestamp) -> Result<(), String> {
         self.check_labels()?;
         tree::check_invariants(&self.slab, t, self.decay())?;
@@ -501,6 +501,8 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                 return Err(format!("active registry lists {id} twice"));
             }
         }
+        self.order
+            .check(self.slab.iter().filter(|(_, c)| c.active).map(|(id, c)| (id, c.raw_rho())))?;
         // Idle-queue coverage: each reservoir cell has an entry carrying
         // its *current* absorption time (stale extras are fine — they are
         // dropped lazily — but a missing live entry is a leak).

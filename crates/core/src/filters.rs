@@ -7,10 +7,17 @@
 //! * **Density filter (Thm 1)** — only cells that `c'` *overtook* in the
 //!   density order can be affected: `ρ_c^{t_j} ≥ ρ_{c'}^{t_j}` and
 //!   `ρ_c^{t_{j+1}} < ρ_{c'}^{t_{j+1}}`. All others keep their dependency.
+//!   Because every cell decays at the same rate, the overtaken cells are
+//!   one contiguous run of the engine's density order, so the engine
+//!   visits only that window: the cells outside it are skipped unvisited.
 //! * **Triangle-inequality filter (Thm 2)** — among those, any cell with
 //!   `||p,s_c| − |p,s_{c'}|| > δ_c` cannot switch to `c'`, because the
 //!   triangle inequality bounds `|s_c,s_{c'}| > δ_c`. Both distances are
 //!   already known from the assignment scan, so this check is free.
+//!
+//! With both on, Theorem 1 runs first, as in the paper, and Theorem 2 checks
+//! the cells it kept. Without the density filter every active cell is
+//! walked and Theorem 2 runs on each.
 //!
 //! `FilterConfig` lets each theorem be disabled independently — that is the
 //! wf / df / df+tif ablation of the paper's Fig 11 — and `EngineStats`
@@ -74,11 +81,20 @@ pub struct EngineStats {
     pub absorbed: u64,
     /// Points that seeded a brand-new cell.
     pub new_cells: u64,
-    /// Dependency-maintenance candidates examined before filtering.
+    /// Dependency-maintenance candidates before filtering: every other
+    /// active cell, once per absorb by an active or newly activated cell.
+    /// The cells Theorem 1's window skips unvisited count here too, so
+    /// [`EngineStats::filter_rate`] is that of a walk over every cell.
     pub dep_candidates: u64,
-    /// Candidates discarded by the density filter (Thm 1).
+    /// Candidates discarded by the density filter (Thm 1): the cells
+    /// outside the window of the density order, skipped unvisited, plus
+    /// the window's edge cells the exact density check rejects. Theorem 1
+    /// runs first, so a cell both filters would discard counts here.
     pub filtered_density: u64,
-    /// Candidates discarded by the triangle filter (Thm 2).
+    /// Candidates discarded by the triangle filter (Thm 2): with the
+    /// density filter on, among the cells Theorem 1 kept. Engines that ran
+    /// Theorem 2 first on every cell (before the density order) split the
+    /// two counters differently; the sum is the same.
     pub filtered_triangle: u64,
     /// Dependencies actually re-pointed.
     pub dep_updates: u64,

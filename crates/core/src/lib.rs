@@ -64,6 +64,7 @@
 //! | [`engine`] | §4, Fig 5 | the pipeline facade over the three layers below |
 //! | `engine/ingest.rs` | §4.1 | assignment, new-cell admission, emergence, the initialization batch pass |
 //! | `engine/maintain.rs` | §4.2–4.4, Thm 1–3 | dependency maintenance, decay sweep, idle-queue ΔT_del recycling |
+//! | `engine/order.rs` | §4.2 Thm 1 | active cells in density order: the window of cells an absorb overtook, the prefix below the threshold |
 //! | `engine/parallel.rs` | §6.3 (throughput) | parallel probe phase of batch ingest (probe-then-commit; serial-exact): chunks drained from a mutex-guarded queue, commits applied serially in timestamp order — the update order §4.2's dependency-maintenance arguments assume |
 //! | `engine/pool.rs` | §6.3 (throughput) | persistent worker pool for the probe fan-out: parked workers, lazy spawn, join on drop, a panic-safe check-in barrier around the one `unsafe` lifetime erasure |
 //! | `engine/query.rs` | §3.1, §6.3.1 | clusters, decision graph, snapshots, membership queries, invariant checkers |
@@ -95,7 +96,7 @@ pub mod tree;
 
 pub use cell::{Cell, CellId};
 pub use config::{ConfigError, EdmConfig, EdmConfigBuilder};
-pub use engine::{live_pool_workers, EdmStream};
+pub use engine::{admissible, live_pool_workers, EdmStream};
 pub use error::EdmError;
 pub use evolution::{AdjustKind, ClusterId, Event, EventCursor, EventKind, EvolutionLog};
 pub use evolve::{

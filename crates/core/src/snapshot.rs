@@ -17,7 +17,8 @@ use crate::filters::EngineStats;
 /// A summary of one current cluster (one MSDSubTree, paper Def. 2).
 #[derive(Debug, Clone)]
 pub struct ClusterInfo {
-    /// Persistent cluster id.
+    /// Persistent cluster id while evolution is tracked; otherwise the
+    /// root cell's id, as [`crate::EdmStream::cluster_of`] answers.
     pub id: ClusterId,
     /// Root cell (the cluster center, paper Def. 2).
     pub root: CellId,

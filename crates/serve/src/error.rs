@@ -3,8 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
+use edm_core::EdmError;
+
 /// What went wrong on a serving-tier entry point.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
     /// The bounded ingest queue was full and the configured backpressure
     /// policy was [`crate::BackpressurePolicy::Reject`]. The batch was
@@ -24,6 +26,16 @@ pub enum ServeError {
     /// The server is shutting down (or already shut down); no further
     /// ingest is accepted.
     ShutDown,
+    /// A point of the batch has a timestamp the engine would refuse: NaN,
+    /// infinite, or behind a timestamp queued before it. The whole batch
+    /// was refused; nothing of it was queued. Match with `matches!` when
+    /// `error` may hold a NaN, which never equals itself.
+    InvalidTimestamp {
+        /// Position of the offending point in the batch.
+        index: usize,
+        /// The engine's verdict on its timestamp.
+        error: EdmError,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -36,11 +48,21 @@ impl fmt::Display for ServeError {
                 write!(f, "writer thread panicked: {message}")
             }
             ServeError::ShutDown => write!(f, "server is shut down"),
+            ServeError::InvalidTimestamp { index, error } => {
+                write!(f, "batch refused at point {index}: {error}")
+            }
         }
     }
 }
 
-impl Error for ServeError {}
+impl Error for ServeError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            ServeError::InvalidTimestamp { error, .. } => Some(error),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -51,5 +73,11 @@ mod tests {
         assert!(ServeError::QueueFull { capacity: 8 }.to_string().contains("8 batches"));
         assert!(ServeError::WriterPanicked { message: "boom".into() }.to_string().contains("boom"));
         assert!(ServeError::ShutDown.to_string().contains("shut down"));
+        let refused = ServeError::InvalidTimestamp {
+            index: 3,
+            error: EdmError::NonFiniteTime { t: f64::NAN },
+        };
+        assert!(refused.to_string().contains("point 3") && refused.to_string().contains("NaN"));
+        assert!(refused.source().is_some());
     }
 }

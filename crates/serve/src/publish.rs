@@ -480,6 +480,25 @@ mod tests {
     }
 
     #[test]
+    fn without_evolution_tracking_each_cluster_answers_with_its_root_cell() {
+        let cfg = engine().config().to_builder().track_evolution(false).build();
+        let mut e = EdmStream::new(cfg.expect("valid test configuration"), Euclidean);
+        let mut t = 0.0;
+        let sites = [[0.0, 0.0], [4.0, 0.0]];
+        feed(&mut e, &sites, &mut t);
+        let published = Published::freeze(&mut e);
+        assert_eq!(published.snapshot().n_clusters(), 2);
+        assert!(published.snapshot().summaries().is_empty());
+        let served = sites.map(|s| published.cluster_of(&DenseVector::from(s), &Euclidean));
+        assert_ne!(served[0], served[1]);
+        for (site, answer) in sites.iter().zip(served) {
+            let engine_answer = e.cluster_of(&DenseVector::from(*site), e.stream_time());
+            assert!(engine_answer.is_some());
+            assert_eq!(answer, engine_answer);
+        }
+    }
+
+    #[test]
     fn a_recycle_forces_a_rebuild_of_the_same_member_ids() {
         let mut e = engine();
         let parking = DenseVector::from([40.0, 0.0]);

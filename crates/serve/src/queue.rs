@@ -12,6 +12,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use edm_common::time::Timestamp;
+use edm_core::{admissible, EdmError};
 
 use crate::config::BackpressurePolicy;
 
@@ -20,7 +21,7 @@ use crate::config::BackpressurePolicy;
 pub(crate) type Batch<P> = Vec<(P, Timestamp)>;
 
 /// Result of [`BatchQueue::push`].
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum PushOutcome {
     /// Batch accepted.
     Queued,
@@ -31,6 +32,14 @@ pub(crate) enum PushOutcome {
     Rejected,
     /// The queue is closed (shutdown started / writer gone).
     Closed,
+    /// Batch refused, queue and clock untouched: the point at `index`
+    /// has a timestamp the engine would refuse.
+    Refused {
+        /// Position of the offending point in the batch.
+        index: usize,
+        /// The engine's verdict on its timestamp.
+        error: EdmError,
+    },
 }
 
 /// Result of [`BatchQueue::pop`].
@@ -50,6 +59,23 @@ struct Inner<P> {
     open: bool,
     /// Deepest the queue has ever been, in batches.
     hwm: usize,
+    /// The largest timestamp queued so far (the engine's stream time when
+    /// nothing was): every queued point is checked against it, in order,
+    /// so the writer only ever sees timestamps the engine accepts.
+    clock: Timestamp,
+}
+
+impl<P> Inner<P> {
+    /// Checks `batch`'s timestamps in order against the clock, as the
+    /// engine's `try_insert_batch` would, and returns the clock after it.
+    fn check(&self, batch: &Batch<P>) -> Result<Timestamp, (usize, EdmError)> {
+        let mut clock = self.clock;
+        for (i, (_, t)) in batch.iter().enumerate() {
+            admissible(clock, *t).map_err(|e| (i, e))?;
+            clock = clock.max(*t);
+        }
+        Ok(clock)
+    }
 }
 
 /// Bounded multi-producer / single-consumer batch queue with pluggable
@@ -64,25 +90,35 @@ pub(crate) struct BatchQueue<P> {
 }
 
 impl<P> BatchQueue<P> {
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// An empty queue whose clock starts at `clock`, the stream time of
+    /// the engine it feeds.
+    pub(crate) fn new(capacity: usize, clock: Timestamp) -> Self {
         assert!(capacity > 0, "queue capacity is NonZeroUsize upstream");
         BatchQueue {
-            inner: Mutex::new(Inner { queue: VecDeque::new(), open: true, hwm: 0 }),
+            inner: Mutex::new(Inner { queue: VecDeque::new(), open: true, hwm: 0, clock }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
         }
     }
 
-    /// Enqueues `batch` under `policy`. Blocks only under
-    /// [`BackpressurePolicy::Block`] with a full queue.
+    /// Enqueues `batch` under `policy`, unless a timestamp in it is one
+    /// the engine would refuse after everything queued before it. Blocks
+    /// only under [`BackpressurePolicy::Block`] with a full queue.
     pub(crate) fn push(&self, batch: Batch<P>, policy: BackpressurePolicy) -> PushOutcome {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if !inner.open {
                 return PushOutcome::Closed;
             }
+            // Checked again after every wait: another producer's batch may
+            // have moved the clock meanwhile.
+            let clock = match inner.check(&batch) {
+                Ok(clock) => clock,
+                Err((index, error)) => return PushOutcome::Refused { index, error },
+            };
             if inner.queue.len() < self.capacity {
+                inner.clock = clock;
                 inner.queue.push_back(batch);
                 inner.hwm = inner.hwm.max(inner.queue.len());
                 drop(inner);
@@ -94,7 +130,11 @@ impl<P> BatchQueue<P> {
                     inner = self.not_full.wait(inner).unwrap();
                 }
                 BackpressurePolicy::DropOldest => {
+                    // The evicted batch's timestamps stay on the clock:
+                    // the writer will never see them, but the points after
+                    // them were checked against them.
                     let dropped = inner.queue.pop_front().map(|b| b.len() as u64).unwrap_or(0);
+                    inner.clock = clock;
                     inner.queue.push_back(batch);
                     inner.hwm = inner.hwm.max(inner.queue.len());
                     drop(inner);
@@ -168,13 +208,14 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// `n` points at one instant: valid after any batch these tests queue.
     fn batch(n: usize) -> Batch<u32> {
-        (0..n).map(|i| (i as u32, i as f64)).collect()
+        (0..n).map(|i| (i as u32, 0.0)).collect()
     }
 
     #[test]
     fn fifo_order_and_hwm() {
-        let q: BatchQueue<u32> = BatchQueue::new(4);
+        let q: BatchQueue<u32> = BatchQueue::new(4, 0.0);
         assert_eq!(q.push(batch(1), BackpressurePolicy::Reject), PushOutcome::Queued);
         assert_eq!(q.push(batch(2), BackpressurePolicy::Reject), PushOutcome::Queued);
         assert_eq!(q.depth(), (2, 2));
@@ -187,7 +228,7 @@ mod tests {
 
     #[test]
     fn reject_policy_leaves_queue_untouched() {
-        let q: BatchQueue<u32> = BatchQueue::new(2);
+        let q: BatchQueue<u32> = BatchQueue::new(2, 0.0);
         q.push(batch(1), BackpressurePolicy::Reject);
         q.push(batch(2), BackpressurePolicy::Reject);
         assert_eq!(q.push(batch(3), BackpressurePolicy::Reject), PushOutcome::Rejected);
@@ -196,7 +237,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_evicts_front_and_reports_points() {
-        let q: BatchQueue<u32> = BatchQueue::new(2);
+        let q: BatchQueue<u32> = BatchQueue::new(2, 0.0);
         q.push(batch(5), BackpressurePolicy::DropOldest);
         q.push(batch(1), BackpressurePolicy::DropOldest);
         assert_eq!(
@@ -212,7 +253,7 @@ mod tests {
 
     #[test]
     fn block_policy_waits_for_consumer() {
-        let q: Arc<BatchQueue<u32>> = Arc::new(BatchQueue::new(1));
+        let q: Arc<BatchQueue<u32>> = Arc::new(BatchQueue::new(1, 0.0));
         q.push(batch(1), BackpressurePolicy::Block);
         let producer = {
             let q = Arc::clone(&q);
@@ -227,7 +268,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_reports_closed() {
-        let q: BatchQueue<u32> = BatchQueue::new(4);
+        let q: BatchQueue<u32> = BatchQueue::new(4, 0.0);
         q.push(batch(1), BackpressurePolicy::Block);
         q.close();
         assert_eq!(q.push(batch(9), BackpressurePolicy::Block), PushOutcome::Closed);
@@ -237,7 +278,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_producer() {
-        let q: Arc<BatchQueue<u32>> = Arc::new(BatchQueue::new(1));
+        let q: Arc<BatchQueue<u32>> = Arc::new(BatchQueue::new(1, 0.0));
         q.push(batch(1), BackpressurePolicy::Block);
         let producer = {
             let q = Arc::clone(&q);
@@ -249,8 +290,33 @@ mod tests {
     }
 
     #[test]
+    fn timestamps_are_checked_against_every_queued_batch() {
+        let q: BatchQueue<u32> = BatchQueue::new(1, 2.0);
+        let timed = |ts: &[f64]| ts.iter().map(|&t| (0, t)).collect::<Batch<u32>>();
+        assert_eq!(
+            q.push(timed(&[2.0, 1.5]), BackpressurePolicy::DropOldest),
+            PushOutcome::Refused { index: 1, error: EdmError::TimeRegression { now: 2.0, t: 1.5 } }
+        );
+        assert!(matches!(
+            q.push(timed(&[3.0, f64::NAN]), BackpressurePolicy::DropOldest),
+            PushOutcome::Refused { index: 1, error: EdmError::NonFiniteTime { .. } }
+        ));
+        assert_eq!(q.depth(), (0, 0));
+        assert_eq!(q.push(timed(&[3.0, 5.0]), BackpressurePolicy::DropOldest), PushOutcome::Queued);
+        // Evicting that batch keeps its timestamps on the clock.
+        assert_eq!(
+            q.push(timed(&[5.0]), BackpressurePolicy::DropOldest),
+            PushOutcome::QueuedDroppingOldest(2)
+        );
+        assert_eq!(
+            q.push(timed(&[4.0]), BackpressurePolicy::DropOldest),
+            PushOutcome::Refused { index: 0, error: EdmError::TimeRegression { now: 5.0, t: 4.0 } }
+        );
+    }
+
+    #[test]
     fn pop_times_out_when_idle() {
-        let q: BatchQueue<u32> = BatchQueue::new(1);
+        let q: BatchQueue<u32> = BatchQueue::new(1, 0.0);
         assert!(matches!(q.pop(Some(Duration::from_millis(5))), Popped::TimedOut));
     }
 }

@@ -124,7 +124,7 @@ where
         let metric = engine.metric().clone();
         let shared = Arc::new(Shared {
             source: publisher.source(),
-            queue: BatchQueue::new(cfg.queue_capacity.get()),
+            queue: BatchQueue::new(cfg.queue_capacity.get(), engine.stream_time()),
             counters: Counters::default(),
             poisoned: AtomicBool::new(false),
             poison_message: Mutex::new(None),
@@ -146,6 +146,12 @@ where
     /// queue follows the configured [`crate::BackpressurePolicy`]; a
     /// poisoned or shut-down server fails with the corresponding
     /// [`ServeError`], returning the batch's points uningested.
+    ///
+    /// Timestamps are checked as [`EdmStream::try_insert_batch`] checks
+    /// them ([`edm_core::admissible`]), in order, against the largest one
+    /// already queued (the engine's stream time before any). A batch with
+    /// a NaN, infinite or regressed timestamp is refused whole with
+    /// [`ServeError::InvalidTimestamp`] and leaves the queue as it was.
     pub fn ingest(&self, batch: Vec<(P, Timestamp)>) -> Result<(), ServeError> {
         let shared = &self.handle.shared;
         if let Some(err) = shared.poison_error() {
@@ -168,6 +174,9 @@ where
                 Err(ServeError::QueueFull { capacity: self.capacity })
             }
             PushOutcome::Closed => Err(shared.poison_error().unwrap_or(ServeError::ShutDown)),
+            PushOutcome::Refused { index, error } => {
+                Err(ServeError::InvalidTimestamp { index, error })
+            }
         }
     }
 

@@ -264,9 +264,11 @@ fn writer_panic_poisons_ingest_but_readers_keep_the_last_snapshot() {
         .expect("enqueue succeeds; the panic happens on the writer");
 
     // The poison must land: retry ingest until the typed error surfaces.
+    // Each retry carries later timestamps than the sentinel and the
+    // retries before it.
     let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match server.ingest(blob_batch(0, 4)) {
+    for retry in 0.. {
+        match server.ingest(blob_batch(200 + 4 * retry, 4)) {
             Err(ServeError::WriterPanicked { message }) => {
                 assert!(message.contains("sentinel"), "got: {message}");
                 break;
