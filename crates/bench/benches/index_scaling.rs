@@ -27,6 +27,15 @@
 //!   acceptance bar, recorded in `BENCH_ingest.json` for the
 //!   bench-regression CI gate to check).
 //!
+//! * **`index_choice`** (recorded, not gated) is the table behind
+//!   `edm_core::index::GRID_MAX_DIM`, the most coordinates for which the
+//!   engine picks the grid when left to choose: whole-stream throughput,
+//!   best of 3, of the grid and the cover tree on Gaussian blobs (64
+//!   clusters, σ 1.5, r 0.5, 60k points) at d = 2–8, of the same pair on
+//!   `scenarios::highd_measure` at d = 6–16, and of all three backends on
+//!   the dataset surrogates at scale 0.1. Each row also names the index
+//!   the engine picks there by itself.
+//!
 //! Expected shape: `linear/8192` ≈ 4× `linear/2048` (linear in cells)
 //! while `grid/8192` ≈ `grid/2048`, with grid ≥ 3× faster than linear
 //! from 2048 cells on; `active_absorb` flat in reservoir size for both
@@ -41,11 +50,13 @@
 use std::path::Path;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use edm_bench::catalog::{self, DatasetId};
 use edm_bench::report::merge_bench_json;
 use edm_common::metric::Euclidean;
 use edm_common::point::DenseVector;
-use edm_core::index::NeighborIndexKind;
+use edm_core::index::{NeighborIndexKind, GRID_MAX_DIM};
 use edm_core::{EdmConfig, EdmStream};
+use edm_data::gen::{blobs, rng};
 
 /// Points inserted per timed sample — smooths timer resolution.
 const BATCH: usize = 200;
@@ -280,12 +291,120 @@ fn emit_kernel_json(c: &mut Criterion) {
 /// `kernel` emit pass.
 const KERNEL_EVALS: usize = 4_000_000;
 
+// ----- the table behind the engine's index pick (`index_choice`) -----
+
+/// Points per Gaussian-blob stream in the `index_choice` pass.
+const CHOICE_POINTS: usize = 60_000;
+/// Timed passes per blob configuration; the best one is recorded.
+const CHOICE_REPEATS: usize = 3;
+/// Probe inserts per `highd_measure` run in the `index_choice` pass.
+const CHOICE_HIGHD_POINTS: usize = 8_192;
+
+/// `(label, kind)` of the backends the `index_choice` pass times.
+const CHOICE_KINDS: [(&str, NeighborIndexKind); 3] = [
+    ("linear", NeighborIndexKind::LinearScan),
+    ("grid", NeighborIndexKind::Grid),
+    ("cover", NeighborIndexKind::CoverTree),
+];
+
+/// 64 Gaussian clusters (σ 1.5) of `d`-d points, 1,000 pts/s.
+fn blob_stream(d: usize) -> Vec<(DenseVector, f64)> {
+    let mut r = rng(0xB10B + d as u64);
+    let centers = blobs::scatter_centers(64, d, 100.0, 10.0, &mut r);
+    let mix: Vec<blobs::Blob> = centers
+        .into_iter()
+        .enumerate()
+        .map(|(k, c)| blobs::Blob::new(c, 1.5, 1.0, k as u32))
+        .collect();
+    let stream = blobs::sample_mixture("blobs", &mix, CHOICE_POINTS, 1_000.0, 0.5, 7 + d as u64);
+    stream.iter().map(|p| (p.payload.clone(), p.ts)).collect()
+}
+
+/// Points per second of one pass of `stream` through a fresh engine with
+/// `cfg`, and the label of the index it built.
+fn stream_pps(cfg: &EdmConfig, stream: &[(DenseVector, f64)]) -> (f64, &'static str) {
+    let mut e = EdmStream::new(cfg.clone(), Euclidean);
+    let start = std::time::Instant::now();
+    for (p, t) in stream {
+        e.insert(p, *t);
+    }
+    (stream.len() as f64 / start.elapsed().as_secs_f64(), e.index_label())
+}
+
+/// One `index_choice` row: the `kinds`' best-of-`repeats` rates over
+/// `stream` under `cfg`, plus the index `cfg` left to itself picks.
+fn choice_row(
+    key: &str,
+    cfg: &EdmConfig,
+    stream: &[(DenseVector, f64)],
+    kinds: &[(&str, NeighborIndexKind)],
+    repeats: usize,
+) -> String {
+    let mut fields = vec![key.to_string()];
+    for &(label, kind) in kinds {
+        let pinned = cfg.to_builder().neighbor_index(kind).build().expect("valid config");
+        let best = (0..repeats).map(|_| stream_pps(&pinned, stream).0).fold(0.0, f64::max);
+        fields.push(format!("\"{label}_pts_per_s\": {best:.0}"));
+    }
+    let default = cfg.to_builder().neighbor_index(None).build().expect("valid config");
+    let (_, picked) = stream_pps(&default, &stream[..stream.len().min(2_000)]);
+    fields.push(format!("\"default\": \"{picked}\""));
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// Writes the `index_choice` section of `BENCH_ingest.json`.
+fn emit_index_choice_json(c: &mut Criterion) {
+    let _ = c; // runs as a criterion group member; needs no bencher
+    let grid_cover = &CHOICE_KINDS[1..];
+    let blob_cfg =
+        EdmConfig::builder(0.5).rate(1_000.0).build().expect("valid bench configuration");
+    let blob_rows: Vec<String> = (2..=8)
+        .map(|d| {
+            let stream = blob_stream(d);
+            choice_row(&format!("\"d\": {d}"), &blob_cfg, &stream, grid_cover, CHOICE_REPEATS)
+        })
+        .collect();
+    let highd_rows: Vec<String> = [6usize, 8, 10, 12, 16]
+        .iter()
+        .map(|&d| {
+            let rate = |kind| scenarios::highd_measure(kind, d, CHOICE_HIGHD_POINTS).0;
+            let (grid, cover) = (rate(NeighborIndexKind::Grid), rate(NeighborIndexKind::CoverTree));
+            let picked = scenarios::highd_engine(None, d).0.index_label();
+            format!(
+                "{{\"d\": {d}, \"grid_pts_per_s\": {grid:.0}, \"cover_pts_per_s\": {cover:.0}, \
+                 \"default\": \"{picked}\"}}"
+            )
+        })
+        .collect();
+    let surrogate_rows: Vec<String> =
+        [DatasetId::Sds, DatasetId::Kdd, DatasetId::CoverType, DatasetId::Pamap2]
+            .iter()
+            .map(|&id| {
+                let ds = catalog::load(id, 0.1, 1_000.0);
+                let stream: Vec<(DenseVector, f64)> =
+                    ds.stream.iter().map(|p| (p.payload.clone(), p.ts)).collect();
+                let key = format!("\"dataset\": \"{}\", \"d\": {}", id.name(), ds.stream.dim);
+                choice_row(&key, &ds.edm, &stream, &CHOICE_KINDS, 1)
+            })
+            .collect();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ingest.json");
+    let value = format!(
+        "{{\"grid_max_dim\": {GRID_MAX_DIM}, \"blobs\": [{}], \"highd\": [{}], \"surrogates\": [{}]}}",
+        blob_rows.join(", "),
+        highd_rows.join(", "),
+        surrogate_rows.join(", ")
+    );
+    merge_bench_json(&path, "index_choice", &value).expect("write bench json");
+    println!("[written {}]", path.display());
+}
+
 criterion_group!(
     benches,
     bench_index_scaling,
     bench_active_absorb,
     bench_highd,
     emit_highd_json,
-    emit_kernel_json
+    emit_kernel_json,
+    emit_index_choice_json
 );
 criterion_main!(benches);

@@ -58,7 +58,9 @@ fn crowded_lattice_side() -> usize {
 
 /// Builds a warmed engine holding [`CROWDED_CELLS`] reservoir cells in
 /// the crowded 8-d layout, with the given ingest-thread knob. Returns
-/// the engine and its stream clock.
+/// the engine and its stream clock. The engine is pinned to the grid
+/// (left to itself it would pick the cover tree at 8-d): the scenario is
+/// the grid's crowded-bucket stress.
 pub fn crowded_engine(threads: usize) -> (EdmStream<DenseVector, Euclidean>, f64) {
     let cfg = EdmConfig::builder(0.5)
         .rate(1_000.0)
@@ -69,6 +71,7 @@ pub fn crowded_engine(threads: usize) -> (EdmStream<DenseVector, Euclidean>, f64
         .maintenance_every(64)
         .recycle_horizon(f64::MAX)
         .track_evolution(false)
+        .neighbor_index(NeighborIndexKind::Grid)
         .ingest_threads(NonZeroUsize::new(threads).expect("bench thread counts are nonzero"))
         .build()
         .expect("valid bench configuration");
@@ -142,8 +145,12 @@ pub fn highd_seed(c: usize, k: usize, d: usize) -> DenseVector {
 /// active cells (absorb traffic keeps overtaking inside them, so
 /// nearest-denser recomputation fires on the measured path) plus
 /// [`HIGHD_COLD_CLUSTERS`] clusters of inactive reservoir cells the
-/// index must keep pruning. Returns the engine and its stream clock.
-pub fn highd_engine(kind: NeighborIndexKind, d: usize) -> (EdmStream<DenseVector, Euclidean>, f64) {
+/// index must keep pruning. `kind` pins the index (`None` leaves the pick
+/// to the engine). Returns the engine and its stream clock.
+pub fn highd_engine(
+    kind: impl Into<Option<NeighborIndexKind>>,
+    d: usize,
+) -> (EdmStream<DenseVector, Euclidean>, f64) {
     let cfg = EdmConfig::builder(0.5)
         .rate(1_000.0)
         .beta_for_threshold(3.0)

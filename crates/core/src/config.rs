@@ -168,11 +168,11 @@ pub struct EdmConfig {
     /// field existed still load.
     #[serde(default = "default_digest_history")]
     pub(crate) digest_history: usize,
-    /// Neighbor-index backing for cell assignment and dependency search.
-    /// Defaulted on deserialization so configs persisted before the field
-    /// existed still load (as `Grid`).
+    /// Neighbor-index backing for cell assignment and dependency search;
+    /// `None` leaves the pick to the engine. Defaulted on deserialization
+    /// so configs persisted before the field existed still load.
     #[serde(default)]
-    pub(crate) neighbor_index: NeighborIndexKind,
+    pub(crate) neighbor_index: Option<NeighborIndexKind>,
     /// Worker threads for the probe phase of batch ingest (1 = the plain
     /// serial per-point loop). Stored as a plain `usize` for serde
     /// compatibility; the builder setter takes a `NonZeroUsize` so zero is
@@ -215,7 +215,7 @@ impl EdmConfig {
                 track_evolution: true,
                 event_capacity: DEFAULT_EVENT_CAPACITY,
                 digest_history: default_digest_history(),
-                neighbor_index: NeighborIndexKind::default(),
+                neighbor_index: None,
                 ingest_threads: default_ingest_threads(),
             },
         }
@@ -354,8 +354,11 @@ impl EdmConfig {
         self.digest_history
     }
 
-    /// Neighbor-index backing for cell assignment and dependency search.
-    pub fn neighbor_index(&self) -> NeighborIndexKind {
+    /// The requested neighbor-index backing for cell assignment and
+    /// dependency search; `None` (the default) leaves the pick to the
+    /// engine, which makes it when the stream's first cell enters the
+    /// index. [`crate::EdmStream::index_label`] names the backend built.
+    pub fn neighbor_index(&self) -> Option<NeighborIndexKind> {
         self.neighbor_index
     }
 
@@ -510,17 +513,20 @@ impl EdmConfigBuilder {
         self
     }
 
-    /// Picks the neighbor index backing cell assignment and dependency
-    /// search, once: the engine builds it at construction and never
-    /// switches or re-tunes it. The default
-    /// [`NeighborIndexKind::Grid`] buckets seeds at side `r`, probes only
-    /// the 3^d bucket shell around each point (sub-linear in cell count)
-    /// and degrades to an exact scan for payloads without coordinates;
-    /// [`NeighborIndexKind::CoverTree`] prunes through measured distances
-    /// instead of coordinate geometry — the pick for high-dimensional
-    /// payloads (where uniform buckets degenerate into occupied-bucket
-    /// sweeps) and for coordinate-less payloads like token sets. The
-    /// engine additionally downgrades `Grid` to
+    /// Requests the neighbor index backing cell assignment and dependency
+    /// search; `None` restores the default, which leaves the pick to the
+    /// engine. Either way the engine builds the index once, when the
+    /// stream's first cell enters it, and never switches or re-tunes it.
+    /// Left to the engine, payloads of at most
+    /// [`crate::index::GRID_MAX_DIM`] coordinates get
+    /// [`NeighborIndexKind::Grid`], which buckets seeds at side `r` and
+    /// probes only the 3^d bucket shell around each point (sub-linear in
+    /// cell count); higher-dimensional and coordinate-less payloads (token
+    /// sets) get [`NeighborIndexKind::CoverTree`], which prunes through
+    /// measured distances instead of coordinate geometry, because above
+    /// 5-d the grid's shell degenerates into a sweep of every occupied
+    /// bucket. A requested kind is built as asked, which is how tests and
+    /// benches compare backends. The engine downgrades `Grid` to
     /// [`NeighborIndexKind::LinearScan`] unless the metric asserts the
     /// grid's soundness bound through
     /// [`edm_common::metric::Metric::dominates_coordinate_axes`] (see
@@ -528,8 +534,8 @@ impl EdmConfigBuilder {
     /// asserts the triangle inequality through
     /// [`edm_common::metric::Metric::is_metric`] — so custom metrics stay
     /// exact without touching this knob.
-    pub fn neighbor_index(mut self, kind: NeighborIndexKind) -> Self {
-        self.cfg.neighbor_index = kind;
+    pub fn neighbor_index(mut self, kind: impl Into<Option<NeighborIndexKind>>) -> Self {
+        self.cfg.neighbor_index = kind.into();
         self
     }
 
@@ -657,12 +663,16 @@ mod tests {
     }
 
     #[test]
-    fn default_neighbor_index_is_the_grid() {
+    fn default_neighbor_index_is_left_to_the_engine() {
         let cfg = EdmConfig::builder(0.5).build().unwrap();
-        assert_eq!(cfg.neighbor_index(), NeighborIndexKind::Grid);
+        assert_eq!(cfg.neighbor_index(), None);
         let linear =
             cfg.to_builder().neighbor_index(NeighborIndexKind::LinearScan).build().unwrap();
-        assert_eq!(linear.neighbor_index(), NeighborIndexKind::LinearScan);
+        assert_eq!(linear.neighbor_index(), Some(NeighborIndexKind::LinearScan));
+        assert_eq!(
+            linear.to_builder().neighbor_index(None).build().unwrap().neighbor_index(),
+            None
+        );
     }
 
     #[test]

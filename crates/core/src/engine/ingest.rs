@@ -170,33 +170,73 @@ impl ScratchDistances {
     }
 }
 
-/// The timestamp gate of the checked entry points: `t` must be finite and
-/// not behind the stream clock `now` (within a 1e-9 s tolerance).
-/// [`EdmStream::try_insert`] and [`EdmStream::try_insert_batch`] apply it
-/// against [`EdmStream::stream_time`]; a front end that queues points for
-/// an engine applies the same rule against the largest timestamp it has
-/// queued.
+/// The admission rule of the checked entry points, with the state it
+/// checks against: the stream clock and the stream's coordinate count.
 ///
-/// # Errors
-/// [`EdmError::NonFiniteTime`] for NaN and ±∞, [`EdmError::TimeRegression`]
-/// for a `t` behind `now`.
-pub fn admissible(now: Timestamp, t: Timestamp) -> Result<(), EdmError> {
-    if !t.is_finite() {
-        return Err(EdmError::NonFiniteTime { t });
+/// A point is admitted when its timestamp is finite and not behind the
+/// clock (within a 1e-9 s tolerance) and, if it has coordinates, they are
+/// finite and as many as the stream's (set by the first point admitted).
+/// [`EdmStream::try_insert`] and [`EdmStream::try_insert_batch`] check
+/// against the engine's own clock and coordinate count; a front end that
+/// queues points for an engine starts a gate from the engine's
+/// [`EdmStream::stream_time`] and [`EdmStream::dimension`] and admits
+/// every point it queues through it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PointGate {
+    now: Timestamp,
+    dim: Option<usize>,
+}
+
+impl PointGate {
+    /// A gate at stream time `now` expecting `dim` coordinates per point;
+    /// `None` takes the count from the first point admitted.
+    pub fn new(now: Timestamp, dim: Option<usize>) -> Self {
+        PointGate { now, dim }
     }
-    if t < now - 1e-9 {
-        return Err(EdmError::TimeRegression { now, t });
+
+    /// Admits `(p, t)`: checks it and, when it passes, moves the clock up
+    /// to `t` and takes the point's coordinate count if the gate had none.
+    ///
+    /// # Errors
+    /// [`EdmError::NonFiniteTime`] for a NaN or ±∞ `t`,
+    /// [`EdmError::TimeRegression`] for a `t` behind the clock,
+    /// [`EdmError::DimensionMismatch`] for a point of another coordinate
+    /// count and [`EdmError::NonFiniteCoordinate`] for a NaN or ±∞
+    /// coordinate, checked in that order. A refused point leaves the gate
+    /// as it was.
+    pub fn admit<P: GridCoords>(&mut self, p: &P, t: Timestamp) -> Result<(), EdmError> {
+        if !t.is_finite() {
+            return Err(EdmError::NonFiniteTime { t });
+        }
+        if t < self.now - 1e-9 {
+            return Err(EdmError::TimeRegression { now: self.now, t });
+        }
+        if let Some(coords) = p.grid_coords() {
+            if let Some(expected) = self.dim.filter(|&d| d != coords.len()) {
+                return Err(EdmError::DimensionMismatch { expected, got: coords.len() });
+            }
+            if let Some(axis) = coords.iter().position(|x| !x.is_finite()) {
+                return Err(EdmError::NonFiniteCoordinate { axis });
+            }
+            self.dim = Some(coords.len());
+        }
+        self.now = self.now.max(t);
+        Ok(())
     }
-    Ok(())
 }
 
 impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
-    /// Feeds one stream point — the infallible hot path. Out-of-order
-    /// timestamps are a debug assertion here; ingest from untrusted
-    /// transports through [`EdmStream::try_insert`] instead.
+    /// Feeds one stream point — the infallible hot path. A point the
+    /// checked entry points would refuse (a bad timestamp, a coordinate
+    /// count other than the stream's, a non-finite coordinate) is a debug
+    /// assertion here; ingest from untrusted transports through
+    /// [`EdmStream::try_insert`] instead.
     pub fn insert(&mut self, p: &P, t: Timestamp) {
-        debug_assert!(t >= self.now - 1e-9, "stream time must not go backwards");
-        self.start.get_or_insert(t);
+        debug_assert_eq!(self.gate().admit(p, t), Ok(()), "point refused by the admission gate");
+        if self.start.is_none() {
+            self.start = Some(t);
+            self.dim = p.grid_coords().map(<[f64]>::len);
+        }
         self.now = self.now.max(t);
         self.stats.points += 1;
         match &mut self.phase {
@@ -210,13 +250,22 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         }
     }
 
-    /// Feeds one stream point, rejecting NaN and infinite timestamps with
-    /// [`EdmError::NonFiniteTime`] and timestamps behind the stream clock
-    /// with [`EdmError::TimeRegression`] instead of asserting.
+    /// Feeds one stream point, refusing what [`PointGate::admit`]
+    /// refuses instead of asserting: a NaN or infinite timestamp
+    /// ([`EdmError::NonFiniteTime`]), one behind the stream clock
+    /// ([`EdmError::TimeRegression`]), a coordinate count other than the
+    /// stream's ([`EdmError::DimensionMismatch`]) and a NaN or infinite
+    /// coordinate ([`EdmError::NonFiniteCoordinate`]).
     pub fn try_insert(&mut self, p: &P, t: Timestamp) -> Result<(), EdmError> {
-        admissible(self.now, t)?;
+        self.gate().admit(p, t)?;
         self.insert(p, t);
         Ok(())
+    }
+
+    /// The admission gate at the engine's current clock and coordinate
+    /// count.
+    fn gate(&self) -> PointGate {
+        PointGate::new(self.now, self.dim)
     }
 
     /// Feeds a batch of stream points in order. Observationally equivalent
@@ -243,9 +292,11 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         let mut rest = batch;
         // The initialization buffer fills serially: initialization is
         // already a batch pass of its own, and its cells are born at
-        // unpredictable points — not worth probing ahead of.
+        // unpredictable points — not worth probing ahead of. So does
+        // everything up to the stream's first cell, which picks the index
+        // the probes read.
         while let Some(((p, t), tail)) = rest.split_first() {
-            if self.is_initialized() {
+            if self.index_picked {
                 break;
             }
             self.insert(p, *t);
@@ -267,8 +318,8 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     }
 
     /// Batch variant of [`EdmStream::try_insert`]: stops at the first
-    /// non-finite or out-of-order timestamp, reporting its index alongside
-    /// the error; points before it are already ingested.
+    /// point it refuses, reporting its index alongside the error; points
+    /// before it are already ingested.
     pub fn try_insert_batch(&mut self, batch: &[(P, Timestamp)]) -> Result<(), (usize, EdmError)> {
         if self.cfg.ingest_threads <= 1 {
             for (i, (p, t)) in batch.iter().enumerate() {
@@ -279,13 +330,12 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         // Find the first offender upfront so the parallel path only ever
         // sees a clean prefix; like the serial loop, everything before the
         // offender is ingested.
-        let mut now = self.now;
-        for (i, (_, t)) in batch.iter().enumerate() {
-            if let Err(e) = admissible(now, *t) {
+        let mut gate = self.gate();
+        for (i, (p, t)) in batch.iter().enumerate() {
+            if let Err(e) = gate.admit(p, *t) {
                 self.insert_batch(&batch[..i]);
                 return Err((i, e));
             }
-            now = now.max(*t);
         }
         self.insert_batch(batch);
         Ok(())
@@ -326,8 +376,11 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         let recycled_before = self.stats.recycled;
         let rebuilds_before = self.stats.grid_rebuilds;
         for ((p, t), slot) in round.iter().zip(slots.iter()) {
-            debug_assert!(*t >= self.now - 1e-9, "stream time must not go backwards");
-            self.start.get_or_insert(*t);
+            debug_assert_eq!(
+                self.gate().admit(p, *t),
+                Ok(()),
+                "point refused by the admission gate"
+            );
             self.now = self.now.max(*t);
             self.stats.points += 1;
             let stale = invalidate_all
@@ -403,7 +456,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                 }
                 None => {
                     let id = self.slab.insert(Cell::new(p, tp));
-                    self.index.on_insert(id, &self.slab.get(id).seed, &self.slab, &self.metric);
+                    self.index_birth(id);
                 }
             }
         }
@@ -510,7 +563,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                 // New cluster-cell, cached in the reservoir (low density).
                 self.stats.new_cells += 1;
                 let id = self.slab.insert(Cell::new(p.clone(), t));
-                self.index.on_insert(id, &self.slab.get(id).seed, &self.slab, &self.metric);
+                self.index_birth(id);
                 self.idle.push(id, t);
                 born = Some(id);
             }
@@ -530,6 +583,22 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         }
         self.update_reservoir_peak();
         born
+    }
+
+    /// Files a newborn cell in the neighbor index. The stream's first
+    /// cell picks the index from its seed's coordinate count
+    /// ([`CellIndex::from_config`]) in place of the empty linear scan the
+    /// engine was built with; nothing is picked again, even if the slab
+    /// later empties.
+    fn index_birth(&mut self, id: CellId) {
+        let seed = &self.slab.get(id).seed;
+        if !self.index_picked {
+            let dim = seed.grid_coords().map(<[f64]>::len);
+            self.index =
+                CellIndex::from_config(self.cfg.neighbor_index(), self.cfg.r(), dim, &self.metric);
+            self.index_picked = true;
+        }
+        self.index.on_insert(id, seed, &self.slab, &self.metric);
     }
 
     /// Resolves the assignment query through the neighbor index: the

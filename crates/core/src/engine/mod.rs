@@ -8,9 +8,9 @@
 //!   nearest cell seed within `r` absorbs the point, else a new inactive
 //!   cell is born into the outlier reservoir; a reservoir cell crossing
 //!   the active threshold is inserted into the DP-Tree. The seed lookup
-//!   goes through the configured [`crate::index::NeighborIndex`] (which
-//!   keeps it sub-linear in cell count for coordinate payloads), and the
-//!   initialization batch pass lives here too.
+//!   goes through a [`crate::index::NeighborIndex`] (which keeps it
+//!   sub-linear in cell count) that the stream's first cell picks, and
+//!   the initialization batch pass lives here too.
 //! * [`maintain`](self) — **dependency + decay + recycling**
 //!   (`maintain.rs`): the absorbing cell rose in the density order; only
 //!   cells it *overtook* can change dependency (Theorem 1), and the
@@ -51,7 +51,7 @@ mod query;
 #[cfg(test)]
 mod tests;
 
-pub use ingest::admissible;
+pub use ingest::PointGate;
 pub use pool::live_pool_workers;
 
 use edm_common::decay::DecayModel;
@@ -100,8 +100,11 @@ pub struct EdmStream<P, M> {
     tracker: EvolutionTracker,
     stats: EngineStats,
     /// Neighbor index over cell seeds; answers assignment and
-    /// nearest-denser queries without scanning the whole slab.
+    /// nearest-denser queries without scanning the whole slab. An empty
+    /// linear scan until the stream's first cell picks the real one.
     index: CellIndex,
+    /// Whether the first cell has picked the index (`index_birth`).
+    index_picked: bool,
     /// |p, s_c| per slab slot, filled by the assignment scan of the current
     /// point (feeds the triangle filter for free, paper §4.2).
     scratch: ScratchDistances,
@@ -123,6 +126,10 @@ pub struct EdmStream<P, M> {
     dt_del: f64,
     start: Option<Timestamp>,
     now: Timestamp,
+    /// Coordinate count of the stream's first point (`None` before it and
+    /// for coordinate-less payloads); the admission gate holds every
+    /// later point to it.
+    dim: Option<usize>,
     /// The DP-Tree population: ids of all currently active cells, in
     /// activation order. Publication's id-sorted walks, τ and the
     /// unfiltered candidate pass read it; it never holds the reservoir.
@@ -183,24 +190,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         };
         let active_thr = cfg.active_threshold();
         let dt_del = cfg.delta_t_del();
-        // Each index backend is only built when the metric vouches for
-        // the capability its pruning rests on: the grid needs the
-        // axis-domination bound ([`Metric::dominates_coordinate_axes`]),
-        // the cover tree needs the triangle inequality
-        // ([`Metric::is_metric`]). Anything else gets the exact linear
-        // scan, so a custom metric can never make an index silently drop
-        // a true neighbor. The index chosen here is kept for the engine's
-        // whole life.
-        let axis_bound = metric.dominates_coordinate_axes();
-        let index_kind = match cfg.neighbor_index() {
-            crate::index::NeighborIndexKind::Grid if !axis_bound => {
-                crate::index::NeighborIndexKind::LinearScan
-            }
-            crate::index::NeighborIndexKind::CoverTree if !metric.is_metric() => {
-                crate::index::NeighborIndexKind::LinearScan
-            }
-            kind => kind,
-        };
         EdmStream {
             tau_ctl: TauController::new(cfg.tau_mode()),
             phase: Phase::Caching(Vec::with_capacity(cfg.init_points())),
@@ -210,7 +199,8 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             log: EvolutionLog::with_capacity(cfg.event_capacity()),
             tracker: EvolutionTracker::new(cfg.event_capacity(), cfg.digest_history()),
             stats: EngineStats::default(),
-            index: CellIndex::from_config(index_kind, cfg.r(), axis_bound),
+            index: CellIndex::Linear(crate::index::LinearScan),
+            index_picked: false,
             scratch: ScratchDistances::default(),
             idle: IdleQueue::default(),
             probe_pool: ProbePool::default(),
@@ -220,6 +210,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             dt_del,
             start: None,
             now: 0.0,
+            dim: None,
             active_ids: Vec::new(),
             order: DensityOrder::build(&cfg.decay, 0.0, []),
             apex: None,

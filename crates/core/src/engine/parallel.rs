@@ -149,7 +149,8 @@ mod tests {
 
     fn slab_grid(n: usize) -> (CellSlab<DenseVector>, CellIndex) {
         let mut slab = CellSlab::new();
-        let mut index = CellIndex::from_config(crate::index::NeighborIndexKind::Grid, 0.5, true);
+        let grid = Some(crate::index::NeighborIndexKind::Grid);
+        let mut index = CellIndex::from_config::<DenseVector, _>(grid, 0.5, Some(2), &Euclidean);
         for i in 0..n {
             let seed = DenseVector::from([(i % 16) as f64 * 2.0, (i / 16) as f64 * 2.0]);
             let id = slab.insert(Cell::new(seed, 0.0));

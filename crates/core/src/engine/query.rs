@@ -55,7 +55,9 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// Human-readable label of the neighbor-index backend the engine
     /// built (`"linear"`, `"grid"` or `"cover-tree"`) — after any
     /// capability downgrade, so a grid config on a metric without the
-    /// axis bound reports `"linear"`.
+    /// axis bound reports `"linear"`. The index is picked when the
+    /// stream's first cell enters it; before that this names the empty
+    /// stand-in, `"linear"`.
     pub fn index_label(&self) -> &'static str {
         self.index.label()
     }
@@ -387,6 +389,14 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// the last batch's timestamps around.
     pub fn stream_time(&self) -> Timestamp {
         self.now
+    }
+
+    /// The stream's coordinate count, taken from its first point: `None`
+    /// before the first point and for payloads without coordinates. The
+    /// checked entry points refuse a point of any other count
+    /// ([`crate::EdmError::DimensionMismatch`]).
+    pub fn dimension(&self) -> Option<usize> {
+        self.dim
     }
 
     /// Snapshot of the current clusters.

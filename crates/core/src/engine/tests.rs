@@ -380,6 +380,69 @@ fn try_insert_rejects_non_finite_timestamps_and_batch_reports_index() {
 }
 
 #[test]
+fn points_of_another_dimensionality_are_refused_with_their_index() {
+    use crate::error::EdmError;
+    for threads in [1usize, 4] {
+        for bad_dim in [1usize, 16] {
+            let mut e = EdmStream::new(parallel_cfg(threads), Euclidean);
+            assert_eq!(e.dimension(), None);
+            feed_two_blobs(&mut e, 100);
+            assert_eq!(e.dimension(), Some(2));
+            let now = e.stream_time();
+            let bad = DenseVector::new(vec![0.1; bad_dim]);
+            let mismatch = EdmError::DimensionMismatch { expected: 2, got: bad_dim };
+            assert_eq!(e.try_insert(&bad, now + 0.01), Err(mismatch));
+            assert_eq!(e.stream_time(), now, "a refused point moved the clock");
+            // Batch: index 2 is the offender; points 0 and 1 are ingested.
+            let points = e.stats().points;
+            let mut batch: Vec<(DenseVector, f64)> = (1..=4)
+                .map(|k| (DenseVector::from([0.1 * k as f64, 0.0]), now + 0.01 * k as f64))
+                .collect();
+            batch[2].0 = bad.clone();
+            assert_eq!(e.try_insert_batch(&batch), Err((2, mismatch)), "threads={threads}");
+            assert_eq!(e.stats().points, points + 2);
+            assert_eq!(e.stream_time(), now + 0.02);
+            e.check_invariants(e.stream_time()).unwrap();
+            e.check_index().unwrap();
+            // The stream keeps accepting its own dimensionality.
+            e.try_insert(&DenseVector::from([0.1, 0.0]), now + 0.03).unwrap();
+            assert_eq!(e.dimension(), Some(2));
+        }
+    }
+}
+
+#[test]
+fn non_finite_coordinates_are_refused_and_found_no_cells() {
+    use crate::error::EdmError;
+    for threads in [1usize, 4] {
+        let mut e = EdmStream::new(parallel_cfg(threads), Euclidean);
+        feed_two_blobs(&mut e, 100);
+        let cells = e.n_cells();
+        let mut t = e.stream_time();
+        for i in 0..64 {
+            t += 0.01;
+            let bad = if i % 2 == 0 { [f64::NAN, 0.0] } else { [0.0, f64::NEG_INFINITY] };
+            let axis = i % 2;
+            let err = e.try_insert(&DenseVector::from(bad), t).unwrap_err();
+            assert_eq!(err, EdmError::NonFiniteCoordinate { axis }, "point {i}");
+        }
+        assert_eq!(e.n_cells(), cells, "a refused point founded a cell");
+        let batch = vec![
+            (DenseVector::from([0.1, 0.0]), t),
+            (DenseVector::from([f64::INFINITY, 0.0]), t),
+            (DenseVector::from([0.1, 0.0]), t),
+        ];
+        assert_eq!(
+            e.try_insert_batch(&batch),
+            Err((1, EdmError::NonFiniteCoordinate { axis: 0 })),
+            "threads={threads}"
+        );
+        assert_eq!(e.n_cells(), cells);
+        e.check_invariants(t).unwrap();
+    }
+}
+
+#[test]
 fn snapshot_freezes_state_and_aligns_event_cursor() {
     let mut e = EdmStream::new(mini_cfg(0.5), Euclidean);
     feed_two_blobs(&mut e, 300);
@@ -527,7 +590,12 @@ fn grid_downgrades_for_metrics_without_the_axis_bound() {
         }
         // dominates_coordinate_axes: default false.
     }
-    let mut e = EdmStream::new(mini_cfg(0.5), ScaledEuclidean);
+    let grid = mini_cfg(0.5)
+        .to_builder()
+        .neighbor_index(crate::index::NeighborIndexKind::Grid)
+        .build()
+        .unwrap();
+    let mut e = EdmStream::new(grid, ScaledEuclidean);
     e.insert(&DenseVector::from([0.0, 0.0]), 0.0);
     e.force_init();
     // Coordinate distance 3.0 >> r, metric distance 0.3 < r: absorbed.
@@ -563,6 +631,94 @@ fn stats_count_points_and_cells() {
     e.insert(&DenseVector::from([321.0, 321.0]), 1.51);
     assert_eq!(e.stats().new_cells, 1);
     assert!(e.n_cells() >= 3);
+}
+
+// ----- the engine's pick of neighbor index -----
+
+/// The index an engine with `cfg` and `metric` builds for a stream of
+/// `dim`-d points, read after initialization.
+fn picked_for<M: Metric<DenseVector>>(cfg: EdmConfig, metric: M, dim: usize) -> &'static str {
+    let mut e = EdmStream::new(cfg, metric);
+    assert_eq!(e.index_label(), "linear", "the empty stand-in");
+    for i in 0..60 {
+        let mut p = DenseVector::zeros(dim);
+        p.coords_mut()[0] = (i % 6) as f64 * 3.0;
+        e.insert(&p, i as f64 / 100.0);
+    }
+    assert!(e.is_initialized());
+    e.check_index().unwrap();
+    e.index_label()
+}
+
+#[test]
+fn the_engine_picks_the_grid_for_low_dimensional_vectors() {
+    assert_eq!(picked_for(mini_cfg(0.5), Euclidean, 2), "grid");
+    assert_eq!(picked_for(mini_cfg(0.5), Euclidean, crate::index::GRID_MAX_DIM), "grid");
+}
+
+#[test]
+fn the_engine_picks_the_cover_tree_above_the_grid_limit() {
+    assert_eq!(picked_for(mini_cfg(0.5), Euclidean, crate::index::GRID_MAX_DIM + 1), "cover-tree");
+    assert_eq!(picked_for(mini_cfg(0.5), Euclidean, 16), "cover-tree");
+}
+
+#[test]
+fn the_engine_picks_the_cover_tree_for_token_sets() {
+    use edm_common::metric::Jaccard;
+    use edm_common::point::TokenSet;
+    let mut e = EdmStream::new(mini_cfg(0.6), Jaccard);
+    assert_eq!(e.index_label(), "linear");
+    for i in 0..60u32 {
+        e.insert(&TokenSet::new(vec![i % 6 * 10, i % 6 * 10 + 1]), f64::from(i) / 100.0);
+    }
+    assert_eq!(e.dimension(), None, "token sets have no coordinates");
+    assert_eq!(e.index_label(), "cover-tree");
+    e.check_index().unwrap();
+}
+
+#[test]
+fn the_engine_scans_for_a_metric_with_neither_marker() {
+    struct Unmarked;
+    impl Metric<DenseVector> for Unmarked {
+        fn dist(&self, a: &DenseVector, b: &DenseVector) -> f64 {
+            a.dist(b)
+        }
+        fn name(&self) -> &'static str {
+            "unmarked"
+        }
+    }
+    assert_eq!(picked_for(mini_cfg(0.5), Unmarked, 2), "linear");
+    assert_eq!(picked_for(mini_cfg(0.5), Unmarked, 16), "linear");
+}
+
+#[test]
+fn an_explicit_index_kind_wins_over_the_pick() {
+    use crate::index::NeighborIndexKind;
+    let with = |kind| mini_cfg(0.5).to_builder().neighbor_index(kind).build().unwrap();
+    assert_eq!(picked_for(with(NeighborIndexKind::Grid), Euclidean, 16), "grid");
+    assert_eq!(picked_for(with(NeighborIndexKind::CoverTree), Euclidean, 2), "cover-tree");
+    assert_eq!(picked_for(with(NeighborIndexKind::LinearScan), Euclidean, 2), "linear");
+    assert_eq!(picked_for(with(NeighborIndexKind::LinearScan), Euclidean, 16), "linear");
+}
+
+#[test]
+fn an_empty_initialization_leaves_the_pick_to_the_first_point() {
+    let mut e = EdmStream::new(mini_cfg(0.5), Euclidean);
+    e.force_init();
+    assert!(e.is_initialized());
+    assert_eq!(e.index_label(), "linear", "no cell yet: the stand-in");
+    let mut t = 0.0;
+    for i in 0..200 {
+        t += 0.01;
+        let mut p = DenseVector::zeros(16);
+        p.coords_mut()[i % 8] = (i % 5) as f64 * 2.0;
+        e.insert(&p, t);
+    }
+    assert_eq!(e.dimension(), Some(16));
+    assert_eq!(e.index_label(), "cover-tree");
+    assert!(e.stats().index_pruned > 0, "the tree prunes");
+    e.check_index().unwrap();
+    e.check_invariants(t).unwrap();
 }
 
 // ----- cover-tree neighbor index -----
@@ -617,14 +773,15 @@ fn cover_tree_engine_matches_the_linear_scan() {
 fn cover_tree_indexes_token_sets_the_grid_can_only_scan() {
     use edm_common::metric::Jaccard;
     use edm_common::point::TokenSet;
-    // Jaccard is a true metric but has no coordinate embedding: the
-    // default grid config downgrades to the linear scan, while the cover
-    // tree indexes the sets for real — same output, fewer probes.
+    // Jaccard is a true metric but has no coordinate embedding: a grid
+    // config downgrades to the linear scan, while the cover tree indexes
+    // the sets for real — same output, fewer probes.
     let base = EdmConfig::builder(0.6)
         .rate(100.0)
         .beta_for_threshold(2.0)
         .init_points(10)
         .maintenance_every(8)
+        .neighbor_index(crate::index::NeighborIndexKind::Grid)
         .build()
         .unwrap();
     let cover_cfg = base
@@ -829,9 +986,9 @@ fn parallel_try_insert_batch_ingests_the_prefix_and_reports_the_offender() {
 fn parallel_path_works_for_coordinate_less_payloads() {
     use edm_common::metric::Jaccard;
     use edm_common::point::TokenSet;
-    // TokenSet has no grid coordinates: the engine runs the linear scan
-    // and every birth conflicts with every pending probe — the parallel
-    // path must stay correct (if slower) under total invalidation.
+    // TokenSet has no grid coordinates: the engine picks the cover tree,
+    // whose birth-conflict horizon is measured in Jaccard distance rather
+    // than bucket geometry — the parallel path must stay exact under it.
     let cfg = EdmConfig::builder(0.6)
         .rate(100.0)
         .beta_for_threshold(2.0)

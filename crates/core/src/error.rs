@@ -28,6 +28,23 @@ pub enum EdmError {
         /// The offending timestamp.
         t: Timestamp,
     },
+    /// A point's coordinate count differs from the stream's, which its
+    /// first point set ([`crate::EdmStream::dimension`]). The distance
+    /// kernels compare coordinate by coordinate and would read past the
+    /// shorter payload or ignore the longer one's tail.
+    DimensionMismatch {
+        /// The stream's coordinate count.
+        expected: usize,
+        /// The offending point's coordinate count.
+        got: usize,
+    },
+    /// A point has a NaN or infinite coordinate. Its distance to every
+    /// cell would be NaN or infinite, so it would found a cell no later
+    /// point could ever reach.
+    NonFiniteCoordinate {
+        /// The first offending axis.
+        axis: usize,
+    },
 }
 
 impl std::fmt::Display for EdmError {
@@ -38,6 +55,12 @@ impl std::fmt::Display for EdmError {
                 write!(f, "stream time went backwards: now {now}, got {t}")
             }
             EdmError::NonFiniteTime { t } => write!(f, "stream time must be finite, got {t}"),
+            EdmError::DimensionMismatch { expected, got } => {
+                write!(f, "point has {got} coordinates, the stream has {expected}")
+            }
+            EdmError::NonFiniteCoordinate { axis } => {
+                write!(f, "coordinate {axis} of the point is not finite")
+            }
         }
     }
 }
@@ -46,7 +69,10 @@ impl std::error::Error for EdmError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EdmError::Config(e) => Some(e),
-            EdmError::TimeRegression { .. } | EdmError::NonFiniteTime { .. } => None,
+            EdmError::TimeRegression { .. }
+            | EdmError::NonFiniteTime { .. }
+            | EdmError::DimensionMismatch { .. }
+            | EdmError::NonFiniteCoordinate { .. } => None,
         }
     }
 }
@@ -67,6 +93,9 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains('5') && msg.contains('3'), "{msg}");
         assert!(EdmError::NonFiniteTime { t: f64::NAN }.to_string().contains("NaN"));
+        let msg = EdmError::DimensionMismatch { expected: 2, got: 16 }.to_string();
+        assert!(msg.contains("16 coordinates") && msg.contains("has 2"), "{msg}");
+        assert!(EdmError::NonFiniteCoordinate { axis: 3 }.to_string().contains("coordinate 3"));
         let c: EdmError = ConfigError::ZeroInitPoints.into();
         assert!(c.to_string().contains("init_points"));
     }

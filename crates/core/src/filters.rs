@@ -157,7 +157,8 @@ pub struct EngineStats {
     #[serde(default)]
     pub probe_revalidations_avoided: u64,
     /// Neighbor-index backend switches. Always zero: the engine picks its
-    /// index once, at construction, and never switches it. Kept because
+    /// index once, when the stream's first cell enters it (an empty
+    /// linear scan stands in before), and never switches it. Kept because
     /// the repository benchmark reads the field as `index.switches`.
     /// Serde-defaulted so stats persisted before the field existed still
     /// load.

@@ -34,8 +34,12 @@
 //! kind never changes clustering output — only the number of distance
 //! computations, which the engine counts in
 //! [`crate::EngineStats::index_probed`] / [`crate::EngineStats::index_pruned`].
-//! The engine picks its index once, at construction
-//! ([`CellIndex::from_config`]), and keeps it for its whole life.
+//! The engine picks its index once, when the first cell enters it
+//! ([`CellIndex::from_config`]): the kind the configuration asked for, or,
+//! left to the engine, the grid for payloads of at most [`GRID_MAX_DIM`]
+//! coordinates and the cover tree above that and for coordinate-less
+//! payloads. An empty linear scan stands in until then, and the index
+//! picked is kept for the engine's whole life.
 
 mod cover;
 mod grid;
@@ -52,9 +56,21 @@ use serde::{Deserialize, Serialize};
 use crate::cell::{Cell, CellId};
 use crate::slab::CellSlab;
 
+/// Most coordinates a payload may have for the engine to pick the grid
+/// when the configuration leaves the index to it. Up to 5-d an assignment
+/// probe reads a 3^d bucket shell of at most 243 buckets and the grid
+/// outruns the cover tree; from 6-d on the shell turns into a sweep of
+/// every occupied bucket, and the tree wins on clustered layouts and on
+/// the 34–54-d dataset surrogates. The `index_choice` section of
+/// `BENCH_ingest.json` records the runs, including a stream on which
+/// nearly every point founds a cell and the grid holds out to 7-d.
+pub const GRID_MAX_DIM: usize = 5;
+
 /// Which neighbor index the engine builds — the
-/// [`crate::EdmConfigBuilder::neighbor_index`] knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// [`crate::EdmConfigBuilder::neighbor_index`] knob. Left unset, the
+/// engine picks one from the stream's first point
+/// ([`CellIndex::from_config`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum NeighborIndexKind {
     /// Brute-force full scan over the slab. Exact for every metric space;
     /// insert cost grows linearly with cell count.
@@ -68,8 +84,8 @@ pub enum NeighborIndexKind {
     /// downgrades the whole index to [`LinearScan`] for metrics that do
     /// not assert the bound via
     /// [`edm_common::metric::Metric::dominates_coordinate_axes`] — a
-    /// custom metric can never be silently mis-pruned. The default.
-    #[default]
+    /// custom metric can never be silently mis-pruned. The engine's pick
+    /// for payloads of at most [`GRID_MAX_DIM`] coordinates.
     Grid,
     /// Best-first metric tree over cell seeds ([`CoverTree`]). Exact for
     /// any true metric — the engine downgrades it to [`LinearScan`]
@@ -77,7 +93,9 @@ pub enum NeighborIndexKind {
     /// [`edm_common::metric::Metric::is_metric`]. Unlike the grid it
     /// needs no coordinate embedding, so it indexes token sets and other
     /// coordinate-less payloads, and it keeps pruning in high dimensions
-    /// where uniform buckets degenerate into occupied-bucket sweeps.
+    /// where uniform buckets degenerate into occupied-bucket sweeps. The
+    /// engine's pick above [`GRID_MAX_DIM`] coordinates and for
+    /// coordinate-less payloads under a true metric.
     CoverTree,
 }
 
@@ -252,28 +270,52 @@ pub enum CellIndex {
 }
 
 impl CellIndex {
-    /// Builds the index a configuration asks for; `r` is the cluster-cell
-    /// radius (the grid's bucket side) and `axis_bound` whether the
-    /// engine's metric dominates per-axis coordinate differences (lets the
-    /// cover tree hand out Chebyshev
-    /// [`NeighborIndex::distance_lower_bound`]s; the grid is only ever
-    /// asked for when it holds — the engine downgrades unsound kinds
-    /// before this call). The choice is final: no index is re-selected or
-    /// re-tuned afterwards.
+    /// Builds the engine's index: the whole decision, made once, when the
+    /// stream's first cell enters the index. `requested` is the
+    /// configured kind, `r` the cluster-cell radius (the grid's bucket
+    /// side) and `dim` the first cell's coordinate count (`None` for
+    /// coordinate-less payloads).
     ///
-    /// A degenerate radius (zero, negative, non-finite) builds the linear
-    /// scan instead of a grid, rather than panicking: the builder rejects
-    /// such configs with typed [`crate::ConfigError`]s, so this only
-    /// triggers for configs smuggled past validation (deserialization,
-    /// FFI), where the engine's contract is debug-assert-only.
-    pub fn from_config(kind: NeighborIndexKind, r: f64, axis_bound: bool) -> Self {
+    /// Left unset, the kind is picked from `dim` and the metric's
+    /// markers: the grid for at most [`GRID_MAX_DIM`] coordinates under a
+    /// metric that [dominates the coordinate
+    /// axes](edm_common::metric::Metric::dominates_coordinate_axes);
+    /// otherwise the cover tree for a [true
+    /// metric](edm_common::metric::Metric::is_metric) (token sets under
+    /// Jaccard included); otherwise the grid when the axes are dominated;
+    /// otherwise the linear scan. A requested kind is taken as it is.
+    ///
+    /// Either way a backend is only built when the metric vouches for the
+    /// capability its pruning rests on — the grid for the axis bound, the
+    /// cover tree for the triangle inequality — and anything else gets
+    /// the exact linear scan, so a custom metric can never make an index
+    /// silently drop a true neighbor. A degenerate radius (zero,
+    /// negative, non-finite) also builds the linear scan instead of a
+    /// grid, rather than panicking: the builder rejects such configs with
+    /// typed [`crate::ConfigError`]s, so this only triggers for configs
+    /// smuggled past validation (deserialization, FFI), where the
+    /// engine's contract is debug-assert-only.
+    pub fn from_config<P, M: Metric<P>>(
+        requested: Option<NeighborIndexKind>,
+        r: f64,
+        dim: Option<usize>,
+        metric: &M,
+    ) -> Self {
+        let axis_bound = metric.dominates_coordinate_axes();
+        let kind = requested.unwrap_or(match dim {
+            Some(d) if axis_bound && d <= GRID_MAX_DIM => NeighborIndexKind::Grid,
+            _ if metric.is_metric() => NeighborIndexKind::CoverTree,
+            _ if axis_bound => NeighborIndexKind::Grid,
+            _ => NeighborIndexKind::LinearScan,
+        });
         match kind {
-            NeighborIndexKind::LinearScan => CellIndex::Linear(LinearScan),
-            NeighborIndexKind::CoverTree => CellIndex::Cover(CoverTree::new(axis_bound)),
-            NeighborIndexKind::Grid if r.is_finite() && r > 0.0 => {
+            NeighborIndexKind::CoverTree if metric.is_metric() => {
+                CellIndex::Cover(CoverTree::new(axis_bound))
+            }
+            NeighborIndexKind::Grid if axis_bound && r.is_finite() && r > 0.0 => {
                 CellIndex::Grid(UniformGrid::new(r))
             }
-            NeighborIndexKind::Grid => CellIndex::Linear(LinearScan),
+            _ => CellIndex::Linear(LinearScan),
         }
     }
 
@@ -419,18 +461,20 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edm_common::metric::Euclidean;
+    use edm_common::point::DenseVector;
+
+    fn label(kind: Option<NeighborIndexKind>, dim: usize) -> &'static str {
+        CellIndex::from_config::<DenseVector, _>(kind, 0.5, Some(dim), &Euclidean).label()
+    }
 
     #[test]
     fn from_config_builds_what_was_asked() {
-        assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::LinearScan, 0.5, true).label(),
-            "linear"
-        );
-        assert_eq!(CellIndex::from_config(NeighborIndexKind::Grid, 0.5, true).label(), "grid");
-        assert_eq!(
-            CellIndex::from_config(NeighborIndexKind::CoverTree, 0.5, true).label(),
-            "cover-tree"
-        );
+        for dim in [2, 16] {
+            assert_eq!(label(Some(NeighborIndexKind::LinearScan), dim), "linear");
+            assert_eq!(label(Some(NeighborIndexKind::Grid), dim), "grid");
+            assert_eq!(label(Some(NeighborIndexKind::CoverTree), dim), "cover-tree");
+        }
     }
 
     #[test]
@@ -439,8 +483,10 @@ mod tests {
         // (deserialization/FFI) bypass builder validation; the engine must
         // not panic in release builds.
         for bad in [0.0, -3.0, f64::NAN, f64::INFINITY] {
-            let ix = CellIndex::from_config(NeighborIndexKind::Grid, bad, true);
-            assert_eq!(ix.label(), "linear", "radius {bad} must degrade");
+            for kind in [Some(NeighborIndexKind::Grid), None] {
+                let ix = CellIndex::from_config::<DenseVector, _>(kind, bad, Some(2), &Euclidean);
+                assert_eq!(ix.label(), "linear", "radius {bad} must degrade");
+            }
         }
     }
 }

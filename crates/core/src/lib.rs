@@ -60,7 +60,7 @@
 //! | [`cell`] | §3.2 Def. 4, Eq. 6–8 | cluster-cells, lazily decayed density, the strict density order |
 //! | [`slab`] | §4.3–4.4 | stable-id cell storage with slot recycling |
 //! | [`tree`] | §2.2, Def. 1–3 | DP-Tree edges, strong links, MSDSubTree traversals, invariants |
-//! | [`index`] | §4.1 "New point assignment", §4.3 dependency recomputation | sub-linear neighbor lookup over cell seeds, one index per engine fixed at construction: uniform grid at bucket side `r`, best-first cover tree (triangle-inequality pruning for high-d and coordinate-less payloads), linear-scan fallback |
+//! | [`index`] | §4.1 "New point assignment", §4.3 dependency recomputation | sub-linear neighbor lookup over cell seeds, one index per engine, picked when the first cell enters it: uniform grid at bucket side `r` up to `GRID_MAX_DIM` = 5 coordinates, best-first cover tree (triangle-inequality pruning) above that and for coordinate-less payloads, linear-scan fallback |
 //! | [`engine`] | §4, Fig 5 | the pipeline facade over the three layers below |
 //! | `engine/ingest.rs` | §4.1 | assignment, new-cell admission, emergence, the initialization batch pass |
 //! | `engine/maintain.rs` | §4.2–4.4, Thm 1–3 | dependency maintenance, decay sweep, idle-queue ΔT_del recycling |
@@ -96,7 +96,7 @@ pub mod tree;
 
 pub use cell::{Cell, CellId};
 pub use config::{ConfigError, EdmConfig, EdmConfigBuilder};
-pub use engine::{admissible, live_pool_workers, EdmStream};
+pub use engine::{live_pool_workers, EdmStream, PointGate};
 pub use error::EdmError;
 pub use evolution::{AdjustKind, ClusterId, Event, EventCursor, EventKind, EvolutionLog};
 pub use evolve::{
@@ -105,6 +105,8 @@ pub use evolve::{
     SplitEdge,
 };
 pub use filters::{EngineStats, FilterConfig};
-pub use index::{CoverTree, LinearScan, NeighborIndex, NeighborIndexKind, UniformGrid};
+pub use index::{
+    CoverTree, LinearScan, NeighborIndex, NeighborIndexKind, UniformGrid, GRID_MAX_DIM,
+};
 pub use snapshot::{ClusterInfo, ClusterSnapshot};
 pub use tau::TauMode;

@@ -171,7 +171,9 @@ proptest! {
     /// triangle-inequality radius bounds, and neither a stale node nor an
     /// unsound covering radius may survive (`check_index` verifies every
     /// node against every ancestor's radius, and the equivalence against
-    /// the linear scan proves the searches stayed exact).
+    /// the linear scan proves the searches stayed exact). A defaulted
+    /// config rides along at 2-d and 16-d, so the index the engine picks
+    /// for itself (the grid, then the cover tree) is held to the scan too.
     #[test]
     fn cover_tree_matches_linear_scan_across_recycling_interleavings(
         ops in prop::collection::vec(
@@ -179,7 +181,7 @@ proptest! {
             40..200,
         ),
     ) {
-        let cfg = |kind| {
+        let cfg = |kind: Option<NeighborIndexKind>| {
             EdmConfig::builder(0.8)
                 .rate(100.0)
                 .beta_for_threshold(3.0)
@@ -191,26 +193,38 @@ proptest! {
                 .build()
                 .expect("valid test configuration")
         };
-        let mut linear = EdmStream::new(cfg(NeighborIndexKind::LinearScan), Euclidean);
-        let mut cover = EdmStream::new(cfg(NeighborIndexKind::CoverTree), Euclidean);
-        let mut t = 0.0;
-        for (i, &(x, y, jump)) in ops.iter().enumerate() {
-            t += if jump { 7.0 } else { 0.01 };
-            let p = DenseVector::from([x, y]);
-            linear.insert(&p, t);
-            cover.insert(&p, t);
-            prop_assert!(cover.check_index().is_ok(), "index diverged: {:?}", cover.check_index());
-            if i % 7 == 0 && cover.is_initialized() {
-                prop_assert!(cover.check_invariants(t).is_ok(), "{:?}", cover.check_invariants(t));
+        for (dim, picked) in [(2, "grid"), (16, "cover-tree")] {
+            let mut linear = EdmStream::new(cfg(Some(NeighborIndexKind::LinearScan)), Euclidean);
+            let mut cover = EdmStream::new(cfg(Some(NeighborIndexKind::CoverTree)), Euclidean);
+            let mut default = EdmStream::new(cfg(None), Euclidean);
+            let mut t = 0.0;
+            for (i, &(x, y, jump)) in ops.iter().enumerate() {
+                t += if jump { 7.0 } else { 0.01 };
+                let p = lift(x, y, dim);
+                for e in [&mut linear, &mut cover, &mut default] {
+                    e.insert(&p, t);
+                }
+                for e in [&cover, &default] {
+                    prop_assert!(e.check_index().is_ok(), "index diverged: {:?}", e.check_index());
+                    if i % 7 == 0 && e.is_initialized() {
+                        prop_assert!(e.check_invariants(t).is_ok(), "{:?}", e.check_invariants(t));
+                    }
+                }
             }
-        }
-        linear.force_init();
-        cover.force_init();
-        prop_assert_eq!(observe(&mut linear, t), observe(&mut cover, t));
-        prop_assert!(cover.check_index().is_ok());
-        prop_assert!(cover.check_invariants(t).is_ok());
-        if ops.iter().filter(|(_, _, j)| *j).count() >= 5 {
-            prop_assert!(cover.stats().recycled > 0, "recycling never fired");
+            for e in [&mut linear, &mut cover, &mut default] {
+                e.force_init();
+            }
+            prop_assert_eq!(default.index_label(), picked);
+            let reference = observe(&mut linear, t);
+            prop_assert_eq!(&reference, &observe(&mut cover, t));
+            prop_assert_eq!(&reference, &observe(&mut default, t));
+            for e in [&cover, &default] {
+                prop_assert!(e.check_index().is_ok());
+                prop_assert!(e.check_invariants(t).is_ok());
+            }
+            if ops.iter().filter(|(_, _, j)| *j).count() >= 5 {
+                prop_assert!(cover.stats().recycled > 0, "recycling never fired");
+            }
         }
     }
 
@@ -242,7 +256,6 @@ proptest! {
         let mut linear = EdmStream::new(cfg(NeighborIndexKind::LinearScan), Euclidean);
         let mut grid = EdmStream::new(cfg(NeighborIndexKind::Grid), Euclidean);
         let mut cover = EdmStream::new(cfg(NeighborIndexKind::CoverTree), Euclidean);
-        prop_assert_eq!(grid.index_label(), "grid");
         // Warm-up: seed every code in every bucket, then the random ops.
         let warmup = (0..3).flat_map(|b| (0..CROWD.len()).map(move |c| (b, c, 0.0, false)));
         let mut t = 0.0;
@@ -260,6 +273,8 @@ proptest! {
         for e in [&mut linear, &mut grid, &mut cover] {
             e.force_init();
         }
+        // The index is built with the first cell; it must be the grid asked for.
+        prop_assert_eq!(grid.index_label(), "grid");
         let reference = observe(&mut linear, t);
         prop_assert_eq!(&reference, &observe(&mut grid, t));
         prop_assert_eq!(&reference, &observe(&mut cover, t));
@@ -269,6 +284,20 @@ proptest! {
             prop_assert!(grid.stats().recycled > 0, "recycling never fired");
         }
     }
+}
+
+/// `(x, y)` as a `dim`-d point: the axes past the second carry a
+/// deterministic wiggle of `x`, so a 16-d stream spreads over every axis.
+fn lift(x: f64, y: f64, dim: usize) -> DenseVector {
+    DenseVector::new(
+        (0..dim)
+            .map(|k| match k {
+                0 => x,
+                1 => y,
+                _ => 0.3 * (x * k as f64).sin(),
+            })
+            .collect::<Vec<f64>>(),
+    )
 }
 
 /// Even-weight 8-bit codes: distinct codes differ on at least two axes.

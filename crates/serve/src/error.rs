@@ -26,14 +26,16 @@ pub enum ServeError {
     /// The server is shutting down (or already shut down); no further
     /// ingest is accepted.
     ShutDown,
-    /// A point of the batch has a timestamp the engine would refuse: NaN,
-    /// infinite, or behind a timestamp queued before it. The whole batch
-    /// was refused; nothing of it was queued. Match with `matches!` when
-    /// `error` may hold a NaN, which never equals itself.
-    InvalidTimestamp {
+    /// A point of the batch is one the engine would refuse: its timestamp
+    /// is NaN, infinite, or behind a timestamp queued before it, or it has
+    /// another coordinate count than the stream or a non-finite
+    /// coordinate. The whole batch was refused; nothing of it was queued.
+    /// Match with `matches!` when `error` may hold a NaN, which never
+    /// equals itself.
+    InvalidPoint {
         /// Position of the offending point in the batch.
         index: usize,
-        /// The engine's verdict on its timestamp.
+        /// The engine's verdict on the point.
         error: EdmError,
     },
 }
@@ -48,7 +50,7 @@ impl fmt::Display for ServeError {
                 write!(f, "writer thread panicked: {message}")
             }
             ServeError::ShutDown => write!(f, "server is shut down"),
-            ServeError::InvalidTimestamp { index, error } => {
+            ServeError::InvalidPoint { index, error } => {
                 write!(f, "batch refused at point {index}: {error}")
             }
         }
@@ -58,7 +60,7 @@ impl fmt::Display for ServeError {
 impl Error for ServeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            ServeError::InvalidTimestamp { error, .. } => Some(error),
+            ServeError::InvalidPoint { error, .. } => Some(error),
             _ => None,
         }
     }
@@ -73,11 +75,14 @@ mod tests {
         assert!(ServeError::QueueFull { capacity: 8 }.to_string().contains("8 batches"));
         assert!(ServeError::WriterPanicked { message: "boom".into() }.to_string().contains("boom"));
         assert!(ServeError::ShutDown.to_string().contains("shut down"));
-        let refused = ServeError::InvalidTimestamp {
-            index: 3,
-            error: EdmError::NonFiniteTime { t: f64::NAN },
-        };
+        let refused =
+            ServeError::InvalidPoint { index: 3, error: EdmError::NonFiniteTime { t: f64::NAN } };
         assert!(refused.to_string().contains("point 3") && refused.to_string().contains("NaN"));
         assert!(refused.source().is_some());
+        let refused = ServeError::InvalidPoint {
+            index: 0,
+            error: EdmError::DimensionMismatch { expected: 2, got: 16 },
+        };
+        assert!(refused.to_string().contains("point 0") && refused.to_string().contains("16"));
     }
 }

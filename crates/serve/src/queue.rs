@@ -11,8 +11,9 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use edm_common::point::GridCoords;
 use edm_common::time::Timestamp;
-use edm_core::{admissible, EdmError};
+use edm_core::{EdmError, PointGate};
 
 use crate::config::BackpressurePolicy;
 
@@ -32,12 +33,12 @@ pub(crate) enum PushOutcome {
     Rejected,
     /// The queue is closed (shutdown started / writer gone).
     Closed,
-    /// Batch refused, queue and clock untouched: the point at `index`
-    /// has a timestamp the engine would refuse.
+    /// Batch refused, queue and gate untouched: the point at `index` is
+    /// one the engine would refuse.
     Refused {
         /// Position of the offending point in the batch.
         index: usize,
-        /// The engine's verdict on its timestamp.
+        /// The engine's verdict on the point.
         error: EdmError,
     },
 }
@@ -59,22 +60,23 @@ struct Inner<P> {
     open: bool,
     /// Deepest the queue has ever been, in batches.
     hwm: usize,
-    /// The largest timestamp queued so far (the engine's stream time when
-    /// nothing was): every queued point is checked against it, in order,
-    /// so the writer only ever sees timestamps the engine accepts.
-    clock: Timestamp,
+    /// The engine's admission gate, moved past every point queued so far
+    /// (its clock is the largest timestamp queued, the engine's stream
+    /// time when nothing was): every queued point is admitted through it,
+    /// in order, so the writer only ever sees points the engine accepts.
+    gate: PointGate,
 }
 
-impl<P> Inner<P> {
-    /// Checks `batch`'s timestamps in order against the clock, as the
-    /// engine's `try_insert_batch` would, and returns the clock after it.
-    fn check(&self, batch: &Batch<P>) -> Result<Timestamp, (usize, EdmError)> {
-        let mut clock = self.clock;
-        for (i, (_, t)) in batch.iter().enumerate() {
-            admissible(clock, *t).map_err(|e| (i, e))?;
-            clock = clock.max(*t);
+impl<P: GridCoords> Inner<P> {
+    /// Admits `batch`'s points in order through a copy of the gate, as
+    /// the engine's `try_insert_batch` would, and returns the gate after
+    /// it.
+    fn check(&self, batch: &Batch<P>) -> Result<PointGate, (usize, EdmError)> {
+        let mut gate = self.gate;
+        for (i, (p, t)) in batch.iter().enumerate() {
+            gate.admit(p, *t).map_err(|e| (i, e))?;
         }
-        Ok(clock)
+        Ok(gate)
     }
 }
 
@@ -90,35 +92,38 @@ pub(crate) struct BatchQueue<P> {
 }
 
 impl<P> BatchQueue<P> {
-    /// An empty queue whose clock starts at `clock`, the stream time of
+    /// An empty queue whose gate starts as `gate`, the admission state of
     /// the engine it feeds.
-    pub(crate) fn new(capacity: usize, clock: Timestamp) -> Self {
+    pub(crate) fn new(capacity: usize, gate: PointGate) -> Self {
         assert!(capacity > 0, "queue capacity is NonZeroUsize upstream");
         BatchQueue {
-            inner: Mutex::new(Inner { queue: VecDeque::new(), open: true, hwm: 0, clock }),
+            inner: Mutex::new(Inner { queue: VecDeque::new(), open: true, hwm: 0, gate }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
         }
     }
 
-    /// Enqueues `batch` under `policy`, unless a timestamp in it is one
-    /// the engine would refuse after everything queued before it. Blocks
-    /// only under [`BackpressurePolicy::Block`] with a full queue.
-    pub(crate) fn push(&self, batch: Batch<P>, policy: BackpressurePolicy) -> PushOutcome {
+    /// Enqueues `batch` under `policy`, unless a point in it is one the
+    /// engine would refuse after everything queued before it. Blocks only
+    /// under [`BackpressurePolicy::Block`] with a full queue.
+    pub(crate) fn push(&self, batch: Batch<P>, policy: BackpressurePolicy) -> PushOutcome
+    where
+        P: GridCoords,
+    {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if !inner.open {
                 return PushOutcome::Closed;
             }
             // Checked again after every wait: another producer's batch may
-            // have moved the clock meanwhile.
-            let clock = match inner.check(&batch) {
-                Ok(clock) => clock,
+            // have moved the gate meanwhile.
+            let gate = match inner.check(&batch) {
+                Ok(gate) => gate,
                 Err((index, error)) => return PushOutcome::Refused { index, error },
             };
             if inner.queue.len() < self.capacity {
-                inner.clock = clock;
+                inner.gate = gate;
                 inner.queue.push_back(batch);
                 inner.hwm = inner.hwm.max(inner.queue.len());
                 drop(inner);
@@ -130,11 +135,11 @@ impl<P> BatchQueue<P> {
                     inner = self.not_full.wait(inner).unwrap();
                 }
                 BackpressurePolicy::DropOldest => {
-                    // The evicted batch's timestamps stay on the clock:
-                    // the writer will never see them, but the points after
-                    // them were checked against them.
+                    // The evicted batch's timestamps stay on the gate's
+                    // clock: the writer will never see them, but the
+                    // points after them were checked against them.
                     let dropped = inner.queue.pop_front().map(|b| b.len() as u64).unwrap_or(0);
-                    inner.clock = clock;
+                    inner.gate = gate;
                     inner.queue.push_back(batch);
                     inner.hwm = inner.hwm.max(inner.queue.len());
                     drop(inner);
@@ -205,17 +210,25 @@ impl<P> BatchQueue<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edm_common::point::DenseVector;
     use std::sync::Arc;
     use std::thread;
 
-    /// `n` points at one instant: valid after any batch these tests queue.
-    fn batch(n: usize) -> Batch<u32> {
-        (0..n).map(|i| (i as u32, 0.0)).collect()
+    /// A gate at `clock` that takes the coordinate count from the first
+    /// point queued.
+    fn at(clock: Timestamp) -> PointGate {
+        PointGate::new(clock, None)
+    }
+
+    /// `n` 1-d points at one instant: valid after any batch these tests
+    /// queue.
+    fn batch(n: usize) -> Batch<DenseVector> {
+        (0..n).map(|i| (DenseVector::from([i as f64]), 0.0)).collect()
     }
 
     #[test]
     fn fifo_order_and_hwm() {
-        let q: BatchQueue<u32> = BatchQueue::new(4, 0.0);
+        let q: BatchQueue<DenseVector> = BatchQueue::new(4, at(0.0));
         assert_eq!(q.push(batch(1), BackpressurePolicy::Reject), PushOutcome::Queued);
         assert_eq!(q.push(batch(2), BackpressurePolicy::Reject), PushOutcome::Queued);
         assert_eq!(q.depth(), (2, 2));
@@ -228,7 +241,7 @@ mod tests {
 
     #[test]
     fn reject_policy_leaves_queue_untouched() {
-        let q: BatchQueue<u32> = BatchQueue::new(2, 0.0);
+        let q: BatchQueue<DenseVector> = BatchQueue::new(2, at(0.0));
         q.push(batch(1), BackpressurePolicy::Reject);
         q.push(batch(2), BackpressurePolicy::Reject);
         assert_eq!(q.push(batch(3), BackpressurePolicy::Reject), PushOutcome::Rejected);
@@ -237,7 +250,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_evicts_front_and_reports_points() {
-        let q: BatchQueue<u32> = BatchQueue::new(2, 0.0);
+        let q: BatchQueue<DenseVector> = BatchQueue::new(2, at(0.0));
         q.push(batch(5), BackpressurePolicy::DropOldest);
         q.push(batch(1), BackpressurePolicy::DropOldest);
         assert_eq!(
@@ -253,7 +266,7 @@ mod tests {
 
     #[test]
     fn block_policy_waits_for_consumer() {
-        let q: Arc<BatchQueue<u32>> = Arc::new(BatchQueue::new(1, 0.0));
+        let q: Arc<BatchQueue<DenseVector>> = Arc::new(BatchQueue::new(1, at(0.0)));
         q.push(batch(1), BackpressurePolicy::Block);
         let producer = {
             let q = Arc::clone(&q);
@@ -268,7 +281,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_reports_closed() {
-        let q: BatchQueue<u32> = BatchQueue::new(4, 0.0);
+        let q: BatchQueue<DenseVector> = BatchQueue::new(4, at(0.0));
         q.push(batch(1), BackpressurePolicy::Block);
         q.close();
         assert_eq!(q.push(batch(9), BackpressurePolicy::Block), PushOutcome::Closed);
@@ -278,7 +291,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_producer() {
-        let q: Arc<BatchQueue<u32>> = Arc::new(BatchQueue::new(1, 0.0));
+        let q: Arc<BatchQueue<DenseVector>> = Arc::new(BatchQueue::new(1, at(0.0)));
         q.push(batch(1), BackpressurePolicy::Block);
         let producer = {
             let q = Arc::clone(&q);
@@ -291,8 +304,9 @@ mod tests {
 
     #[test]
     fn timestamps_are_checked_against_every_queued_batch() {
-        let q: BatchQueue<u32> = BatchQueue::new(1, 2.0);
-        let timed = |ts: &[f64]| ts.iter().map(|&t| (0, t)).collect::<Batch<u32>>();
+        let q: BatchQueue<DenseVector> = BatchQueue::new(1, at(2.0));
+        let timed =
+            |ts: &[f64]| ts.iter().map(|&t| (DenseVector::from([0.0]), t)).collect::<Batch<_>>();
         assert_eq!(
             q.push(timed(&[2.0, 1.5]), BackpressurePolicy::DropOldest),
             PushOutcome::Refused { index: 1, error: EdmError::TimeRegression { now: 2.0, t: 1.5 } }
@@ -316,7 +330,7 @@ mod tests {
 
     #[test]
     fn pop_times_out_when_idle() {
-        let q: BatchQueue<u32> = BatchQueue::new(1, 0.0);
+        let q: BatchQueue<DenseVector> = BatchQueue::new(1, at(0.0));
         assert!(matches!(q.pop(Some(Duration::from_millis(5))), Popped::TimedOut));
     }
 }

@@ -20,7 +20,7 @@ use edm_common::metric::Metric;
 use edm_common::point::GridCoords;
 use edm_common::time::Timestamp;
 use edm_core::evolution::ClusterId;
-use edm_core::EdmStream;
+use edm_core::{EdmStream, PointGate};
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
@@ -124,7 +124,10 @@ where
         let metric = engine.metric().clone();
         let shared = Arc::new(Shared {
             source: publisher.source(),
-            queue: BatchQueue::new(cfg.queue_capacity.get(), engine.stream_time()),
+            queue: BatchQueue::new(
+                cfg.queue_capacity.get(),
+                PointGate::new(engine.stream_time(), engine.dimension()),
+            ),
             counters: Counters::default(),
             poisoned: AtomicBool::new(false),
             poison_message: Mutex::new(None),
@@ -147,11 +150,14 @@ where
     /// poisoned or shut-down server fails with the corresponding
     /// [`ServeError`], returning the batch's points uningested.
     ///
-    /// Timestamps are checked as [`EdmStream::try_insert_batch`] checks
-    /// them ([`edm_core::admissible`]), in order, against the largest one
-    /// already queued (the engine's stream time before any). A batch with
-    /// a NaN, infinite or regressed timestamp is refused whole with
-    /// [`ServeError::InvalidTimestamp`] and leaves the queue as it was.
+    /// Points are checked as [`EdmStream::try_insert_batch`] checks them
+    /// ([`edm_core::PointGate`]), in order, against the largest timestamp
+    /// already queued (the engine's stream time before any) and the
+    /// stream's coordinate count (the engine's at spawn, or else the first
+    /// queued point's). A batch with a NaN, infinite or regressed
+    /// timestamp, a point of another coordinate count or a non-finite
+    /// coordinate is refused whole with [`ServeError::InvalidPoint`] and
+    /// leaves the queue as it was.
     pub fn ingest(&self, batch: Vec<(P, Timestamp)>) -> Result<(), ServeError> {
         let shared = &self.handle.shared;
         if let Some(err) = shared.poison_error() {
@@ -174,9 +180,7 @@ where
                 Err(ServeError::QueueFull { capacity: self.capacity })
             }
             PushOutcome::Closed => Err(shared.poison_error().unwrap_or(ServeError::ShutDown)),
-            PushOutcome::Refused { index, error } => {
-                Err(ServeError::InvalidTimestamp { index, error })
-            }
+            PushOutcome::Refused { index, error } => Err(ServeError::InvalidPoint { index, error }),
         }
     }
 

@@ -89,7 +89,7 @@ fn invalid_timestamps_are_refused_with_their_index_and_the_next_batch_is_served(
     for (name, times, want_index, check) in cases {
         let before = server.stats();
         match server.ingest(batch(&times(t))) {
-            Err(ServeError::InvalidTimestamp { index, error }) => {
+            Err(ServeError::InvalidPoint { index, error }) => {
                 assert_eq!(index, want_index, "{name}");
                 assert!(check(&error), "{name}: {error:?}");
             }
@@ -107,7 +107,7 @@ fn invalid_timestamps_are_refused_with_their_index_and_the_next_batch_is_served(
     // The exact payload of a regression across batches.
     assert_eq!(
         server.ingest(batch(&[t - 1.0])),
-        Err(ServeError::InvalidTimestamp {
+        Err(ServeError::InvalidPoint {
             index: 0,
             error: EdmError::TimeRegression { now: t, t: t - 1.0 },
         })
@@ -126,7 +126,7 @@ fn the_clock_starts_at_the_engine_stream_time() {
     let server = EdmServer::spawn(e, ServeConfig::default());
     assert!(matches!(
         server.ingest(batch(&[50.0])),
-        Err(ServeError::InvalidTimestamp {
+        Err(ServeError::InvalidPoint {
             index: 0,
             error: EdmError::TimeRegression { now, t },
         }) if now == 131.0 && t == 50.0

@@ -29,10 +29,9 @@ fn main() {
         .init_points(500)
         .recycle_horizon(5.0 * ncfg.seconds_per_day)
         .tau_mode(TauMode::Static(0.75))
-        // Token sets have no coordinate embedding, so the grid index
-        // cannot prune Jaccard space; ask for the exact scan outright
-        // (the default grid would degrade to the same behavior).
-        .neighbor_index(edmstream::NeighborIndexKind::LinearScan)
+        // Token sets have no coordinate embedding, so the engine indexes
+        // them with the cover tree, which prunes by Jaccard distance
+        // alone (`engine.index_label()` says so below).
         .build()
         .expect("valid NADS configuration");
     let mut engine = EdmStream::new(cfg, Jaccard);
@@ -74,9 +73,10 @@ fn main() {
         }
     }
     println!(
-        "\ndone: {} headlines, {} evolution events, final topic count {}",
+        "\ndone: {} headlines, {} evolution events, final topic count {} ({} index)",
         engine.stats().points,
         engine.events_recorded(),
-        engine.n_clusters()
+        engine.n_clusters(),
+        engine.index_label()
     );
 }

@@ -29,12 +29,13 @@ fn main() {
         // ≥ 2 are separate clusters. The adaptive policy has its own
         // example (`adaptive_tau`).
         .tau_mode(TauMode::Static(2.0))
-        // The default — spelled out here to show the knob: cell lookups go
-        // through a uniform grid with bucket side r, so an insert probes
-        // only the 3x3 bucket shell around the point instead of every
-        // cell. `LinearScan` is the exact fallback for exotic metrics.
-        // The engine builds the index once and never switches or re-tunes
-        // it.
+        // What the engine would pick for 2-d points anyway — spelled out
+        // here to show the knob: cell lookups go through a uniform grid
+        // with bucket side r, so an insert probes only the 3x3 bucket
+        // shell around the point instead of every cell. Left unset, the
+        // engine picks the cover tree above 5-d and for token sets;
+        // `LinearScan` is the exact fallback for exotic metrics. The index
+        // is built with the first cell and never switched or re-tuned.
         .neighbor_index(NeighborIndexKind::Grid)
         // Batch ingest can fan its assignment probes out across worker
         // threads (probe-then-commit; output identical to the serial

@@ -20,7 +20,7 @@ use std::num::NonZeroUsize;
 fn engine_with_index(
     threads: usize,
     recycle_horizon: f64,
-    index: NeighborIndexKind,
+    index: impl Into<Option<NeighborIndexKind>>,
 ) -> EdmStream<DenseVector, Euclidean> {
     let cfg = EdmConfig::builder(0.8)
         .rate(100.0)
@@ -37,7 +37,7 @@ fn engine_with_index(
 }
 
 fn engine(threads: usize, recycle_horizon: f64) -> EdmStream<DenseVector, Euclidean> {
-    engine_with_index(threads, recycle_horizon, NeighborIndexKind::default())
+    engine_with_index(threads, recycle_horizon, None)
 }
 
 /// Per-cell `(slot, dep, delta, active, raw_rho)` tree state.
