@@ -21,19 +21,23 @@
 //! cannot beat the serial loop (the numbers then price the coordination
 //! overhead); the ≥ 1.5× scaling claim is for `cpus ≥ 4`.
 //!
-//! The scenario generators live in [`edm_bench::scenarios`], shared with
-//! the `bench_regression` CI gate so its fresh smoke runs measure
-//! exactly the workload this baseline recorded.
+//! Each configuration is recorded as the median of [`PASSES`] passes of
+//! [`scenarios::parallel_measure`], the pass the `bench_regression` CI
+//! gate smokes: [`scenarios::PARALLEL_POINTS`] points on a fresh engine.
+//! The passes run round-robin over the configurations, so a slow phase of
+//! the host lands in one pass of each rather than in all passes of one.
 
 use std::path::Path;
-use std::time::Instant;
 
 use edm_bench::report::merge_bench_json;
-use edm_bench::scenarios::{self, CROWDED_CELLS as RESERVOIR_CELLS};
-use edm_common::point::DenseVector;
+use edm_bench::scenarios::{self, CROWDED_CELLS as RESERVOIR_CELLS, PARALLEL_POINTS};
 
-/// Points pushed through each (threads, batch) configuration.
-const POINTS_PER_CONFIG: usize = 1 << 16;
+/// Passes per (threads, batch) configuration; the median is recorded.
+const PASSES: usize = 5;
+
+/// Batch sizes and thread counts recorded.
+const BATCHES: [usize; 3] = [64, 256, 1024];
+const THREADS: [usize; 3] = [1, 2, 4];
 
 struct Run {
     threads: usize,
@@ -42,68 +46,45 @@ struct Run {
     revalidation_rate: f64,
 }
 
-/// Streams `POINTS_PER_CONFIG` points through `insert_batch` in batches
-/// of `batch`, timing only the ingest calls.
-fn measure(threads: usize, batch: usize) -> Run {
-    let (mut e, mut t) = scenarios::crowded_engine(threads);
-    let sites = scenarios::crowded_probe_sites();
-    let mut i = 0usize;
-    let mut make_batch = |n: usize, t: &mut f64| -> Vec<(DenseVector, f64)> {
-        (0..n)
-            .map(|_| {
-                *t += 1e-6;
-                i += 1;
-                (sites[i % sites.len()].clone(), *t)
-            })
-            .collect()
-    };
-    // Warm the pool (first parallel round sizes the slot buffers).
-    let warm = make_batch(batch, &mut t);
-    e.insert_batch(&warm);
-    let rounds = POINTS_PER_CONFIG / batch;
-    let batches: Vec<Vec<(DenseVector, f64)>> =
-        (0..rounds).map(|_| make_batch(batch, &mut t)).collect();
-    let reval_before = e.stats().probe_revalidations;
-    let tasks_before = e.stats().probe_tasks;
-    let start = Instant::now();
-    for b in &batches {
-        e.insert_batch(b);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(e.n_cells(), RESERVOIR_CELLS, "bench stream must not create or recycle cells");
-    let tasks = (e.stats().probe_tasks - tasks_before).max(1);
-    Run {
-        threads,
-        batch,
-        points_per_sec: (rounds * batch) as f64 / elapsed,
-        revalidation_rate: (e.stats().probe_revalidations - reval_before) as f64 / tasks as f64,
-    }
-}
-
 fn main() {
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
-        "parallel_batch_ingest: {RESERVOIR_CELLS} reservoir cells, \
-         {POINTS_PER_CONFIG} points/config, {cpus} cpu(s) available"
+        "parallel_batch_ingest: {RESERVOIR_CELLS} reservoir cells, {PARALLEL_POINTS} points per \
+         pass, median of {PASSES} passes, {cpus} cpu(s) available"
     );
-    let mut runs: Vec<Run> = Vec::new();
-    for &batch in &[64usize, 256, 1024] {
-        for &threads in &[1usize, 2, 4] {
-            let run = measure(threads, batch);
-            println!(
-                "parallel_batch_ingest/threads{}/batch{}: {:.0} points/s (reval {:.4})",
-                run.threads, run.batch, run.points_per_sec, run.revalidation_rate
-            );
-            runs.push(run);
+    let configs: Vec<(usize, usize)> =
+        BATCHES.iter().flat_map(|&batch| THREADS.map(|threads| (threads, batch))).collect();
+    let mut passes: Vec<Vec<(f64, f64)>> = vec![Vec::with_capacity(PASSES); configs.len()];
+    for _ in 0..PASSES {
+        for (&(threads, batch), runs) in configs.iter().zip(&mut passes) {
+            runs.push(scenarios::parallel_measure(threads, batch, PARALLEL_POINTS));
         }
     }
+    let runs: Vec<Run> = configs
+        .iter()
+        .zip(&mut passes)
+        .map(|(&(threads, batch), runs)| {
+            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (points_per_sec, revalidation_rate) = runs[PASSES / 2];
+            let run = Run { threads, batch, points_per_sec, revalidation_rate };
+            println!(
+                "parallel_batch_ingest/threads{}/batch{}: {:.0} points/s (reval {:.4}; passes {})",
+                run.threads,
+                run.batch,
+                run.points_per_sec,
+                run.revalidation_rate,
+                runs.iter().map(|r| format!("{:.0}", r.0)).collect::<Vec<_>>().join(" ")
+            );
+            run
+        })
+        .collect();
     let serial_base = |batch: usize| -> f64 {
         runs.iter()
             .find(|r| r.threads == 1 && r.batch == batch)
             .expect("serial baseline measured")
             .points_per_sec
     };
-    for &batch in &[64usize, 256, 1024] {
+    for batch in BATCHES {
         let base = serial_base(batch);
         for r in runs.iter().filter(|r| r.batch == batch && r.threads > 1) {
             println!(

@@ -69,10 +69,6 @@ use edm_core::EdmStream;
 /// Fractional throughput drop past which an entry fails the gate.
 const TOLERANCE: f64 = 0.35;
 
-/// Points per (threads, batch) configuration in the parallel smoke run
-/// (the full bench uses 1 << 16; the gate only needs a stable estimate).
-const SMOKE_POINTS: usize = 1 << 14;
-
 /// (threads, batch) settings smoked; a subset of the committed grid.
 const SMOKE_CONFIGS: [(usize, usize); 3] = [(1, 256), (2, 256), (4, 256)];
 
@@ -112,33 +108,6 @@ const NET_SMOKE_THREADS: usize = 2;
 /// Distance evaluations per (dimensionality, kernel path) in the raw
 /// kernel smoke (the full bench times 4M; recorded, never gated).
 const KERNEL_SMOKE_EVALS: usize = 1_000_000;
-
-/// One smoke measurement of the parallel batch-ingest steady state
-/// (the `scenarios::crowded_*` workload the committed baseline records).
-fn smoke_parallel(threads: usize, batch: usize) -> f64 {
-    let (mut e, mut t) = scenarios::crowded_engine(threads);
-    let sites = scenarios::crowded_probe_sites();
-    let mut i = 0usize;
-    let mut make_batch = |n: usize, t: &mut f64| -> Vec<(DenseVector, f64)> {
-        (0..n)
-            .map(|_| {
-                *t += 1e-6;
-                i += 1;
-                (sites[i % sites.len()].clone(), *t)
-            })
-            .collect()
-    };
-    let warm = make_batch(batch, &mut t);
-    e.insert_batch(&warm);
-    let rounds = SMOKE_POINTS / batch;
-    let batches: Vec<Vec<(DenseVector, f64)>> =
-        (0..rounds).map(|_| make_batch(batch, &mut t)).collect();
-    let start = Instant::now();
-    for b in &batches {
-        e.insert_batch(b);
-    }
-    (rounds * batch) as f64 / start.elapsed().as_secs_f64()
-}
 
 /// One smoke measurement of `digest_since` latency: build a full digest
 /// window over the crowded steady state (one publication per batch),
@@ -289,7 +258,7 @@ fn main() {
     }
     let mut parallel_json: Vec<String> = Vec::new();
     for (threads, batch) in SMOKE_CONFIGS {
-        let pps = smoke_parallel(threads, batch);
+        let (pps, _) = scenarios::parallel_measure(threads, batch, scenarios::PARALLEL_POINTS);
         println!("smoke parallel_batch_ingest/threads{threads}/batch{batch}: {pps:.0} points/s");
         parallel_json.push(format!(
             "{{\"threads\": {threads}, \"batch\": {batch}, \"points_per_sec\": {pps:.0}}}"

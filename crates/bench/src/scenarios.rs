@@ -99,6 +99,46 @@ pub fn crowded_probe_sites() -> Vec<DenseVector> {
         .collect()
 }
 
+/// Points per pass of [`parallel_measure`], in the committed
+/// `parallel_batch_ingest` section and in the gate's smoke alike.
+pub const PARALLEL_POINTS: usize = 1 << 14;
+
+/// One pass of the parallel batch-ingest steady state: a fresh
+/// [`crowded_engine`] with `threads` ingest threads takes one untimed
+/// warm-up batch (the first parallel round sizes the slot buffers), then
+/// `points` absorb probes from [`crowded_probe_sites`] in batches of
+/// `batch`, timing only the `insert_batch` calls. Returns the points/s
+/// and the share of parallel probes the commit phase redid.
+pub fn parallel_measure(threads: usize, batch: usize, points: usize) -> (f64, f64) {
+    let (mut e, mut t) = crowded_engine(threads);
+    let sites = crowded_probe_sites();
+    let mut i = 0usize;
+    let mut make_batch = |n: usize, t: &mut f64| -> Vec<(DenseVector, f64)> {
+        (0..n)
+            .map(|_| {
+                *t += 1e-6;
+                i += 1;
+                (sites[i % sites.len()].clone(), *t)
+            })
+            .collect()
+    };
+    let warm = make_batch(batch, &mut t);
+    e.insert_batch(&warm);
+    let rounds = points / batch;
+    let batches: Vec<Vec<(DenseVector, f64)>> =
+        (0..rounds).map(|_| make_batch(batch, &mut t)).collect();
+    let (reval_before, tasks_before) = (e.stats().probe_revalidations, e.stats().probe_tasks);
+    let start = std::time::Instant::now();
+    for b in &batches {
+        e.insert_batch(b);
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    assert_eq!(e.n_cells(), CROWDED_CELLS, "bench stream must not create or recycle cells");
+    let tasks = (e.stats().probe_tasks - tasks_before).max(1);
+    let redone = (e.stats().probe_revalidations - reval_before) as f64 / tasks as f64;
+    ((rounds * batch) as f64 / elapsed, redone)
+}
+
 // ----- high-dimensional clustered scenario (`index_scaling_highd`) -----
 
 /// Seeds per r-cube cluster. Offsets of 0.45 over even-popcount masks
@@ -303,15 +343,16 @@ pub struct MixedRun {
 /// latency-under-ingest measurement both the committed
 /// `mixed_read_write` section and the CI gate's fresh smoke derive from.
 ///
-/// The engine is the warmed [`highd_engine`] hot/cold layout (grid
-/// index, [`SERVE_DIM`] dims) and the probes are [`highd_probes`] absorb
-/// traffic, so ingest exercises the same steady state as the
-/// index-scaling scenario while every read resolves to a real cluster.
+/// The engine is the warmed [`highd_engine`] hot/cold layout
+/// ([`SERVE_DIM`] dims, on the index the engine picks there: the cover
+/// tree) and the probes are [`highd_probes`] absorb traffic, so ingest
+/// exercises the same steady state as the index-scaling scenario while
+/// every read resolves to a real cluster.
 pub fn mixed_measure(readers: usize, points: usize, batch: usize) -> MixedRun {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let (engine, mut t) = highd_engine(NeighborIndexKind::Grid, SERVE_DIM);
+    let (engine, mut t) = highd_engine(None, SERVE_DIM);
     let server = EdmServer::spawn(
         engine,
         ServeConfig {
@@ -522,7 +563,7 @@ pub fn net_measure(queries: usize, warm_points: usize, digest_queries: usize) ->
     // Same warmed layout as the mixed scenario, quiesced: ingest a warm
     // stream, drain, final publish — every probe then reads one frozen
     // generation and the measurement is pure read-path latency.
-    let (engine, mut t) = highd_engine(NeighborIndexKind::Grid, SERVE_DIM);
+    let (engine, mut t) = highd_engine(None, SERVE_DIM);
     let server = EdmServer::spawn(
         engine,
         ServeConfig::builder()

@@ -6,6 +6,9 @@
 //! invariant checkers the property suite drives live here too: they are
 //! read models over the same state, just with test-grade thoroughness.
 
+use std::collections::hash_map::Entry;
+
+use edm_common::hash::{fx_map, FxHashMap};
 use edm_common::metric::Metric;
 use edm_common::point::GridCoords;
 use edm_common::time::Timestamp;
@@ -143,10 +146,25 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     }
 
     /// Freezes the full clustering state at time `t` into an owned,
-    /// read-only [`ClusterSnapshot`]: cluster infos, τ, the decision
-    /// graph, population and runtime counters, and an event cursor
-    /// aligned with the snapshot instant. Reporting and metrics code
-    /// works off the frozen view instead of re-entering the engine.
+    /// read-only [`ClusterSnapshot`]: cluster infos, the member column, τ,
+    /// the decision graph, per-cluster summaries, population and runtime
+    /// counters, and an event cursor aligned with the snapshot instant.
+    /// Reporting and metrics code works off the frozen view instead of
+    /// re-entering the engine.
+    ///
+    /// One walk over the active cells in ascending id order, reading each
+    /// cell once: its density decayed to `t` is its decision-graph value,
+    /// its share of the cluster density and its summary weight. Its
+    /// cluster is the label the evolution diff keeps on it, the cluster's
+    /// root read from the registry; an engine that does not track
+    /// evolution keeps no labels, so there each cell walks to its strong
+    /// root. Summaries (only while evolution is tracked) hold the
+    /// density-weighted centroid and bounding box over the member-cell
+    /// seeds (`None` for coordinate-less payloads), mass, and birth time
+    /// from the identity registry; their generations are stamped with the
+    /// current publication count, and the engine's rolling map (see
+    /// [`EdmStream::summary_of`]) preserves each cluster's true first
+    /// observation.
     ///
     /// ```
     /// use edm_core::{EdmConfig, EdmStream};
@@ -168,14 +186,104 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// # Ok::<(), edm_core::ConfigError>(())
     /// ```
     pub fn snapshot(&self, t: Timestamp) -> ClusterSnapshot {
-        let (rho, delta) = self.decision_graph(t);
-        let clusters = self.clusters(t);
-        let summaries = self.summaries_for(t, &clusters);
+        let tau = self.tau_ctl.tau();
+        let track = self.cfg.track_evolution;
+        let ids = self.sorted_active_ids();
+        let n_clusters = self.registry.n_clusters();
+        let mut rho = Vec::with_capacity(ids.len());
+        let mut delta = Vec::with_capacity(ids.len());
+        let mut members = Vec::with_capacity(ids.len());
+        // Clusters in the order of their lowest member id; `slot_of` maps
+        // a cluster id to its place here and in `extents`.
+        let mut clusters: Vec<ClusterInfo> = Vec::with_capacity(n_clusters);
+        let mut slot_of: FxHashMap<ClusterId, usize> = fx_map();
+        slot_of.reserve(n_clusters);
+        // Geometry only for summaries, so only while evolution is tracked,
+        // and only for payloads with coordinates.
+        let mut extents =
+            self.dim.filter(|_| track).map(|dim| Extents::with_capacity(dim, n_clusters));
+        let mut max_finite = 0.0f64;
+        for id in ids {
+            let cell = self.slab.get(id);
+            let density = cell.rho_at(t, self.decay());
+            rho.push(density);
+            delta.push(cell.delta);
+            if cell.delta.is_finite() {
+                max_finite = max_finite.max(cell.delta);
+            }
+            let (cluster, walked) = match cell.cluster {
+                Some(cluster) => (cluster, None),
+                None => {
+                    let root = tree::strong_root(&self.slab, id, tau);
+                    (self.registry.cluster_at_root(root).unwrap_or(root.0 as u64), Some(root))
+                }
+            };
+            members.push((id, cluster));
+            let k = match slot_of.entry(cluster) {
+                Entry::Occupied(slot) => *slot.get(),
+                Entry::Vacant(slot) => {
+                    let (root, size) = match walked {
+                        Some(root) => (root, 1),
+                        None => {
+                            let meta = self
+                                .registry
+                                .cluster(cluster)
+                                .expect("the evolution diff labels cells with live clusters");
+                            (meta.root, meta.size)
+                        }
+                    };
+                    let cells = Vec::with_capacity(size);
+                    clusters.push(ClusterInfo { id: cluster, root, cells, density: 0.0 });
+                    *slot.insert(clusters.len() - 1)
+                }
+            };
+            clusters[k].cells.push(id);
+            clusters[k].density += density;
+            if let (Some(extents), Some(x)) = (extents.as_mut(), cell.seed.grid_coords()) {
+                extents.add(k, x, density.max(0.0));
+            }
+        }
+        let root_display = if max_finite > 0.0 { max_finite * 1.05 } else { 4.0 * self.cfg.r };
+        for d in delta.iter_mut() {
+            if !d.is_finite() {
+                *d = root_display;
+            }
+        }
+        let mut summaries: Vec<ClusterSummary> = Vec::new();
+        if track {
+            let generation = self.stats.snapshots_published;
+            summaries = clusters
+                .iter()
+                .enumerate()
+                .map(|(k, c)| {
+                    // A fully decayed cluster falls back to the unweighted
+                    // seed mean.
+                    let (centroid, bounds) = extents
+                        .as_ref()
+                        .map(|e| e.geometry(k, || self.seed_mean(&c.cells, e.dim)))
+                        .unzip();
+                    ClusterSummary {
+                        cluster: c.id,
+                        cells: c.cells.len(),
+                        mass: c.density,
+                        centroid,
+                        bounds,
+                        born: self.registry.cluster(c.id).map_or(t, |m| m.born),
+                        as_of: t,
+                        first_generation: generation,
+                        last_seen: generation,
+                    }
+                })
+                .collect();
+            summaries.sort_unstable_by_key(|s| s.cluster);
+        }
+        clusters.sort_unstable_by_key(|c| c.root);
         ClusterSnapshot {
             t,
-            tau: self.tau_ctl.tau(),
+            tau,
             alpha: self.tau_ctl.alpha(),
             clusters,
+            members,
             summaries,
             rho,
             delta,
@@ -189,6 +297,21 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         }
     }
 
+    /// Unweighted mean of the seeds of `cells` (`dim` coordinates each,
+    /// summed in the order given): the centroid of a cluster whose
+    /// density decayed to zero.
+    fn seed_mean(&self, cells: &[CellId], dim: usize) -> Vec<f64> {
+        let n = cells.len() as f64;
+        cells.iter().fold(vec![0.0; dim], |mut acc, &cell| {
+            let x =
+                self.slab.get(cell).seed.grid_coords().expect("summarized seeds have coordinates");
+            for (a, v) in acc.iter_mut().zip(x) {
+                *a += v / n;
+            }
+            acc
+        })
+    }
+
     /// Freezes and **publishes** a snapshot: exactly [`EdmStream::snapshot`]
     /// plus a bump of [`EngineStats::snapshots_published`], which becomes
     /// the snapshot's [`crate::ClusterSnapshot::generation`] (1 for the
@@ -198,8 +321,10 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// order what they observe and the publication cadence shows up in
     /// the engine's own counters. Requires `&mut self` (the count is
     /// engine state); passive reporting that should not perturb the
-    /// counters keeps using `snapshot()`.
+    /// counters keeps using `snapshot()`. The time spent here, freeze and
+    /// seal, accumulates in [`EngineStats::publish_nanos`].
     pub fn publish_snapshot(&mut self, t: Timestamp) -> ClusterSnapshot {
+        let started = std::time::Instant::now();
         self.stats.snapshots_published += 1;
         let snap = self.snapshot(t);
         if self.cfg.track_evolution {
@@ -208,109 +333,12 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             // keeps the sealed record correct if a future code path
             // records events outside `run_diff`.
             self.tracker.sync(&self.log);
-            let mut live: Vec<(ClusterId, f64)> =
-                snap.clusters().iter().map(|c| (c.id, c.density)).collect();
-            live.sort_unstable_by_key(|&(id, _)| id);
+            // One summary per cluster, ascending by id, mass = density.
+            let live = snap.summaries().iter().map(|s| (s.cluster, s.mass)).collect();
             self.tracker.seal(snap.generation(), t, live, snap.summaries());
         }
+        self.stats.publish_nanos += started.elapsed().as_nanos() as u64;
         snap
-    }
-
-    /// Compact summaries of `clusters`, ascending by cluster id:
-    /// density-weighted centroid and bounding box over the member-cell
-    /// seeds (`None` for coordinate-less payloads), mass, and birth time
-    /// from the identity registry. Empty while evolution is not tracked:
-    /// the ids are then root cell ids, not persistent identities.
-    /// Generations are stamped with the current publication count; the
-    /// engine's rolling map (see [`EdmStream::summary_of`]) preserves each
-    /// cluster's true first observation.
-    fn summaries_for(&self, t: Timestamp, clusters: &[ClusterInfo]) -> Vec<ClusterSummary> {
-        if !self.cfg.track_evolution {
-            return Vec::new();
-        }
-        let born: edm_common::hash::FxHashMap<ClusterId, Timestamp> =
-            self.registry.clusters().map(|(id, m)| (id, m.born)).collect();
-        let generation = self.stats.snapshots_published;
-        let mut out: Vec<ClusterSummary> = clusters
-            .iter()
-            .map(|c| {
-                // Running density-weighted extent: (Σw·x, min, max, Σw).
-                struct Extent {
-                    sum: Vec<f64>,
-                    min: Vec<f64>,
-                    max: Vec<f64>,
-                    total: f64,
-                }
-                let mut weighted: Option<Extent> = None;
-                let mut coords_ok = true;
-                for &cell in &c.cells {
-                    let cref = self.slab.get(cell);
-                    let Some(x) = cref.seed.grid_coords() else {
-                        coords_ok = false;
-                        break;
-                    };
-                    let w = cref.rho_at(t, self.decay()).max(0.0);
-                    match &mut weighted {
-                        None => {
-                            weighted = Some(Extent {
-                                sum: x.iter().map(|v| v * w).collect(),
-                                min: x.to_vec(),
-                                max: x.to_vec(),
-                                total: w,
-                            });
-                        }
-                        Some(Extent { sum, min, max, total }) => {
-                            for (i, v) in x.iter().enumerate() {
-                                sum[i] += v * w;
-                                min[i] = min[i].min(*v);
-                                max[i] = max[i].max(*v);
-                            }
-                            *total += w;
-                        }
-                    }
-                }
-                let (centroid, bounds) = match (coords_ok, weighted) {
-                    (true, Some(Extent { sum, min, max, total })) => {
-                        let centroid = if total > 0.0 {
-                            sum.iter().map(|s| s / total).collect()
-                        } else {
-                            // Fully decayed cluster: fall back to the
-                            // unweighted seed mean.
-                            let n = c.cells.len() as f64;
-                            c.cells.iter().fold(vec![0.0; min.len()], |mut acc, &cell| {
-                                for (i, v) in self
-                                    .slab
-                                    .get(cell)
-                                    .seed
-                                    .grid_coords()
-                                    .expect("coords_ok checked above")
-                                    .iter()
-                                    .enumerate()
-                                {
-                                    acc[i] += v / n;
-                                }
-                                acc
-                            })
-                        };
-                        (Some(centroid), Some(BoundingBox { min, max }))
-                    }
-                    _ => (None, None),
-                };
-                ClusterSummary {
-                    cluster: c.id,
-                    cells: c.cells.len(),
-                    mass: c.density,
-                    centroid,
-                    bounds,
-                    born: born.get(&c.id).copied().unwrap_or(t),
-                    as_of: t,
-                    first_generation: generation,
-                    last_seen: generation,
-                }
-            })
-            .collect();
-        out.sort_unstable_by_key(|s| s.cluster);
-        out
     }
 
     // ----- evolution queries (lineage, digests, rolling summaries) -----
@@ -399,25 +427,11 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         self.dim
     }
 
-    /// Snapshot of the current clusters.
+    /// The current clusters (MSDSubTrees) with their member cells and
+    /// densities decayed to `t`, ordered by root cell id: a view of the
+    /// [`EdmStream::snapshot`] freeze.
     pub fn clusters(&self, t: Timestamp) -> Vec<ClusterInfo> {
-        let tau = self.tau_ctl.tau();
-        let mut by_root: std::collections::HashMap<CellId, ClusterInfo> = Default::default();
-        for id in self.sorted_active_ids() {
-            let cell = self.slab.get(id);
-            let root = tree::strong_root(&self.slab, id, tau);
-            let info = by_root.entry(root).or_insert_with(|| ClusterInfo {
-                id: self.registry.cluster_at_root(root).unwrap_or(root.0 as u64),
-                root,
-                cells: Vec::new(),
-                density: 0.0,
-            });
-            info.cells.push(id);
-            info.density += cell.rho_at(t, self.decay());
-        }
-        let mut v: Vec<ClusterInfo> = by_root.into_values().collect();
-        v.sort_by_key(|c| c.root);
-        v
+        self.snapshot(t).clusters
     }
 
     /// Cluster id of the nearest cell within `r`, or `None` when the
@@ -444,29 +458,17 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         }
     }
 
-    /// The (ρ, δ) pairs of all active cells at time `t` — the decision
-    /// graph of Fig 2b/15. The root's infinite δ is reported as 1.05× the
-    /// largest finite δ so it plots at the top of the graph; when **no**
-    /// finite δ exists (single-cell and all-root streams) the root is
-    /// anchored at `4r` — the same scale the τ₀ fallback of the
+    /// The (ρ, δ) pairs of all active cells at time `t`, in ascending
+    /// cell-id order — the decision graph of Fig 2b/15, a view of the
+    /// [`EdmStream::snapshot`] freeze. The root's infinite δ is reported
+    /// as 1.05× the largest finite δ so it plots at the top of the graph;
+    /// when **no** finite δ exists (single-cell and all-root streams) the
+    /// root is anchored at `4r` — the same scale the τ₀ fallback of the
     /// initialization step uses — instead of an arbitrary constant, so
     /// the displayed graph and the engine's τ stay on one scale.
     pub fn decision_graph(&self, t: Timestamp) -> (Vec<f64>, Vec<f64>) {
-        let mut rho = Vec::new();
-        let mut delta = Vec::new();
-        for id in self.sorted_active_ids() {
-            let cell = self.slab.get(id);
-            rho.push(cell.rho_at(t, self.decay()));
-            delta.push(cell.delta);
-        }
-        let max_finite = delta.iter().copied().filter(|d| d.is_finite()).fold(0.0, f64::max);
-        let root_display = if max_finite > 0.0 { max_finite * 1.05 } else { 4.0 * self.cfg.r };
-        for d in delta.iter_mut() {
-            if !d.is_finite() {
-                *d = root_display;
-            }
-        }
-        (rho, delta)
+        let snap = self.snapshot(t);
+        (snap.rho, snap.delta)
     }
 
     /// Sorted finite δ values of active cells (adaptive-τ input).
@@ -601,5 +603,68 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// factor of the reservoir population).
     pub fn idle_queue_len(&self) -> usize {
         self.idle.len()
+    }
+}
+
+/// The running density-weighted extent of each cluster's member seeds,
+/// flat: cluster slot `k` owns `sum`, `min` and `max` at `k·dim..(k+1)·dim`.
+/// Seeds are added in ascending cell-id order, the first one opening the
+/// slot (`sum = x·w`, `min = max = x`), so every value is the same `f64`
+/// a per-cluster pass over the same cells computes.
+struct Extents {
+    dim: usize,
+    sum: Vec<f64>,
+    min: Vec<f64>,
+    max: Vec<f64>,
+    /// Summed weight per slot.
+    total: Vec<f64>,
+}
+
+impl Extents {
+    /// Room for `slots` slots of `dim` coordinates: a tracked engine's
+    /// registry holds the exact cluster count, so the vectors never grow.
+    fn with_capacity(dim: usize, slots: usize) -> Self {
+        Extents {
+            dim,
+            sum: Vec::with_capacity(slots * dim),
+            min: Vec::with_capacity(slots * dim),
+            max: Vec::with_capacity(slots * dim),
+            total: Vec::with_capacity(slots),
+        }
+    }
+
+    /// Adds seed `x` of weight `w` to slot `k`; `k` one past the last slot
+    /// opens it with `x` as its first seed.
+    fn add(&mut self, k: usize, x: &[f64], w: f64) {
+        debug_assert_eq!(x.len(), self.dim, "every seed of a stream has its coordinate count");
+        if k == self.total.len() {
+            self.sum.extend(x.iter().map(|v| v * w));
+            self.min.extend_from_slice(x);
+            self.max.extend_from_slice(x);
+            self.total.push(w);
+            return;
+        }
+        let at = k * self.dim..(k + 1) * self.dim;
+        let (sum, min, max) =
+            (&mut self.sum[at.clone()], &mut self.min[at.clone()], &mut self.max[at]);
+        for (((s, lo), hi), &v) in sum.iter_mut().zip(min.iter_mut()).zip(max.iter_mut()).zip(x) {
+            *s += v * w;
+            *lo = lo.min(v);
+            *hi = hi.max(v);
+        }
+        self.total[k] += w;
+    }
+
+    /// Slot `k`'s density-weighted centroid and bounding box. A slot whose
+    /// weights sum to zero takes `unweighted()` as its centroid.
+    fn geometry(&self, k: usize, unweighted: impl FnOnce() -> Vec<f64>) -> (Vec<f64>, BoundingBox) {
+        let at = k * self.dim..(k + 1) * self.dim;
+        let total = self.total[k];
+        let centroid = if total > 0.0 {
+            self.sum[at.clone()].iter().map(|s| s / total).collect()
+        } else {
+            unweighted()
+        };
+        (centroid, BoundingBox { min: self.min[at.clone()].to_vec(), max: self.max[at].to_vec() })
     }
 }

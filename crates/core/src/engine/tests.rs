@@ -1477,3 +1477,409 @@ fn reference_streams_cover_every_structural_change() {
         assert_eq!(tau_changes > 0, matches!(tau, TauMode::Adaptive { .. }), "{tau:?}: {total:?}");
     }
 }
+
+#[test]
+fn publish_nanos_grow_on_publication_only() {
+    let mut e = EdmStream::new(mini_cfg(0.5), Euclidean);
+    feed_two_blobs(&mut e, 200);
+    assert_eq!(e.stats().publish_nanos, 0, "ingest publishes nothing");
+    let _ = e.publish_snapshot(2.0);
+    let after_first = e.stats().publish_nanos;
+    assert!(after_first > 0, "the publication is timed");
+    let _ = e.snapshot(2.0);
+    assert_eq!(e.stats().publish_nanos, after_first, "a plain freeze is not a publication");
+    let _ = e.publish_snapshot(2.0);
+    assert!(e.stats().publish_nanos > after_first);
+    // Wall clock: exempt from the equivalence contract.
+    assert_eq!(e.stats().normalized_for_equivalence().publish_nanos, 0);
+}
+
+// ----- the one-pass freeze == the three passes it replaced -----
+
+/// The clusters as the engine used to extract them: a strong-root walk
+/// per active cell in ascending id order, grouped through a map.
+fn reference_clusters(e: &EdmStream<DenseVector, Euclidean>, t: f64) -> Vec<crate::ClusterInfo> {
+    let tau = e.tau_ctl.tau();
+    let mut by_root: std::collections::HashMap<CellId, crate::ClusterInfo> = Default::default();
+    for id in e.sorted_active_ids() {
+        let cell = e.slab.get(id);
+        let root = crate::tree::strong_root(&e.slab, id, tau);
+        let info = by_root.entry(root).or_insert_with(|| crate::ClusterInfo {
+            id: e.registry.cluster_at_root(root).unwrap_or(root.0 as u64),
+            root,
+            cells: Vec::new(),
+            density: 0.0,
+        });
+        info.cells.push(id);
+        info.density += cell.rho_at(t, e.decay());
+    }
+    let mut v: Vec<crate::ClusterInfo> = by_root.into_values().collect();
+    v.sort_by_key(|c| c.root);
+    v
+}
+
+/// The decision graph as its own pass over the active cells.
+fn reference_decision_graph(e: &EdmStream<DenseVector, Euclidean>, t: f64) -> (Vec<f64>, Vec<f64>) {
+    let mut rho = Vec::new();
+    let mut delta = Vec::new();
+    for id in e.sorted_active_ids() {
+        let cell = e.slab.get(id);
+        rho.push(cell.rho_at(t, e.decay()));
+        delta.push(cell.delta);
+    }
+    let max_finite = delta.iter().copied().filter(|d| d.is_finite()).fold(0.0, f64::max);
+    let root_display = if max_finite > 0.0 { max_finite * 1.05 } else { 4.0 * e.cfg.r };
+    for d in delta.iter_mut() {
+        if !d.is_finite() {
+            *d = root_display;
+        }
+    }
+    (rho, delta)
+}
+
+/// The summaries as their own pass over each cluster's cells, with
+/// indexed `f64::min` / `max`.
+fn reference_summaries(
+    e: &EdmStream<DenseVector, Euclidean>,
+    t: f64,
+    clusters: &[crate::ClusterInfo],
+) -> Vec<crate::evolve::ClusterSummary> {
+    use crate::evolve::{BoundingBox, ClusterSummary};
+    if !e.cfg.track_evolution {
+        return Vec::new();
+    }
+    let born: edm_common::hash::FxHashMap<crate::evolution::ClusterId, f64> =
+        e.registry.clusters().map(|(id, m)| (id, m.born)).collect();
+    let generation = e.stats.snapshots_published;
+    let mut out: Vec<ClusterSummary> = clusters
+        .iter()
+        .map(|c| {
+            struct Extent {
+                sum: Vec<f64>,
+                min: Vec<f64>,
+                max: Vec<f64>,
+                total: f64,
+            }
+            let mut weighted: Option<Extent> = None;
+            for &cell in &c.cells {
+                let cref = e.slab.get(cell);
+                let x = cref.seed.grid_coords().expect("dense vectors have coordinates");
+                let w = cref.rho_at(t, e.decay()).max(0.0);
+                match &mut weighted {
+                    None => {
+                        weighted = Some(Extent {
+                            sum: x.iter().map(|v| v * w).collect(),
+                            min: x.to_vec(),
+                            max: x.to_vec(),
+                            total: w,
+                        });
+                    }
+                    Some(Extent { sum, min, max, total }) => {
+                        for (i, v) in x.iter().enumerate() {
+                            sum[i] += v * w;
+                            min[i] = min[i].min(*v);
+                            max[i] = max[i].max(*v);
+                        }
+                        *total += w;
+                    }
+                }
+            }
+            let Extent { sum, min, max, total } = weighted.expect("clusters have members");
+            let centroid = if total > 0.0 {
+                sum.iter().map(|s| s / total).collect()
+            } else {
+                let n = c.cells.len() as f64;
+                c.cells.iter().fold(vec![0.0; min.len()], |mut acc, &cell| {
+                    let x = e.slab.get(cell).seed.grid_coords().expect("dense");
+                    for (i, v) in x.iter().enumerate() {
+                        acc[i] += v / n;
+                    }
+                    acc
+                })
+            };
+            ClusterSummary {
+                cluster: c.id,
+                cells: c.cells.len(),
+                mass: c.density,
+                centroid: Some(centroid),
+                bounds: Some(BoundingBox { min, max }),
+                born: born.get(&c.id).copied().unwrap_or(t),
+                as_of: t,
+                first_generation: generation,
+                last_seen: generation,
+            }
+        })
+        .collect();
+    out.sort_unstable_by_key(|s| s.cluster);
+    out
+}
+
+/// Every float of a summary as bits: equal keys mean identical summaries,
+/// signs of zero included.
+type SummaryBits = (u64, usize, u64, Option<Vec<u64>>, Option<[Vec<u64>; 2]>, u64, u64, u64, u64);
+
+fn summary_bits(s: &crate::evolve::ClusterSummary) -> SummaryBits {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    (
+        s.cluster,
+        s.cells,
+        s.mass.to_bits(),
+        s.centroid.as_deref().map(bits),
+        s.bounds.as_ref().map(|b| [bits(&b.min), bits(&b.max)]),
+        s.born.to_bits(),
+        s.as_of.to_bits(),
+        s.first_generation,
+        s.last_seen,
+    )
+}
+
+/// `(id, root, cells, density bits)` per cluster.
+fn cluster_bits(clusters: &[crate::ClusterInfo]) -> Vec<(u64, u32, Vec<u32>, u64)> {
+    clusters
+        .iter()
+        .map(|c| (c.id, c.root.0, c.cells.iter().map(|id| id.0).collect(), c.density.to_bits()))
+        .collect()
+}
+
+fn float_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Checks `snap`, frozen from `e` at `t`, against the three passes it
+/// replaced, computed from the same engine state; returns whether a
+/// summary took the unweighted-mean centroid (every weight decayed to 0).
+fn check_freeze(
+    e: &EdmStream<DenseVector, Euclidean>,
+    t: f64,
+    snap: &crate::ClusterSnapshot,
+) -> Result<bool, String> {
+    let clusters = reference_clusters(e, t);
+    if cluster_bits(snap.clusters()) != cluster_bits(&clusters) {
+        return Err(format!("t={t}: clusters {:?}, reference {clusters:?}", snap.clusters()));
+    }
+    let mut flat: Vec<(CellId, u64)> =
+        clusters.iter().flat_map(|c| c.cells.iter().map(move |&cell| (cell, c.id))).collect();
+    flat.sort_unstable_by_key(|&(cell, _)| cell);
+    if snap.members() != flat.as_slice() {
+        return Err(format!("t={t}: members {:?}, flattened clusters {flat:?}", snap.members()));
+    }
+    let (rho, delta) = reference_decision_graph(e, t);
+    let (got_rho, got_delta) = snap.decision_graph();
+    if (float_bits(got_rho), float_bits(got_delta)) != (float_bits(&rho), float_bits(&delta)) {
+        return Err(format!(
+            "t={t}: decision graph {got_rho:?} {got_delta:?}, reference {rho:?} {delta:?}"
+        ));
+    }
+    let summaries = reference_summaries(e, t, &clusters);
+    let got: Vec<SummaryBits> = snap.summaries().iter().map(summary_bits).collect();
+    let want: Vec<SummaryBits> = summaries.iter().map(summary_bits).collect();
+    if got != want {
+        return Err(format!("t={t}: summaries {:?}, reference {summaries:?}", snap.summaries()));
+    }
+    Ok(summaries.iter().any(|s| s.mass == 0.0))
+}
+
+/// The rolling summary map as the tracker kept it before sealing in place:
+/// every sealed summary cloned and inserted over the entry it replaces.
+#[derive(Default)]
+struct RollingReference(std::collections::BTreeMap<u64, crate::evolve::ClusterSummary>);
+
+impl RollingReference {
+    fn seal(&mut self, generation: u64, summaries: &[crate::evolve::ClusterSummary], oldest: u64) {
+        for s in summaries {
+            let mut s = s.clone();
+            if let Some(prev) = self.0.get(&s.cluster) {
+                s.first_generation = prev.first_generation;
+            }
+            s.last_seen = generation;
+            self.0.insert(s.cluster, s);
+        }
+        self.0.retain(|_, s| s.last_seen >= oldest);
+    }
+}
+
+/// One freeze-reference point: [`reference_point`]'s 2-d stream, with the
+/// second coordinate set to +0.0 or −0.0 one time in four each, widened
+/// to `dim` coordinates of +0.0, −0.0 or ±0.05-scale offsets picked by
+/// `bits`. Seeds then share axes whose only difference is the sign of
+/// zero, which the bounding boxes must keep.
+fn freeze_point(i: usize, site: u64, u: f64, v: f64, bits: u64, dim: usize) -> DenseVector {
+    let mut c = reference_point(i, site, u, v).coords().to_vec();
+    match bits & 3 {
+        0 => c[1] = 0.0,
+        1 => c[1] = -0.0,
+        _ => {}
+    }
+    for axis in 2..dim {
+        c.push(match (bits >> (2 * axis)) & 3 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 0.05 * u,
+            _ => -0.05 * v,
+        });
+    }
+    DenseVector::new(c)
+}
+
+/// What a freeze-reference stream reached.
+#[derive(Debug, Default, Clone, Copy)]
+struct FreezeCoverage {
+    deactivations: u64,
+    recycled: u64,
+    tau_changes: u64,
+    publications: u64,
+    multi_cell_clusters: u64,
+    decayed_centroids: u64,
+    signed_zero_bounds: u64,
+}
+
+/// Drives one engine over `ops` (`(site, u, v, step, zero bits)` draws)
+/// and checks every freeze against the reference passes: a `snapshot` at
+/// the stream time after every point (after every chunk on the batch
+/// path) and far past it, where every density has decayed to zero, and on
+/// every fifth step a `publish_snapshot` whose rolling summaries must
+/// equal the clone-and-insert reference map.
+fn run_against_reference_freeze(
+    tau: TauMode,
+    dim: usize,
+    track: bool,
+    batch: bool,
+    ops: &[(u64, f64, f64, u64, u64)],
+) -> Result<FreezeCoverage, String> {
+    let threads = std::num::NonZeroUsize::new(if batch { 2 } else { 1 }).expect("nonzero");
+    let cfg = reference_cfg(tau).to_builder().track_evolution(track).ingest_threads(threads);
+    let mut e = EdmStream::new(cfg.build().expect("valid"), Euclidean);
+    let mut rolling = RollingReference::default();
+    let mut cov = FreezeCoverage::default();
+    let mut t = 0.0;
+    let mut points: Vec<(DenseVector, f64)> = Vec::new();
+    for (i, &(site, u, v, step, bits)) in ops.iter().enumerate() {
+        t += if step == 0 { 1.0 + 2.0 * u } else { 0.01 };
+        points.push((freeze_point(i, site, u, v, bits, dim), t));
+        // The batch path ingests chunks of 1–8 points.
+        if batch && (bits >> 40) % 8 != 0 && i + 1 < ops.len() {
+            continue;
+        }
+        let tau_before = e.tau();
+        if batch {
+            e.insert_batch(&points);
+        } else {
+            e.insert(&points[0].0, t);
+        }
+        points.clear();
+        if tau_before.is_finite() && e.tau() != tau_before {
+            cov.tau_changes += 1;
+        }
+        for at in [t, t + 5_000.0] {
+            let snap = e.snapshot(at);
+            if check_freeze(&e, at, &snap).map_err(|err| format!("point {i}: {err}"))? {
+                cov.decayed_centroids += 1;
+            }
+            let (rho, delta) = e.decision_graph(at);
+            if (float_bits(&rho), float_bits(&delta))
+                != (float_bits(snap.decision_graph().0), float_bits(snap.decision_graph().1))
+            {
+                return Err(format!("point {i}: decision_graph() is not the freeze's"));
+            }
+            if cluster_bits(&e.clusters(at)) != cluster_bits(snap.clusters()) {
+                return Err(format!("point {i}: clusters() is not the freeze's"));
+            }
+        }
+        if i % 5 == 4 {
+            let snap = e.publish_snapshot(t);
+            check_freeze(&e, t, &snap).map_err(|err| format!("point {i}, published: {err}"))?;
+            cov.publications += 1;
+            if track {
+                let oldest = e.digest_window().generations().map_or(snap.generation(), |g| g.0);
+                rolling.seal(snap.generation(), snap.summaries(), oldest);
+            }
+            let got: Vec<SummaryBits> = e.tracked_summaries().map(summary_bits).collect();
+            let want: Vec<SummaryBits> = rolling.0.values().map(summary_bits).collect();
+            if got != want {
+                return Err(format!("point {i}: rolling summaries {got:?}, reference {want:?}"));
+            }
+            for s in snap.summaries() {
+                let b = s.bounds.as_ref().expect("dense vectors have bounds");
+                let signed = |v: &[f64]| v.iter().any(|x| *x == 0.0 && x.is_sign_negative());
+                if s.cells > 1 && (signed(&b.min) || signed(&b.max)) {
+                    cov.signed_zero_bounds += 1;
+                }
+            }
+            cov.multi_cell_clusters +=
+                snap.clusters().iter().filter(|c| c.cells.len() > 1).count() as u64;
+        }
+    }
+    cov.deactivations = e.stats().deactivations;
+    cov.recycled = e.stats().recycled;
+    Ok(cov)
+}
+
+/// Ops for [`run_against_reference_freeze`]: [`reference_ops`]' draws
+/// plus 64 bits of zero signs, offsets and chunk lengths.
+fn freeze_ops() -> impl proptest::prelude::Strategy<Value = Vec<(u64, f64, f64, u64, u64)>> {
+    proptest::prelude::prop::collection::vec(
+        (0u64..8, 0.0f64..1.0, 0.0f64..1.0, 0u64..40, proptest::prelude::any::<u64>()),
+        100..400,
+    )
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+    /// The one-pass freeze equals the clusters, decision graph and
+    /// summaries of the three passes it replaced, bit for bit, and the
+    /// rolling summaries sealed in place equal the cloned ones: 2-d (grid)
+    /// and 16-d (cover tree), evolution tracked or not, static or adaptive
+    /// τ, serial inserts or parallel batches.
+    #[test]
+    fn the_one_pass_freeze_equals_the_three_pass_reference(
+        ops in freeze_ops(),
+        wide in proptest::prelude::any::<bool>(),
+        track in proptest::prelude::any::<bool>(),
+        adaptive in proptest::prelude::any::<bool>(),
+        batch in proptest::prelude::any::<bool>(),
+    ) {
+        let tau = if adaptive { TauMode::Adaptive { alpha: None } } else { TauMode::Static(1.0) };
+        let dim = if wide { 16 } else { 2 };
+        if let Err(e) = run_against_reference_freeze(tau, dim, track, batch, &ops) {
+            return Err(format!("{tau:?}, {dim}-d, track {track}, batch {batch}: {e}"));
+        }
+    }
+}
+
+/// The freeze-reference streams reach what the one-pass freeze must get
+/// right: decay sweeps, recycling, τ changes, multi-cell clusters,
+/// centroids of fully decayed clusters and bounding boxes holding −0.0.
+#[test]
+fn freeze_reference_streams_reach_every_path() {
+    for (tau, dim, batch) in
+        [(TauMode::Static(1.0), 2, false), (TauMode::Adaptive { alpha: None }, 16, true)]
+    {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
+        let ops: Vec<(u64, f64, f64, u64, u64)> = (0..600)
+            .map(|_| (draw() % 8, unit(draw()), unit(draw()), draw() % 40, draw()))
+            .collect();
+        let c = run_against_reference_freeze(tau, dim, true, batch, &ops).unwrap();
+        assert!(
+            [
+                c.deactivations,
+                c.recycled,
+                c.publications,
+                c.multi_cell_clusters,
+                c.decayed_centroids,
+                c.signed_zero_bounds
+            ]
+            .iter()
+            .all(|&n| n > 0),
+            "{tau:?}, {dim}-d: {c:?}"
+        );
+        assert_eq!(c.tau_changes > 0, matches!(tau, TauMode::Adaptive { .. }), "{tau:?}: {c:?}");
+    }
+}

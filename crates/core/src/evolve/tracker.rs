@@ -2,6 +2,7 @@
 //! incrementally, maintains the lineage graph and the rolling summary
 //! map, and seals one [`GenerationRecord`] per snapshot publication.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -86,7 +87,8 @@ impl EvolutionTracker {
     /// `live` is the `(cluster, mass)` list at the publication instant
     /// (ascending by id) and `summaries` the freshly frozen per-cluster
     /// summaries, merged into the rolling map (preserving each cluster's
-    /// true `first_generation`).
+    /// true `first_generation`). A cluster already held is updated in
+    /// place, reusing its centroid and bounds vectors.
     pub(crate) fn seal(
         &mut self,
         generation: u64,
@@ -108,12 +110,34 @@ impl EvolutionTracker {
         }
 
         for s in summaries {
-            let mut s = s.clone();
-            if let Some(prev) = self.summaries.get(&s.cluster) {
-                s.first_generation = prev.first_generation;
+            match self.summaries.entry(s.cluster) {
+                Entry::Vacant(slot) => {
+                    slot.insert(ClusterSummary { last_seen: generation, ..s.clone() });
+                }
+                Entry::Occupied(mut slot) => {
+                    // Field by field, so the held centroid and bounds keep
+                    // their allocations; `first_generation` stays.
+                    let held = slot.get_mut();
+                    let ClusterSummary {
+                        cluster: _,
+                        cells,
+                        mass,
+                        centroid,
+                        bounds,
+                        born,
+                        as_of,
+                        first_generation: _,
+                        last_seen: _,
+                    } = s;
+                    held.cells = *cells;
+                    held.mass = *mass;
+                    held.centroid.clone_from(centroid);
+                    held.bounds.clone_from(bounds);
+                    held.born = *born;
+                    held.as_of = *as_of;
+                    held.last_seen = generation;
+                }
             }
-            s.last_seen = generation;
-            self.summaries.insert(s.cluster, s);
         }
         // Keep dead clusters' summaries only while their era is still
         // inside the digest history; beyond it they are unreachable by
@@ -223,6 +247,35 @@ mod tests {
         assert_eq!(s.first_generation, 1, "first observation survives the merge");
         assert_eq!(s.last_seen, 3);
         assert_eq!(tr.summaries().count(), 1);
+    }
+
+    #[test]
+    fn a_continuing_cluster_is_updated_in_place() {
+        use crate::evolve::BoundingBox;
+        let shaped = |generation: u64, x: f64| ClusterSummary {
+            mass: x,
+            centroid: Some(vec![x, -x]),
+            bounds: Some(BoundingBox { min: vec![x - 1.0; 2], max: vec![x + 1.0; 2] }),
+            ..summary(7, generation)
+        };
+        let mut tr = EvolutionTracker::new(16, 4);
+        tr.seal(1, 1.0, vec![(7, 0.5)], &[shaped(1, 0.5)]);
+        let held = tr.summary_of(7).unwrap();
+        let at = |s: &ClusterSummary| {
+            let b = s.bounds.as_ref().unwrap();
+            (s.centroid.as_ref().unwrap().as_ptr(), b.min.as_ptr(), b.max.as_ptr())
+        };
+        let before = at(held);
+        tr.seal(2, 2.0, vec![(7, 4.0)], &[shaped(2, 4.0)]);
+        let held = tr.summary_of(7).unwrap();
+        assert_eq!(*held, ClusterSummary { first_generation: 1, ..shaped(2, 4.0) });
+        assert_eq!(at(held), before, "the held vectors were reused");
+        // A cluster that loses its geometry loses it in the rolling map too.
+        tr.seal(3, 3.0, vec![(7, 1.0)], &[summary(7, 3)]);
+        assert_eq!(
+            *tr.summary_of(7).unwrap(),
+            ClusterSummary { first_generation: 1, ..summary(7, 3) }
+        );
     }
 
     #[test]

@@ -185,6 +185,12 @@ pub struct EngineStats {
     /// stats persisted before the field existed still load.
     #[serde(default)]
     pub diff_cells: u64,
+    /// Accumulated wall-clock nanoseconds in `EdmStream::publish_snapshot`:
+    /// the freeze and the seal of the generation record. Plain `snapshot()`
+    /// freezes are not counted. Serde-defaulted so stats persisted before
+    /// the field existed still load.
+    #[serde(default)]
+    pub publish_nanos: u64,
 }
 
 impl EngineStats {
@@ -208,8 +214,8 @@ impl EngineStats {
     /// counters (`probe_tasks`, `probe_revalidations`,
     /// `probe_revalidations_avoided`, `parallel_batches`, `pool_rounds`)
     /// describe *who computed* the work
-    /// rather than clustering output, `dep_update_nanos` and `diff_nanos`
-    /// are wall clock,
+    /// rather than clustering output, `dep_update_nanos`, `diff_nanos` and
+    /// `publish_nanos` are wall clock,
     /// and `snapshots_published` counts how often the state was
     /// *observed* (published) rather than what was clustered. All other
     /// counters must match exactly between a serial and a parallel (or
@@ -225,6 +231,7 @@ impl EngineStats {
             pool_rounds: 0,
             dep_update_nanos: 0,
             diff_nanos: 0,
+            publish_nanos: 0,
             snapshots_published: 0,
             ..self.clone()
         }

@@ -5,7 +5,14 @@
 //! that metrics and reporting code can hold, ship across threads, or diff
 //! against later snapshots — without re-entering (or borrowing) the
 //! engine. This is the §6.3.1 story at the API level: cluster queries are
-//! answered online from maintained state, so freezing them is cheap.
+//! answered online from maintained state, so freezing them is cheap. The
+//! freeze is one walk over the active cells in ascending id order that
+//! reads each cell once: its decayed density is the decision-graph value,
+//! its share of the cluster density and its summary weight, and its
+//! cluster is the label the evolution diff keeps on it (a strong-root
+//! walk only when evolution is not tracked). The engine's
+//! [`crate::EdmStream::clusters`] and [`crate::EdmStream::decision_graph`]
+//! are views of this one pass.
 
 use edm_common::time::Timestamp;
 
@@ -38,6 +45,8 @@ pub struct ClusterSnapshot {
     pub(crate) tau: f64,
     pub(crate) alpha: f64,
     pub(crate) clusters: Vec<ClusterInfo>,
+    /// Every active cell with its cluster id, ascending by cell id.
+    pub(crate) members: Vec<(CellId, ClusterId)>,
     /// Compact per-cluster summaries of the clusters with a registered
     /// persistent identity, ascending by cluster id.
     pub(crate) summaries: Vec<ClusterSummary>,
@@ -122,8 +131,10 @@ impl ClusterSnapshot {
     }
 
     /// The summary of cluster `id`, if it is live and identity-tracked.
+    /// Binary search over the id-sorted summaries.
     pub fn summary(&self, id: ClusterId) -> Option<&ClusterSummary> {
-        self.summaries.iter().find(|s| s.cluster == id)
+        let at = self.summaries.binary_search_by_key(&id, |s| s.cluster).ok()?;
+        Some(&self.summaries[at])
     }
 
     /// Looks up a cluster by its persistent id.
@@ -131,9 +142,18 @@ impl ClusterSnapshot {
         self.clusters.iter().find(|c| c.id == id)
     }
 
+    /// Every active cell with the id of its cluster, ascending by cell id:
+    /// the member column the serving tier's member table is built from.
+    /// Holds exactly the cells of [`ClusterSnapshot::clusters`].
+    pub fn members(&self) -> &[(CellId, ClusterId)] {
+        &self.members
+    }
+
     /// Persistent cluster id of the cluster containing `cell`, if any.
+    /// Binary search over the member column.
     pub fn cluster_of_cell(&self, cell: CellId) -> Option<ClusterId> {
-        self.clusters.iter().find(|c| c.cells.contains(&cell)).map(|c| c.id)
+        let at = self.members.binary_search_by_key(&cell, |&(c, _)| c).ok()?;
+        Some(self.members[at].1)
     }
 
     /// The (ρ, δ) decision graph of the active cells (Fig 2b/15); the
@@ -199,23 +219,37 @@ mod tests {
             clusters: vec![
                 ClusterInfo {
                     id: 7,
-                    root: CellId(0),
-                    cells: vec![CellId(0), CellId(2)],
+                    root: CellId(1),
+                    cells: vec![CellId(1), CellId(2)],
                     density: 10.0,
                 },
                 ClusterInfo { id: 9, root: CellId(5), cells: vec![CellId(5)], density: 4.0 },
             ],
-            summaries: vec![ClusterSummary {
-                cluster: 7,
-                cells: 2,
-                mass: 10.0,
-                centroid: Some(vec![0.5, 0.0]),
-                bounds: None,
-                born: 0.5,
-                as_of: 2.0,
-                first_generation: 3,
-                last_seen: 3,
-            }],
+            members: vec![(CellId(1), 7), (CellId(2), 7), (CellId(5), 9)],
+            summaries: vec![
+                ClusterSummary {
+                    cluster: 7,
+                    cells: 2,
+                    mass: 10.0,
+                    centroid: Some(vec![0.5, 0.0]),
+                    bounds: None,
+                    born: 0.5,
+                    as_of: 2.0,
+                    first_generation: 3,
+                    last_seen: 3,
+                },
+                ClusterSummary {
+                    cluster: 9,
+                    cells: 1,
+                    mass: 4.0,
+                    centroid: Some(vec![2.5, 0.0]),
+                    bounds: None,
+                    born: 1.5,
+                    as_of: 2.0,
+                    first_generation: 3,
+                    last_seen: 3,
+                },
+            ],
             rho: vec![8.0, 2.0, 4.0],
             delta: vec![3.0, 0.4, 2.0],
             active_cells: 3,
@@ -240,8 +274,13 @@ mod tests {
         assert_eq!(s.n_cells(), 5);
         assert_eq!(s.cluster(9).unwrap().root, CellId(5));
         assert!(s.cluster(1).is_none());
+        assert_eq!(s.cluster_of_cell(CellId(1)), Some(7));
         assert_eq!(s.cluster_of_cell(CellId(2)), Some(7));
-        assert_eq!(s.cluster_of_cell(CellId(3)), None);
+        assert_eq!(s.cluster_of_cell(CellId(5)), Some(9));
+        // Absent cells below, between and above the members.
+        for absent in [0, 3, 4, 6, 100] {
+            assert_eq!(s.cluster_of_cell(CellId(absent)), None, "cell {absent}");
+        }
         assert!((s.total_density() - 14.0).abs() < 1e-12);
         let (rho, delta) = s.decision_graph();
         assert_eq!(rho.len(), delta.len());
@@ -249,8 +288,12 @@ mod tests {
         assert!((s.stats().index_prune_rate() - 0.6).abs() < 1e-12);
         assert_eq!(s.generation(), 3);
         assert_eq!(s.as_of(), s.t());
-        assert_eq!(s.summaries().len(), 1);
+        assert_eq!(s.summaries().len(), 2);
         assert_eq!(s.summary(7).unwrap().cells, 2);
-        assert!(s.summary(9).is_none());
+        assert_eq!(s.summary(9).unwrap().cells, 1);
+        // Absent ids below, between and above the summarized ones.
+        for absent in [0, 6, 8, 10, 400] {
+            assert!(s.summary(absent).is_none(), "cluster {absent}");
+        }
     }
 }

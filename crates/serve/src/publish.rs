@@ -29,8 +29,10 @@
 //! [`CellId`] names another cell only after recycling frees its slot
 //! (counted in [`edm_core::EngineStats::recycled`]). So the same sorted
 //! member ids at the same recycle count mean the same seeds, and the next
-//! payload shares the previous table. Cluster labels are rebuilt on every
-//! publication.
+//! payload shares the previous table. Cluster labels come with every
+//! publication: the snapshot's member column lists every active cell in
+//! ascending id order with its cluster, so the table's positions index it
+//! directly and no member list is rebuilt or sorted here.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -110,10 +112,11 @@ impl<P> MemberTable<P> {
         MemberTable { ids, seeds, keys, pivot, dim, recycled, metric: metric.name() }
     }
 
-    /// Whether the table's seeds are those of the members `ids`
-    /// (ascending) at the recycle count `recycled`.
-    fn holds(&self, ids: &[CellId], recycled: u64) -> bool {
-        self.recycled == recycled && self.ids == ids
+    /// Whether the table's seeds are those of `members` (a snapshot's
+    /// member column, ascending by cell id) at the recycle count
+    /// `recycled`.
+    fn holds(&self, members: &[(CellId, ClusterId)], recycled: u64) -> bool {
+        self.recycled == recycled && self.ids.iter().copied().eq(members.iter().map(|m| m.0))
     }
 
     /// The member nearest to `p` as `(distance, table position)`, ties
@@ -159,10 +162,9 @@ impl<P> MemberTable<P> {
 pub struct Published<P> {
     snapshot: ClusterSnapshot,
     /// Nearest-seed index over the active cells; shared with earlier
-    /// payloads of the same member set.
+    /// payloads of the same member set. Its positions are those of the
+    /// snapshot's member column, which holds each member's cluster.
     table: Arc<MemberTable<P>>,
-    /// Cluster of each table member, in table order.
-    clusters: Vec<ClusterId>,
     /// Cell radius: the assignment cutoff for `cluster_of`.
     r: f64,
     /// `Arc`-shared view of the engine's sealed generation records at
@@ -194,24 +196,20 @@ impl<P> Published<P> {
         P: Clone + GridCoords + Send + Sync,
     {
         let snapshot = engine.publish_snapshot(engine.stream_time());
-        let mut members = Vec::with_capacity(snapshot.active_cells());
-        for cluster in snapshot.clusters() {
-            for &cell in &cluster.cells {
-                members.push((cell, cluster.id));
-            }
-        }
-        members.sort_by_key(|&(cell, _)| cell);
-        let (ids, clusters): (Vec<CellId>, Vec<ClusterId>) = members.into_iter().unzip();
+        let members = snapshot.members();
         let recycled = engine.stats().recycled;
         let table = match previous {
-            Some(prev) if prev.table.holds(&ids, recycled) => Arc::clone(&prev.table),
-            _ => Arc::new(MemberTable::build(ids, recycled, engine.slab(), engine.metric())),
+            Some(prev) if prev.table.holds(members, recycled) => Arc::clone(&prev.table),
+            _ => {
+                let ids = members.iter().map(|&(cell, _)| cell).collect();
+                Arc::new(MemberTable::build(ids, recycled, engine.slab(), engine.metric()))
+            }
         };
         let r = engine.config().r();
         // After publish_snapshot: the window includes the record this
         // very publication just sealed.
         let window = engine.digest_window();
-        Published { snapshot, table, clusters, r, window, published_at: Instant::now() }
+        Published { snapshot, table, r, window, published_at: Instant::now() }
     }
 
     /// The frozen cluster snapshot.
@@ -238,7 +236,18 @@ impl<P> Published<P> {
     /// Number of `(cell, cluster, seed)` members frozen (== active cells
     /// in clusters at publication time).
     pub fn n_members(&self) -> usize {
-        self.clusters.len()
+        self.table.ids.len()
+    }
+
+    /// The members `assign` answers from, as `(cell, cluster)` pairs in
+    /// ascending cell-id order: the member table's cells, each with the
+    /// cluster the snapshot's member column gives its position.
+    pub fn members(&self) -> impl Iterator<Item = (CellId, ClusterId)> + '_ {
+        self.table
+            .ids
+            .iter()
+            .zip(self.snapshot.members())
+            .map(|(&cell, &(_, cluster))| (cell, cluster))
     }
 
     /// The `(oldest, latest)` generations this payload can digest over,
@@ -309,7 +318,7 @@ impl<P> Published<P> {
         Ok(match self.table.nearest(p, metric) {
             None => Assignment::EmptySnapshot,
             Some((d, pos)) if d <= self.r => {
-                Assignment::Member { cluster: self.clusters[pos], distance: d }
+                Assignment::Member { cluster: self.snapshot.members()[pos].1, distance: d }
             }
             Some((d, _)) => Assignment::OutOfRadius { nearest: d, r: self.r },
         })

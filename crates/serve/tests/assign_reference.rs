@@ -11,10 +11,14 @@
 //! while the member set is unchanged. The publisher's stream jumps past a
 //! short recycling horizon between phases, so slots are freed and taken
 //! by new cells between publications. A metric that does not opt into
-//! `Metric::is_metric` covers the table's no-pivot path.
+//! `Metric::is_metric` covers the table's no-pivot path. Every payload's
+//! members, the cells and labels `assign` answers from, must be the
+//! snapshot's clusters flattened and sorted by cell id, on fresh and on
+//! reused tables alike.
 
 use edm_common::metric::{Euclidean, Metric};
 use edm_common::point::DenseVector;
+use edm_core::cell::CellId;
 use edm_core::evolution::ClusterId;
 use edm_core::{EdmConfig, EdmStream, TauMode};
 use edm_serve::{Assignment, Published, SnapshotPublisher};
@@ -199,6 +203,21 @@ fn assert_matches_scan<M: Metric<DenseVector>>(
 ) {
     let scan = Scan::of(engine);
     assert_eq!(published.n_members(), scan.members.len());
+    // The member ids and labels `assign` answers from are the snapshot's
+    // clusters, flattened and sorted by cell id.
+    let mut flat: Vec<(CellId, ClusterId)> = published
+        .snapshot()
+        .clusters()
+        .iter()
+        .flat_map(|c| c.cells.iter().map(move |&cell| (cell, c.id)))
+        .collect();
+    flat.sort_by_key(|&(cell, _)| cell);
+    assert_eq!(
+        published.members().collect::<Vec<_>>(),
+        flat,
+        "generation {}",
+        published.generation()
+    );
     for p in probes {
         assert_eq!(
             key(published.assign(p, engine.metric()).expect("same dimensionality")),
