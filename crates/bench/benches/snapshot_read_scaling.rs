@@ -7,8 +7,12 @@
 //!   member — the nearest-seed search behind every `cluster_of`;
 //! * `Published::freeze` p50 — a publication that builds its member
 //!   table from scratch;
-//! * `SnapshotPublisher::publish` p50 with the member set unchanged — a
-//!   publication in steady state;
+//! * `SnapshotPublisher::publish` p50 with the member set unchanged and
+//!   nothing ingested in between (`publish_reuse`);
+//! * `SnapshotPublisher::publish` p50 right after a 4-point batch that
+//!   absorbs within 0.2 of members (`publish_after_absorb`) — a served
+//!   writer's steady state, where every density has moved but no cell has
+//!   entered or left a cluster;
 //!
 //! and on the writer's side, `EdmStream::insert` p50 of one absorb within
 //! 0.2 of a member, with evolution tracking on (the default) — the path
@@ -43,6 +47,8 @@ const PROBES: usize = 1 << 14;
 const PUBLICATIONS: usize = 64;
 /// Timed absorbs per member count, after the publications.
 const ABSORBS: usize = 2_048;
+/// Points per ingested batch before a `publish_after_absorb` publication.
+const BATCH: usize = 4;
 /// Largest probe offset from its member, along dimension 0.
 const JITTER: f64 = 0.2;
 
@@ -117,6 +123,7 @@ struct Row {
     assign_p99_us: f64,
     freeze_p50_us: f64,
     publish_reuse_p50_us: f64,
+    publish_after_absorb_p50_us: f64,
     absorb_p50_us: f64,
 }
 
@@ -145,6 +152,27 @@ fn measure(members: usize) -> Row {
 
     let mut t = e.stream_time();
     let absorbed = e.stats().absorbed;
+    let mut after_absorb_ns: Vec<u64> = (0..PUBLICATIONS)
+        .map(|i| {
+            let batch: Vec<(DenseVector, f64)> = (0..BATCH)
+                .map(|k| {
+                    t += 1e-4;
+                    (probes[(i * BATCH + k) % PROBES].clone(), t)
+                })
+                .collect();
+            e.insert_batch(&batch);
+            let begin = Instant::now();
+            publisher.publish(&mut e);
+            begin.elapsed().as_nanos() as u64
+        })
+        .collect();
+    after_absorb_ns.sort_unstable();
+    assert_eq!(
+        e.stats().absorbed,
+        absorbed + (PUBLICATIONS * BATCH) as u64,
+        "every batch point must absorb"
+    );
+    let absorbed = e.stats().absorbed;
     let absorb_ns = timed(ABSORBS, |i| {
         t += 1e-4;
         e.insert(std::hint::black_box(&probes[i]), t);
@@ -158,6 +186,7 @@ fn measure(members: usize) -> Row {
         assign_p99_us: percentile(&assign_ns, 0.99),
         freeze_p50_us: percentile(&freeze_ns, 0.50),
         publish_reuse_p50_us: percentile(&publish_ns, 0.50),
+        publish_after_absorb_p50_us: percentile(&after_absorb_ns, 0.50),
         absorb_p50_us: percentile(&absorb_ns, 0.50),
     }
 }
@@ -173,12 +202,14 @@ fn main() {
         println!(
             "snapshot_read_scaling/members{}: assign p50 {:.2} us, p99 {:.2} us; \
              freeze p50 {:.1} us; publish (unchanged members) p50 {:.1} us; \
-             absorb p50 {:.1} us; warm-up {:.1} s",
+             publish after a {BATCH}-point absorb p50 {:.1} us; absorb p50 {:.1} us; \
+             warm-up {:.1} s",
             r.members,
             r.assign_p50_us,
             r.assign_p99_us,
             r.freeze_p50_us,
             r.publish_reuse_p50_us,
+            r.publish_after_absorb_p50_us,
             r.absorb_p50_us,
             r.warm_s
         );
@@ -190,12 +221,13 @@ fn main() {
             format!(
                 "{{\"members\": {}, \"assign_p50_us\": {:.2}, \"assign_p99_us\": {:.2}, \
                  \"freeze_p50_us\": {:.1}, \"publish_reuse_p50_us\": {:.1}, \
-                 \"absorb_p50_us\": {:.1}}}",
+                 \"publish_after_absorb_p50_us\": {:.1}, \"absorb_p50_us\": {:.1}}}",
                 r.members,
                 r.assign_p50_us,
                 r.assign_p99_us,
                 r.freeze_p50_us,
                 r.publish_reuse_p50_us,
+                r.publish_after_absorb_p50_us,
                 r.absorb_p50_us
             )
         })

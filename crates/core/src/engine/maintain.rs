@@ -345,6 +345,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                     );
                     self.stats.events += 1;
                     self.decayed.push(cluster);
+                    self.parts.mark(cluster);
                 }
             }
         }
@@ -403,7 +404,17 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             let before = self.log.total();
             let assignments = self.registry.diff(t, &groups, &decayed, &mut self.log);
             self.stats.events += self.log.total() - before;
-            for (cell, cid) in assignments {
+            // A cell whose label changes left one cluster and entered
+            // another: neither keeps its shared parts.
+            let labelled = groups.iter().flat_map(|g| &g.members);
+            for (&(cell, old), (assigned, cid)) in labelled.zip(assignments) {
+                debug_assert_eq!(cell, assigned, "the diff assigns the members in the order given");
+                if old != Some(cid) {
+                    self.parts.mark(cid);
+                    if let Some(old) = old {
+                        self.parts.mark(old);
+                    }
+                }
                 self.slab.get_mut(cell).cluster = Some(cid);
             }
             // Every event-recording site funnels through here (each of the

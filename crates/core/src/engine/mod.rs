@@ -73,6 +73,7 @@ use maintain::IdleQueue;
 use order::DensityOrder;
 use parallel::ProbePool;
 use pool::WorkerPool;
+use query::SharedParts;
 
 /// Engine phase: caching the initialization buffer, or running.
 enum Phase<P> {
@@ -152,6 +153,11 @@ pub struct EdmStream<P, M> {
     touched: Vec<CellId>,
     /// Clusters the decay sweep took cells from since the last diff.
     decayed: Vec<crate::evolution::ClusterId>,
+    /// What the last publication froze of each cluster's membership: cell
+    /// lists, bounding boxes and the member column, shared with the next
+    /// snapshots until a cell enters or leaves the cluster. Kept only while
+    /// evolution is tracked.
+    parts: SharedParts,
 }
 
 impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
@@ -217,6 +223,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             reservoir_peak: 0,
             touched: Vec::new(),
             decayed: Vec::new(),
+            parts: SharedParts::default(),
             cfg,
         }
     }

@@ -6,7 +6,8 @@
 //! invariant checkers the property suite drives live here too: they are
 //! read models over the same state, just with test-grade thoroughness.
 
-use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use edm_common::hash::{fx_map, FxHashMap};
 use edm_common::metric::Metric;
@@ -152,17 +153,24 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// Reporting and metrics code works off the frozen view instead of
     /// re-entering the engine.
     ///
-    /// One walk over the active cells in ascending id order, reading each
-    /// cell once: its density decayed to `t` is its decision-graph value,
-    /// its share of the cluster density and its summary weight. Its
-    /// cluster is the label the evolution diff keeps on it, the cluster's
-    /// root read from the registry; an engine that does not track
-    /// evolution keeps no labels, so there each cell walks to its strong
-    /// root. Summaries (only while evolution is tracked) hold the
-    /// density-weighted centroid and bounding box over the member-cell
-    /// seeds (`None` for coordinate-less payloads), mass, and birth time
-    /// from the identity registry; their generations are stamped with the
-    /// current publication count, and the engine's rolling map (see
+    /// While evolution is tracked, the parts that depend only on
+    /// membership (each cluster's ascending cell list and seed bounding
+    /// box, and the member column over them) come from the engine's
+    /// shared parts, rebuilt first for the clusters a cell entered or left
+    /// since they were last brought up to date; a plain freeze rebuilds a
+    /// copy, [`EdmStream::publish_snapshot`] the engine's own. The rest
+    /// moves with decay and is recomputed: one pass over the clusters,
+    /// each walking its cells in ascending id order, reads each cell's
+    /// density decayed to `t` once as its decision-graph value, its share
+    /// of the cluster density and its weight in the cluster's
+    /// density-weighted seed centroid. Each cluster's root and birth time
+    /// come from the identity registry. An
+    /// engine that does not track evolution keeps no labels, so there the
+    /// walk goes over the sorted active cells and takes each one to its
+    /// strong root, and no summaries are made. Summaries hold the centroid
+    /// and bounding box (`None` for coordinate-less payloads), mass, and
+    /// birth time; their generations are stamped with the current
+    /// publication count, and the engine's rolling map (see
     /// [`EdmStream::summary_of`]) preserves each cluster's true first
     /// observation.
     ///
@@ -186,101 +194,144 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// # Ok::<(), edm_core::ConfigError>(())
     /// ```
     pub fn snapshot(&self, t: Timestamp) -> ClusterSnapshot {
+        if !self.cfg.track_evolution {
+            return self.freeze_by_strong_roots(t);
+        }
+        if !self.parts.is_stale() {
+            return self.freeze(t, &self.parts);
+        }
+        let mut parts = self.parts.clone();
+        self.refresh_parts(&mut parts);
+        self.freeze(t, &parts)
+    }
+
+    /// The tracked freeze over up-to-date `parts`: one pass over the
+    /// clusters, each walking its cells in ascending id order.
+    fn freeze(&self, t: Timestamp, parts: &SharedParts) -> ClusterSnapshot {
+        let n = parts.members.len();
+        debug_assert_eq!(n, self.active_ids.len(), "the column holds every active cell");
+        let mut rho = vec![0.0; n];
+        let mut delta = vec![0.0; n];
+        let mut positions = parts.positions.iter();
+        let generation = self.stats.snapshots_published;
+        let mut clusters = Vec::with_capacity(parts.clusters.len());
+        let mut summaries = Vec::with_capacity(parts.clusters.len());
+        for part in &parts.clusters {
+            let mut density = 0.0;
+            // The density-weighted seed sum, only for payloads with
+            // coordinates. It opens at −0.0 so that the first seed's
+            // product is kept to the bit (−0.0 + x is x for every x, while
+            // +0.0 + −0.0 is +0.0), and so does the summed weight.
+            let mut centroid = self.dim.map(|dim| vec![-0.0; dim]);
+            let mut total = -0.0;
+            for (&id, &at) in part.cells.iter().zip(positions.by_ref()) {
+                let cell = self.slab.get(id);
+                let cell_density = cell.rho_at(t, self.decay());
+                rho[at as usize] = cell_density;
+                delta[at as usize] = cell.delta;
+                density += cell_density;
+                if let Some(sum) = centroid.as_mut() {
+                    let x = cell.seed.grid_coords().expect("summarized seeds have coordinates");
+                    let w = cell_density.max(0.0);
+                    for (s, &v) in sum.iter_mut().zip(x) {
+                        *s += v * w;
+                    }
+                    total += w;
+                }
+            }
+            // A fully decayed cluster falls back to the unweighted seed mean.
+            if let Some(sum) = centroid.as_mut() {
+                if total > 0.0 {
+                    sum.iter_mut().for_each(|s| *s /= total);
+                } else {
+                    *sum = self.seed_mean(&part.cells, sum.len());
+                }
+            }
+            let meta =
+                self.registry.cluster(part.id).expect("the shared parts are of live clusters");
+            clusters.push(ClusterInfo {
+                id: part.id,
+                root: meta.root,
+                cells: Arc::clone(&part.cells),
+                density,
+            });
+            summaries.push(ClusterSummary {
+                cluster: part.id,
+                cells: part.cells.len(),
+                mass: density,
+                centroid,
+                bounds: part.bounds.clone(),
+                born: meta.born,
+                as_of: t,
+                first_generation: generation,
+                last_seen: generation,
+            });
+        }
+        clusters.sort_unstable_by_key(|c| c.root);
+        self.frozen(t, clusters, Arc::clone(&parts.members), summaries, rho, delta)
+    }
+
+    /// The freeze of an engine that keeps no cluster labels: every active
+    /// cell, in ascending id order, walked to its strong root, whose id
+    /// names the cluster. No summaries.
+    fn freeze_by_strong_roots(&self, t: Timestamp) -> ClusterSnapshot {
         let tau = self.tau_ctl.tau();
-        let track = self.cfg.track_evolution;
         let ids = self.sorted_active_ids();
-        let n_clusters = self.registry.n_clusters();
         let mut rho = Vec::with_capacity(ids.len());
         let mut delta = Vec::with_capacity(ids.len());
         let mut members = Vec::with_capacity(ids.len());
-        // Clusters in the order of their lowest member id; `slot_of` maps
-        // a cluster id to its place here and in `extents`.
-        let mut clusters: Vec<ClusterInfo> = Vec::with_capacity(n_clusters);
-        let mut slot_of: FxHashMap<ClusterId, usize> = fx_map();
-        slot_of.reserve(n_clusters);
-        // Geometry only for summaries, so only while evolution is tracked,
-        // and only for payloads with coordinates.
-        let mut extents =
-            self.dim.filter(|_| track).map(|dim| Extents::with_capacity(dim, n_clusters));
-        let mut max_finite = 0.0f64;
+        // Clusters in the order of their lowest member id.
+        let mut grouped: Vec<(CellId, Vec<CellId>, f64)> = Vec::new();
+        let mut slot_of: FxHashMap<CellId, usize> = fx_map();
         for id in ids {
             let cell = self.slab.get(id);
-            let density = cell.rho_at(t, self.decay());
-            rho.push(density);
+            let cell_density = cell.rho_at(t, self.decay());
+            rho.push(cell_density);
             delta.push(cell.delta);
-            if cell.delta.is_finite() {
-                max_finite = max_finite.max(cell.delta);
-            }
-            let (cluster, walked) = match cell.cluster {
-                Some(cluster) => (cluster, None),
-                None => {
-                    let root = tree::strong_root(&self.slab, id, tau);
-                    (self.registry.cluster_at_root(root).unwrap_or(root.0 as u64), Some(root))
-                }
-            };
-            members.push((id, cluster));
-            let k = match slot_of.entry(cluster) {
-                Entry::Occupied(slot) => *slot.get(),
-                Entry::Vacant(slot) => {
-                    let (root, size) = match walked {
-                        Some(root) => (root, 1),
-                        None => {
-                            let meta = self
-                                .registry
-                                .cluster(cluster)
-                                .expect("the evolution diff labels cells with live clusters");
-                            (meta.root, meta.size)
-                        }
-                    };
-                    let cells = Vec::with_capacity(size);
-                    clusters.push(ClusterInfo { id: cluster, root, cells, density: 0.0 });
-                    *slot.insert(clusters.len() - 1)
-                }
-            };
-            clusters[k].cells.push(id);
-            clusters[k].density += density;
-            if let (Some(extents), Some(x)) = (extents.as_mut(), cell.seed.grid_coords()) {
-                extents.add(k, x, density.max(0.0));
-            }
+            let root = tree::strong_root(&self.slab, id, tau);
+            members.push((id, root.0 as ClusterId));
+            let k = *slot_of.entry(root).or_insert_with(|| {
+                grouped.push((root, Vec::new(), 0.0));
+                grouped.len() - 1
+            });
+            grouped[k].1.push(id);
+            grouped[k].2 += cell_density;
         }
+        let mut clusters: Vec<ClusterInfo> = grouped
+            .into_iter()
+            .map(|(root, cells, density)| ClusterInfo {
+                id: root.0 as ClusterId,
+                root,
+                cells: cells.into(),
+                density,
+            })
+            .collect();
+        clusters.sort_unstable_by_key(|c| c.root);
+        self.frozen(t, clusters, members.into(), Vec::new(), rho, delta)
+    }
+
+    /// Wraps a freeze's parts into the snapshot, with the root's infinite
+    /// δ remapped for display (see [`EdmStream::decision_graph`]) and the
+    /// engine's counters as of now.
+    fn frozen(
+        &self,
+        t: Timestamp,
+        clusters: Vec<ClusterInfo>,
+        members: Arc<[(CellId, ClusterId)]>,
+        summaries: Vec<ClusterSummary>,
+        rho: Vec<f64>,
+        mut delta: Vec<f64>,
+    ) -> ClusterSnapshot {
+        let max_finite = delta.iter().copied().filter(|d| d.is_finite()).fold(0.0, f64::max);
         let root_display = if max_finite > 0.0 { max_finite * 1.05 } else { 4.0 * self.cfg.r };
         for d in delta.iter_mut() {
             if !d.is_finite() {
                 *d = root_display;
             }
         }
-        let mut summaries: Vec<ClusterSummary> = Vec::new();
-        if track {
-            let generation = self.stats.snapshots_published;
-            summaries = clusters
-                .iter()
-                .enumerate()
-                .map(|(k, c)| {
-                    // A fully decayed cluster falls back to the unweighted
-                    // seed mean.
-                    let (centroid, bounds) = extents
-                        .as_ref()
-                        .map(|e| e.geometry(k, || self.seed_mean(&c.cells, e.dim)))
-                        .unzip();
-                    ClusterSummary {
-                        cluster: c.id,
-                        cells: c.cells.len(),
-                        mass: c.density,
-                        centroid,
-                        bounds,
-                        born: self.registry.cluster(c.id).map_or(t, |m| m.born),
-                        as_of: t,
-                        first_generation: generation,
-                        last_seen: generation,
-                    }
-                })
-                .collect();
-            summaries.sort_unstable_by_key(|s| s.cluster);
-        }
-        clusters.sort_unstable_by_key(|c| c.root);
         ClusterSnapshot {
             t,
-            tau,
+            tau: self.tau_ctl.tau(),
             alpha: self.tau_ctl.alpha(),
             clusters,
             members,
@@ -295,6 +346,109 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             stats: self.stats.clone(),
             generation: self.stats.snapshots_published,
         }
+    }
+
+    /// Brings `parts` up to date with the cluster labels. One walk over the
+    /// active cells in ascending id order gives the member column, every
+    /// part's positions in it and each marked cluster's members; a marked
+    /// cluster that died loses its part. A rebuilt part whose cells came
+    /// out the same keeps its old cell list, and its old box too when the
+    /// new one has the same bits, and the old column stays when the new
+    /// one is equal, so every part is shared for exactly as long as its
+    /// contents hold.
+    fn refresh_parts(&self, parts: &mut SharedParts) {
+        let mut stale = std::mem::take(&mut parts.stale);
+        if std::mem::take(&mut parts.all_stale) {
+            stale.extend(parts.clusters.iter().map(|part| part.id));
+            stale.extend(self.registry.clusters().map(|(id, _)| id));
+        }
+        stale.sort_unstable();
+        stale.dedup();
+        // The live clusters in id order, each with its old part (if any),
+        // its member count and whether it is rebuilt. The counts lay the
+        // clusters' runs of `positions` (and of `cells`) out back to back.
+        let mut held = std::mem::take(&mut parts.clusters).into_iter().peekable();
+        let mut live: Vec<(ClusterId, usize, Option<ClusterPart>, bool)> =
+            Vec::with_capacity(self.registry.n_clusters());
+        let keep = |part: ClusterPart| (part.id, part.cells.len(), Some(part), false);
+        for &id in &stale {
+            live.extend(std::iter::from_fn(|| held.next_if(|part| part.id < id)).map(keep));
+            let previous = held.next_if(|part| part.id == id);
+            if let Some(meta) = self.registry.cluster(id) {
+                live.push((id, meta.size, previous, true));
+            }
+        }
+        live.extend(held.map(keep));
+        let mut run: FxHashMap<ClusterId, usize> = fx_map();
+        run.reserve(live.len());
+        let mut starts = Vec::with_capacity(live.len() + 1);
+        starts.push(0);
+        for (k, &(id, size, _, _)) in live.iter().enumerate() {
+            run.insert(id, starts[k]);
+            starts.push(starts[k] + size);
+        }
+        let n = self.active_ids.len();
+        let mut column = Vec::with_capacity(n);
+        let mut positions = vec![0u32; n];
+        let mut cells = vec![CellId(0); n];
+        for id in self.sorted_active_ids() {
+            let cluster = self.slab.get(id).cluster.expect("a tracking engine labels active cells");
+            let at = run.get_mut(&cluster).expect("labels name live clusters");
+            positions[*at] = column.len() as u32;
+            cells[*at] = id;
+            *at += 1;
+            column.push((id, cluster));
+        }
+        parts.clusters = live
+            .into_iter()
+            .enumerate()
+            .map(|(k, (id, _, previous, marked))| {
+                assert_eq!(
+                    run[&id],
+                    starts[k + 1],
+                    "cluster {id}'s member count is its label count"
+                );
+                let cells = &cells[starts[k]..starts[k + 1]];
+                match previous {
+                    Some(previous) if !marked => previous,
+                    Some(previous) if *previous.cells == *cells => {
+                        let fresh = self.dim.map(|_| self.seed_bounds(cells));
+                        let bounds = match (previous.bounds, fresh) {
+                            (Some(kept), Some(fresh)) if same_bits(&kept, &fresh) => Some(kept),
+                            (_, fresh) => fresh.map(Arc::new),
+                        };
+                        ClusterPart { bounds, ..previous }
+                    }
+                    _ => {
+                        let bounds = self.dim.map(|_| Arc::new(self.seed_bounds(cells)));
+                        ClusterPart { id, cells: cells.into(), bounds }
+                    }
+                }
+            })
+            .collect();
+        if *parts.members != *column {
+            parts.members = column.into();
+        }
+        parts.positions = positions;
+        stale.clear();
+        parts.stale = stale;
+    }
+
+    /// Per-axis minimum and maximum over the seeds of `cells`, folded in
+    /// the order given from the first seed on.
+    fn seed_bounds(&self, cells: &[CellId]) -> BoundingBox {
+        let mut seeds = cells.iter().map(|&cell| {
+            self.slab.get(cell).seed.grid_coords().expect("summarized seeds have coordinates")
+        });
+        let first = seeds.next().expect("clusters have members");
+        let (mut min, mut max) = (first.to_vec(), first.to_vec());
+        for x in seeds {
+            for ((lo, hi), &v) in min.iter_mut().zip(max.iter_mut()).zip(x) {
+                *lo = lo.min(v);
+                *hi = hi.max(v);
+            }
+        }
+        BoundingBox { min, max }
     }
 
     /// Unweighted mean of the seeds of `cells` (`dim` coordinates each,
@@ -321,11 +475,19 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// order what they observe and the publication cadence shows up in
     /// the engine's own counters. Requires `&mut self` (the count is
     /// engine state); passive reporting that should not perturb the
-    /// counters keeps using `snapshot()`. The time spent here, freeze and
-    /// seal, accumulates in [`EngineStats::publish_nanos`].
+    /// counters keeps using `snapshot()`. Unlike a plain freeze it brings
+    /// the engine's own shared parts up to date, so the next publication
+    /// shares every part no cell entered or left since. The time spent
+    /// here, the parts, freeze and seal, accumulates in
+    /// [`EngineStats::publish_nanos`].
     pub fn publish_snapshot(&mut self, t: Timestamp) -> ClusterSnapshot {
         let started = std::time::Instant::now();
         self.stats.snapshots_published += 1;
+        if self.parts.is_stale() {
+            let mut parts = std::mem::take(&mut self.parts);
+            self.refresh_parts(&mut parts);
+            self.parts = parts;
+        }
         let snap = self.snapshot(t);
         if self.cfg.track_evolution {
             // Belt and braces: the tracker is already synced after every
@@ -492,10 +654,12 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// registry, the density order Theorem 1's window reads (every active
     /// cell filed once, under the key its stored density gives, sorted),
     /// the idle queue's coverage of the reservoir (every inactive cell
-    /// must have a live queue entry, or recycling would leak it forever)
-    /// and the cluster labels the evolution diff maintains — test support.
+    /// must have a live queue entry, or recycling would leak it forever),
+    /// the cluster labels the evolution diff maintains and the shared
+    /// parts the freeze reads — test support.
     pub fn check_invariants(&self, t: Timestamp) -> Result<(), String> {
         self.check_labels()?;
+        self.check_parts()?;
         tree::check_invariants(&self.slab, t, self.decay())?;
         let truly_active = self.slab.iter().filter(|(_, c)| c.active).count();
         if truly_active != self.active_ids.len() {
@@ -590,6 +754,81 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         Ok(())
     }
 
+    /// Every shared part not marked stale equals what a rebuild would
+    /// give: its cluster's current members, ascending, and their seeds'
+    /// bounding box to the bit. The member column holds exactly the active
+    /// cells of unmarked clusters with their labels, ascending, and every
+    /// position names its cell's entry. An engine that does not track
+    /// evolution keeps no parts.
+    fn check_parts(&self) -> Result<(), String> {
+        let parts = &self.parts;
+        if !self.cfg.track_evolution {
+            return match parts.clusters.is_empty() && parts.members.is_empty() && !parts.is_stale()
+            {
+                true => Ok(()),
+                false => Err("shared parts kept while evolution is not tracked".into()),
+            };
+        }
+        if parts.all_stale {
+            return Ok(()); // every part is rebuilt before the next freeze
+        }
+        let stale: edm_common::hash::FxHashSet<ClusterId> = parts.stale.iter().copied().collect();
+        let mut want: BTreeMap<ClusterId, Vec<CellId>> = BTreeMap::new();
+        let mut want_column = Vec::new();
+        for id in self.sorted_active_ids() {
+            let Some(label) = self.slab.get(id).cluster else {
+                return Err(format!("active {id} carries no cluster label"));
+            };
+            if !stale.contains(&label) {
+                want.entry(label).or_default().push(id);
+                want_column.push((id, label));
+            }
+        }
+        if !parts.clusters.windows(2).all(|w| w[0].id < w[1].id) {
+            return Err("shared parts are not strictly ascending by cluster id".into());
+        }
+        for part in parts.clusters.iter().filter(|part| !stale.contains(&part.id)) {
+            let cells = want.remove(&part.id).unwrap_or_default();
+            if *part.cells != *cells {
+                return Err(format!(
+                    "cluster {} shares cells {:?}, its members are {cells:?}",
+                    part.id, part.cells
+                ));
+            }
+            let bounds = self.dim.map(|_| self.seed_bounds(&cells));
+            let same = match (&part.bounds, &bounds) {
+                (Some(held), Some(fresh)) => same_bits(held, fresh),
+                (held, fresh) => held.is_none() && fresh.is_none(),
+            };
+            if !same {
+                return Err(format!(
+                    "cluster {} shares bounds {:?}, its seeds give {bounds:?}",
+                    part.id, part.bounds
+                ));
+            }
+        }
+        if let Some((id, cells)) = want.first_key_value() {
+            return Err(format!("unmarked cluster {id} with members {cells:?} has no shared part"));
+        }
+        let column: Vec<(CellId, ClusterId)> =
+            parts.members.iter().filter(|(_, c)| !stale.contains(c)).copied().collect();
+        if column != want_column {
+            return Err(format!("member column {column:?}, the labels give {want_column:?}"));
+        }
+        let mut positions = parts.positions.iter();
+        let positions_hold = parts.positions.len() == parts.members.len()
+            && parts.clusters.iter().all(|part| {
+                part.cells
+                    .iter()
+                    .zip(positions.by_ref())
+                    .all(|(&cell, &at)| parts.members.get(at as usize) == Some(&(cell, part.id)))
+            });
+        if !positions_hold {
+            return Err("a position names another member of the column".into());
+        }
+        Ok(())
+    }
+
     /// Verifies the neighbor index mirrors the live slab exactly — every
     /// live cell filed once where its seed says, nothing stale, and every
     /// internal pruning bound sound against the metric (test support; the
@@ -606,65 +845,69 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     }
 }
 
-/// The running density-weighted extent of each cluster's member seeds,
-/// flat: cluster slot `k` owns `sum`, `min` and `max` at `k·dim..(k+1)·dim`.
-/// Seeds are added in ascending cell-id order, the first one opening the
-/// slot (`sum = x·w`, `min = max = x`), so every value is the same `f64`
-/// a per-cluster pass over the same cells computes.
-struct Extents {
-    dim: usize,
-    sum: Vec<f64>,
-    min: Vec<f64>,
-    max: Vec<f64>,
-    /// Summed weight per slot.
-    total: Vec<f64>,
+/// The parts of a freeze that depend only on cluster membership, kept
+/// by a tracking engine between freezes (see the `snapshot` module docs).
+/// A cluster a cell entered or left is *stale*: the evolution diff and the
+/// decay sweep, the two sites that write or clear cluster labels, mark it,
+/// and the next freeze rebuilds its part from the tree.
+#[derive(Debug, Clone, Default)]
+pub(super) struct SharedParts {
+    /// The live clusters' parts, ascending by cluster id.
+    clusters: Vec<ClusterPart>,
+    /// Every active cell with its cluster, ascending by cell id.
+    members: Arc<[(CellId, ClusterId)]>,
+    /// Where each part's cells sit in `members`: the parts' runs in part
+    /// order, each cell's position in the order of the part's cells.
+    positions: Vec<u32>,
+    /// Clusters marked since the parts were last brought up to date, with
+    /// repeats.
+    stale: Vec<ClusterId>,
+    /// Set instead of growing `stale` past its bound: every cluster is
+    /// rebuilt.
+    all_stale: bool,
 }
 
-impl Extents {
-    /// Room for `slots` slots of `dim` coordinates: a tracked engine's
-    /// registry holds the exact cluster count, so the vectors never grow.
-    fn with_capacity(dim: usize, slots: usize) -> Self {
-        Extents {
-            dim,
-            sum: Vec::with_capacity(slots * dim),
-            min: Vec::with_capacity(slots * dim),
-            max: Vec::with_capacity(slots * dim),
-            total: Vec::with_capacity(slots),
-        }
-    }
+/// One cluster's membership-only part.
+#[derive(Debug, Clone)]
+struct ClusterPart {
+    id: ClusterId,
+    /// Member cells, ascending.
+    cells: Arc<[CellId]>,
+    /// Bounding box of the members' seeds; `None` for coordinate-less
+    /// payloads.
+    bounds: Option<Arc<BoundingBox>>,
+}
 
-    /// Adds seed `x` of weight `w` to slot `k`; `k` one past the last slot
-    /// opens it with `x` as its first seed.
-    fn add(&mut self, k: usize, x: &[f64], w: f64) {
-        debug_assert_eq!(x.len(), self.dim, "every seed of a stream has its coordinate count");
-        if k == self.total.len() {
-            self.sum.extend(x.iter().map(|v| v * w));
-            self.min.extend_from_slice(x);
-            self.max.extend_from_slice(x);
-            self.total.push(w);
+impl SharedParts {
+    /// Marks `cluster` stale: a cell entered or left it.
+    pub(super) fn mark(&mut self, cluster: ClusterId) {
+        if self.all_stale || self.stale.last() == Some(&cluster) {
             return;
         }
-        let at = k * self.dim..(k + 1) * self.dim;
-        let (sum, min, max) =
-            (&mut self.sum[at.clone()], &mut self.min[at.clone()], &mut self.max[at]);
-        for (((s, lo), hi), &v) in sum.iter_mut().zip(min.iter_mut()).zip(max.iter_mut()).zip(x) {
-            *s += v * w;
-            *lo = lo.min(v);
-            *hi = hi.max(v);
+        self.stale.push(cluster);
+        // A stream that is never frozen keeps marking clusters that have
+        // long died; past a bound, forget them and rebuild everything.
+        let bound = 64 + 2 * self.clusters.len();
+        if self.stale.len() > bound {
+            self.stale.sort_unstable();
+            self.stale.dedup();
+            if self.stale.len() > bound / 2 {
+                self.stale.clear();
+                self.all_stale = true;
+            }
         }
-        self.total[k] += w;
     }
 
-    /// Slot `k`'s density-weighted centroid and bounding box. A slot whose
-    /// weights sum to zero takes `unweighted()` as its centroid.
-    fn geometry(&self, k: usize, unweighted: impl FnOnce() -> Vec<f64>) -> (Vec<f64>, BoundingBox) {
-        let at = k * self.dim..(k + 1) * self.dim;
-        let total = self.total[k];
-        let centroid = if total > 0.0 {
-            self.sum[at.clone()].iter().map(|s| s / total).collect()
-        } else {
-            unweighted()
-        };
-        (centroid, BoundingBox { min: self.min[at.clone()].to_vec(), max: self.max[at].to_vec() })
+    /// Whether some part must be rebuilt before a freeze.
+    fn is_stale(&self) -> bool {
+        self.all_stale || !self.stale.is_empty()
     }
+}
+
+/// Whether two boxes are the same to the bit, signs of zero included.
+fn same_bits(a: &BoundingBox, b: &BoundingBox) -> bool {
+    let same = |x: &[f64], y: &[f64]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+    };
+    same(&a.min, &b.min) && same(&a.max, &b.max)
 }

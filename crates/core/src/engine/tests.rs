@@ -7,6 +7,7 @@ use crate::filters::FilterConfig;
 use crate::tau::TauMode;
 use edm_common::metric::Euclidean;
 use edm_common::point::DenseVector;
+use std::sync::Arc;
 
 /// A small-scale config: rate 100 pt/s, activation threshold ≈ 3.
 fn mini_cfg(r: f64) -> EdmConfig {
@@ -1500,20 +1501,22 @@ fn publish_nanos_grow_on_publication_only() {
 /// per active cell in ascending id order, grouped through a map.
 fn reference_clusters(e: &EdmStream<DenseVector, Euclidean>, t: f64) -> Vec<crate::ClusterInfo> {
     let tau = e.tau_ctl.tau();
-    let mut by_root: std::collections::HashMap<CellId, crate::ClusterInfo> = Default::default();
+    let mut by_root: std::collections::HashMap<CellId, (crate::ClusterInfo, Vec<CellId>)> =
+        Default::default();
     for id in e.sorted_active_ids() {
         let cell = e.slab.get(id);
         let root = crate::tree::strong_root(&e.slab, id, tau);
-        let info = by_root.entry(root).or_insert_with(|| crate::ClusterInfo {
-            id: e.registry.cluster_at_root(root).unwrap_or(root.0 as u64),
-            root,
-            cells: Vec::new(),
-            density: 0.0,
+        let (info, cells) = by_root.entry(root).or_insert_with(|| {
+            let id = e.registry.cluster_at_root(root).unwrap_or(root.0 as u64);
+            (crate::ClusterInfo { id, root, cells: Arc::new([]), density: 0.0 }, Vec::new())
         });
-        info.cells.push(id);
+        cells.push(id);
         info.density += cell.rho_at(t, e.decay());
     }
-    let mut v: Vec<crate::ClusterInfo> = by_root.into_values().collect();
+    let mut v: Vec<crate::ClusterInfo> = by_root
+        .into_values()
+        .map(|(info, cells)| crate::ClusterInfo { cells: cells.into(), ..info })
+        .collect();
     v.sort_by_key(|c| c.root);
     v
 }
@@ -1561,7 +1564,7 @@ fn reference_summaries(
                 total: f64,
             }
             let mut weighted: Option<Extent> = None;
-            for &cell in &c.cells {
+            for &cell in c.cells.iter() {
                 let cref = e.slab.get(cell);
                 let x = cref.seed.grid_coords().expect("dense vectors have coordinates");
                 let w = cref.rho_at(t, e.decay()).max(0.0);
@@ -1602,7 +1605,7 @@ fn reference_summaries(
                 cells: c.cells.len(),
                 mass: c.density,
                 centroid: Some(centroid),
-                bounds: Some(BoundingBox { min, max }),
+                bounds: Some(Arc::new(BoundingBox { min, max })),
                 born: born.get(&c.id).copied().unwrap_or(t),
                 as_of: t,
                 first_generation: generation,
@@ -1879,6 +1882,182 @@ fn freeze_reference_streams_reach_every_path() {
             .iter()
             .all(|&n| n > 0),
             "{tau:?}, {dim}-d: {c:?}"
+        );
+        assert_eq!(c.tau_changes > 0, matches!(tau, TauMode::Adaptive { .. }), "{tau:?}: {c:?}");
+    }
+}
+
+// ----- shared parts follow membership exactly -----
+
+/// What a sharing stream put the engine and its publications through.
+#[derive(Debug, Default, Clone, Copy)]
+struct SharingCoverage {
+    activations: u64,
+    deactivations: u64,
+    recycled: u64,
+    tau_changes: u64,
+    splits: u64,
+    merges: u64,
+    /// Clusters of consecutive publications with the same id, by whether
+    /// their cell lists were shared or rebuilt.
+    shared_clusters: u64,
+    rebuilt_clusters: u64,
+    /// Publications that shared the previous member column, and those
+    /// that did not.
+    shared_columns: u64,
+    rebuilt_columns: u64,
+}
+
+/// Checks `next` against `prev`, the publication before it: every cluster
+/// of both shares its cell list exactly when the cells are the same, and
+/// its bounding box exactly when the cells and the box's bits are the
+/// same (a recycled id can come back with another seed); the member
+/// column is shared exactly when it is the same. Counts into `cov`.
+fn check_sharing(
+    prev: &crate::ClusterSnapshot,
+    next: &crate::ClusterSnapshot,
+    cov: &mut SharingCoverage,
+) -> Result<(), String> {
+    let same_column = prev.members() == next.members();
+    if next.shares_members_with(prev) != same_column {
+        return Err(format!(
+            "member column shared: {}, unchanged: {same_column}",
+            next.shares_members_with(prev)
+        ));
+    }
+    if same_column {
+        cov.shared_columns += 1;
+    } else {
+        cov.rebuilt_columns += 1;
+    }
+    for c in next.clusters() {
+        let Some(p) = prev.cluster(c.id) else { continue };
+        let same_cells = p.cells == c.cells;
+        if Arc::ptr_eq(&p.cells, &c.cells) != same_cells {
+            return Err(format!(
+                "cluster {}: cells {:?} → {:?}, shared: {}",
+                c.id, p.cells, c.cells, !same_cells
+            ));
+        }
+        if same_cells {
+            cov.shared_clusters += 1;
+        } else {
+            cov.rebuilt_clusters += 1;
+        }
+        let bounds = |s: &crate::ClusterSnapshot| {
+            s.summary(c.id)
+                .and_then(|summary| summary.bounds.clone())
+                .expect("dense vectors have bounds")
+        };
+        let (before, after) = (bounds(prev), bounds(next));
+        let same_box = float_bits(&before.min) == float_bits(&after.min)
+            && float_bits(&before.max) == float_bits(&after.max);
+        if Arc::ptr_eq(&before, &after) != (same_cells && same_box) {
+            return Err(format!(
+                "cluster {}: bounds {before:?} → {after:?}, cells unchanged: {same_cells}",
+                c.id
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Drives one engine over the reference stream `ops`, publishing after
+/// every `every`-th point and checking every publication against the one
+/// before it ([`check_sharing`]) and against the three-pass reference,
+/// with `check_invariants` (which checks every shared part against its
+/// cluster's members) after every point.
+fn run_sharing(
+    tau: TauMode,
+    every: usize,
+    ops: &[(u64, f64, f64, u64)],
+) -> Result<SharingCoverage, String> {
+    let mut e = EdmStream::new(reference_cfg(tau), Euclidean);
+    let mut cov = SharingCoverage::default();
+    let mut previous: Option<crate::ClusterSnapshot> = None;
+    let mut t = 0.0;
+    for (i, &(site, u, v, step)) in ops.iter().enumerate() {
+        t += if step == 0 { 1.0 + 2.0 * u } else { 0.01 };
+        let tau_before = e.tau();
+        e.insert(&reference_point(i, site, u, v), t);
+        if tau_before.is_finite() && e.tau() != tau_before {
+            cov.tau_changes += 1;
+        }
+        e.check_invariants(t).map_err(|err| format!("point {i}: {err}"))?;
+        if i % every != every - 1 {
+            continue;
+        }
+        let next = e.publish_snapshot(t);
+        check_freeze(&e, t, &next).map_err(|err| format!("point {i}: {err}"))?;
+        if let Some(prev) = &previous {
+            check_sharing(prev, &next, &mut cov).map_err(|err| format!("point {i}: {err}"))?;
+        }
+        previous = Some(next);
+    }
+    for ev in e.take_events() {
+        match ev.kind {
+            EventKind::Split { .. } => cov.splits += 1,
+            EventKind::Merge { .. } => cov.merges += 1,
+            _ => {}
+        }
+    }
+    let s = e.stats();
+    (cov.activations, cov.deactivations, cov.recycled) =
+        (s.activations, s.deactivations, s.recycled);
+    Ok(cov)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+    /// Each publication shares a cluster's cell list and bounding box, and
+    /// the member column, with the publication before it exactly when
+    /// they are unchanged, publishing after every point or every third.
+    #[test]
+    fn publications_share_exactly_the_unchanged_parts(
+        ops in reference_ops(),
+        adaptive in proptest::prelude::any::<bool>(),
+        every in 1usize..4,
+    ) {
+        let tau = if adaptive { TauMode::Adaptive { alpha: None } } else { TauMode::Static(1.0) };
+        if let Err(e) = run_sharing(tau, every, &ops) {
+            return Err(format!("{tau:?}, every {every}: {e}"));
+        }
+    }
+}
+
+/// The sharing streams reach activation, the decay sweep, recycling,
+/// merges, splits and τ changes, and publications that share some parts
+/// and rebuild others.
+#[test]
+fn sharing_streams_reach_every_membership_change() {
+    for (tau, every) in [(TauMode::Static(1.0), 1), (TauMode::Adaptive { alpha: None }, 3)] {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
+        let ops: Vec<(u64, f64, f64, u64)> =
+            (0..1_600).map(|_| (draw() % 8, unit(draw()), unit(draw()), draw() % 40)).collect();
+        let c = run_sharing(tau, every, &ops).unwrap();
+        assert!(
+            [
+                c.activations,
+                c.deactivations,
+                c.recycled,
+                c.splits,
+                c.merges,
+                c.shared_clusters,
+                c.rebuilt_clusters,
+                c.shared_columns,
+                c.rebuilt_columns
+            ]
+            .iter()
+            .all(|&n| n > 0),
+            "{tau:?}: {c:?}"
         );
         assert_eq!(c.tau_changes > 0, matches!(tau, TauMode::Adaptive { .. }), "{tau:?}: {c:?}");
     }

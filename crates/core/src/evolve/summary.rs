@@ -1,31 +1,19 @@
 //! Compact per-cluster summaries for dashboards and digests.
 
+use std::sync::Arc;
+
 use edm_common::time::Timestamp;
 use serde::{Deserialize, Serialize};
 
 use crate::evolution::ClusterId;
 
 /// Axis-aligned bounding box of a cluster's member-cell seeds.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BoundingBox {
     /// Per-axis minimum over the member seeds.
     pub min: Vec<f64>,
     /// Per-axis maximum over the member seeds.
     pub max: Vec<f64>,
-}
-
-impl Clone for BoundingBox {
-    fn clone(&self) -> Self {
-        BoundingBox { min: self.min.clone(), max: self.max.clone() }
-    }
-
-    /// Copies into both vectors' existing allocations: the engine's
-    /// rolling summaries overwrite a continuing cluster's box this way on
-    /// every publication.
-    fn clone_from(&mut self, source: &Self) {
-        self.min.clone_from(&source.min);
-        self.max.clone_from(&source.max);
-    }
 }
 
 impl BoundingBox {
@@ -67,8 +55,10 @@ pub struct ClusterSummary {
     /// coordinate-less payloads.
     pub centroid: Option<Vec<f64>>,
     /// Axis-aligned bounding box of the member-cell seeds; `None` for
-    /// coordinate-less payloads.
-    pub bounds: Option<BoundingBox>,
+    /// coordinate-less payloads. It depends on membership only, so the
+    /// engine shares one box between every snapshot in which the
+    /// cluster's member cells are the same.
+    pub bounds: Option<Arc<BoundingBox>>,
     /// Stream time the cluster was born (from the identity registry).
     pub born: Timestamp,
     /// Stream time this summary reflects.
@@ -93,16 +83,5 @@ mod tests {
         assert!(b.contains(&[0.0, -1.0]), "inclusive at the corners");
         assert!(!b.contains(&[3.0, 0.0]));
         assert!(!b.contains(&[1.0]), "dimension mismatch is never inside");
-    }
-
-    #[test]
-    fn clone_from_copies_into_the_existing_vectors() {
-        let source = BoundingBox { min: vec![-1.0, 0.5], max: vec![2.0, 3.0] };
-        let mut held = BoundingBox { min: vec![0.0, 0.0], max: vec![1.0, 1.0] };
-        let (min_at, max_at) = (held.min.as_ptr(), held.max.as_ptr());
-        held.clone_from(&source);
-        assert_eq!(held, source);
-        assert_eq!((held.min.as_ptr(), held.max.as_ptr()), (min_at, max_at));
-        assert_eq!(source.clone(), source);
     }
 }

@@ -2,7 +2,6 @@
 //! incrementally, maintains the lineage graph and the rolling summary
 //! map, and seals one [`GenerationRecord`] per snapshot publication.
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -88,7 +87,8 @@ impl EvolutionTracker {
     /// (ascending by id) and `summaries` the freshly frozen per-cluster
     /// summaries, merged into the rolling map (preserving each cluster's
     /// true `first_generation`). A cluster already held is updated in
-    /// place, reusing its centroid and bounds vectors.
+    /// place: its centroid vector is reused, and its bounds become the
+    /// snapshot's shared box.
     pub(crate) fn seal(
         &mut self,
         generation: u64,
@@ -109,36 +109,39 @@ impl EvolutionTracker {
             self.history.pop_front();
         }
 
+        // Both sides ascend by cluster id: one merge walk updates every
+        // held cluster in place and collects the newcomers.
+        debug_assert!(summaries.windows(2).all(|w| w[0].cluster < w[1].cluster));
+        let mut newcomers = Vec::new();
+        let mut held = self.summaries.iter_mut().peekable();
         for s in summaries {
-            match self.summaries.entry(s.cluster) {
-                Entry::Vacant(slot) => {
-                    slot.insert(ClusterSummary { last_seen: generation, ..s.clone() });
-                }
-                Entry::Occupied(mut slot) => {
-                    // Field by field, so the held centroid and bounds keep
-                    // their allocations; `first_generation` stays.
-                    let held = slot.get_mut();
-                    let ClusterSummary {
-                        cluster: _,
-                        cells,
-                        mass,
-                        centroid,
-                        bounds,
-                        born,
-                        as_of,
-                        first_generation: _,
-                        last_seen: _,
-                    } = s;
-                    held.cells = *cells;
-                    held.mass = *mass;
-                    held.centroid.clone_from(centroid);
-                    held.bounds.clone_from(bounds);
-                    held.born = *born;
-                    held.as_of = *as_of;
-                    held.last_seen = generation;
-                }
-            }
+            while held.next_if(|(&id, _)| id < s.cluster).is_some() {}
+            let Some((_, kept)) = held.next_if(|(&id, _)| id == s.cluster) else {
+                newcomers.push(ClusterSummary { last_seen: generation, ..s.clone() });
+                continue;
+            };
+            // Field by field, so the held centroid keeps its allocation;
+            // `first_generation` stays.
+            let ClusterSummary {
+                cluster: _,
+                cells,
+                mass,
+                centroid,
+                bounds,
+                born,
+                as_of,
+                first_generation: _,
+                last_seen: _,
+            } = s;
+            kept.cells = *cells;
+            kept.mass = *mass;
+            kept.centroid.clone_from(centroid);
+            kept.bounds = bounds.clone();
+            kept.born = *born;
+            kept.as_of = *as_of;
+            kept.last_seen = generation;
         }
+        self.summaries.extend(newcomers.into_iter().map(|s| (s.cluster, s)));
         // Keep dead clusters' summaries only while their era is still
         // inside the digest history; beyond it they are unreachable by
         // any answerable query and would grow without bound.
@@ -255,21 +258,20 @@ mod tests {
         let shaped = |generation: u64, x: f64| ClusterSummary {
             mass: x,
             centroid: Some(vec![x, -x]),
-            bounds: Some(BoundingBox { min: vec![x - 1.0; 2], max: vec![x + 1.0; 2] }),
+            bounds: Some(Arc::new(BoundingBox { min: vec![x - 1.0; 2], max: vec![x + 1.0; 2] })),
             ..summary(7, generation)
         };
         let mut tr = EvolutionTracker::new(16, 4);
         tr.seal(1, 1.0, vec![(7, 0.5)], &[shaped(1, 0.5)]);
-        let held = tr.summary_of(7).unwrap();
-        let at = |s: &ClusterSummary| {
-            let b = s.bounds.as_ref().unwrap();
-            (s.centroid.as_ref().unwrap().as_ptr(), b.min.as_ptr(), b.max.as_ptr())
-        };
-        let before = at(held);
-        tr.seal(2, 2.0, vec![(7, 4.0)], &[shaped(2, 4.0)]);
+        let centroid_at = |s: &ClusterSummary| s.centroid.as_ref().unwrap().as_ptr();
+        let before = centroid_at(tr.summary_of(7).unwrap());
+        let sealed = shaped(2, 4.0);
+        tr.seal(2, 2.0, vec![(7, 4.0)], std::slice::from_ref(&sealed));
         let held = tr.summary_of(7).unwrap();
         assert_eq!(*held, ClusterSummary { first_generation: 1, ..shaped(2, 4.0) });
-        assert_eq!(at(held), before, "the held vectors were reused");
+        assert_eq!(centroid_at(held), before, "the held centroid vector was reused");
+        let (held_box, sealed_box) = (held.bounds.as_ref(), sealed.bounds.as_ref());
+        assert!(Arc::ptr_eq(held_box.unwrap(), sealed_box.unwrap()), "the box is shared");
         // A cluster that loses its geometry loses it in the rolling map too.
         tr.seal(3, 3.0, vec![(7, 1.0)], &[summary(7, 3)]);
         assert_eq!(

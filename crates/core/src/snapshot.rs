@@ -5,14 +5,29 @@
 //! that metrics and reporting code can hold, ship across threads, or diff
 //! against later snapshots — without re-entering (or borrowing) the
 //! engine. This is the §6.3.1 story at the API level: cluster queries are
-//! answered online from maintained state, so freezing them is cheap. The
-//! freeze is one walk over the active cells in ascending id order that
-//! reads each cell once: its decayed density is the decision-graph value,
-//! its share of the cluster density and its summary weight, and its
-//! cluster is the label the evolution diff keeps on it (a strong-root
-//! walk only when evolution is not tracked). The engine's
-//! [`crate::EdmStream::clusters`] and [`crate::EdmStream::decision_graph`]
-//! are views of this one pass.
+//! answered online from maintained state, so freezing them is cheap.
+//!
+//! A freeze shares what depends only on cluster membership and recomputes
+//! what moves with decay. While evolution is tracked, the engine keeps
+//! each live cluster's ascending cell list ([`ClusterInfo::cells`]) and
+//! seed bounding box ([`crate::ClusterSummary::bounds`]) behind an `Arc`,
+//! with one member column ([`ClusterSnapshot::members`]) over all of
+//! them, and hands the same allocations to every snapshot until a cell
+//! enters or leaves the cluster. The evolution diff and the decay sweep,
+//! the only writers of cluster labels, mark such clusters; the next freeze
+//! rebuilds just those parts and keeps a rebuilt part's old allocation
+//! when its contents came out the same. Densities decay with time for
+//! every cell alike, so each freeze walks every cluster's cells once, in
+//! ascending id order, and reads each cell's density decayed to `t`: its
+//! decision-graph value, its share of the cluster density and its weight
+//! in the cluster's ρ-weighted centroid, summed in the same order as a
+//! pass that shares nothing, so every value is the same `f64`. An engine
+//! that does not track evolution keeps no labels, so it walks each active
+//! cell to its strong root on every freeze and shares nothing. The
+//! engine's [`crate::EdmStream::clusters`] and
+//! [`crate::EdmStream::decision_graph`] are views of the freeze.
+
+use std::sync::Arc;
 
 use edm_common::time::Timestamp;
 
@@ -29,8 +44,9 @@ pub struct ClusterInfo {
     pub id: ClusterId,
     /// Root cell (the cluster center, paper Def. 2).
     pub root: CellId,
-    /// Member cells.
-    pub cells: Vec<CellId>,
+    /// Member cells, ascending by id. Shared with the other snapshots in
+    /// which the cluster has exactly these members.
+    pub cells: Arc<[CellId]>,
     /// Total decayed density of the member cells.
     pub density: f64,
 }
@@ -45,8 +61,9 @@ pub struct ClusterSnapshot {
     pub(crate) tau: f64,
     pub(crate) alpha: f64,
     pub(crate) clusters: Vec<ClusterInfo>,
-    /// Every active cell with its cluster id, ascending by cell id.
-    pub(crate) members: Vec<(CellId, ClusterId)>,
+    /// Every active cell with its cluster id, ascending by cell id;
+    /// shared with the other snapshots of the same partition.
+    pub(crate) members: Arc<[(CellId, ClusterId)]>,
     /// Compact per-cluster summaries of the clusters with a registered
     /// persistent identity, ascending by cluster id.
     pub(crate) summaries: Vec<ClusterSummary>,
@@ -149,6 +166,17 @@ impl ClusterSnapshot {
         &self.members
     }
 
+    /// Whether `other` holds this snapshot's member column itself, not a
+    /// copy: then both froze the same active cells in the same clusters.
+    /// The engine shares the column between snapshots while no cell
+    /// enters or leaves a cluster, so a consumer that indexes the members
+    /// (the serving tier's member table) can keep its index by this test
+    /// alone. `false` says nothing: an engine that does not track
+    /// evolution shares nothing, and equal columns may still be copies.
+    pub fn shares_members_with(&self, other: &ClusterSnapshot) -> bool {
+        Arc::ptr_eq(&self.members, &other.members)
+    }
+
     /// Persistent cluster id of the cluster containing `cell`, if any.
     /// Binary search over the member column.
     pub fn cluster_of_cell(&self, cell: CellId) -> Option<ClusterId> {
@@ -220,12 +248,12 @@ mod tests {
                 ClusterInfo {
                     id: 7,
                     root: CellId(1),
-                    cells: vec![CellId(1), CellId(2)],
+                    cells: Arc::new([CellId(1), CellId(2)]),
                     density: 10.0,
                 },
-                ClusterInfo { id: 9, root: CellId(5), cells: vec![CellId(5)], density: 4.0 },
+                ClusterInfo { id: 9, root: CellId(5), cells: Arc::new([CellId(5)]), density: 4.0 },
             ],
-            members: vec![(CellId(1), 7), (CellId(2), 7), (CellId(5), 9)],
+            members: Arc::new([(CellId(1), 7), (CellId(2), 7), (CellId(5), 9)]),
             summaries: vec![
                 ClusterSummary {
                     cluster: 7,

@@ -49,8 +49,10 @@ pub enum BackpressurePolicy {
 /// .unwrap()` at every call site. The defaults — 64-batch queue, publish
 /// after every batch, no timer, `Block` — serve fresh snapshots
 /// losslessly and suit tests and demos; production ingest at high rate
-/// usually raises `publish_every_batches` (publication freezes the full
-/// cluster map).
+/// usually raises `publish_every_batches`. A publication shares each
+/// cluster whose members did not change with the previous payload, but it
+/// still recomputes every active cell's decayed density and every
+/// cluster's centroid, so its cost grows with the active cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Bounded ingest queue capacity, **in batches** (whatever batch

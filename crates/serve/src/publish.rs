@@ -29,10 +29,16 @@
 //! [`CellId`] names another cell only after recycling frees its slot
 //! (counted in [`edm_core::EngineStats::recycled`]). So the same sorted
 //! member ids at the same recycle count mean the same seeds, and the next
-//! payload shares the previous table. Cluster labels come with every
-//! publication: the snapshot's member column lists every active cell in
-//! ascending id order with its cluster, so the table's positions index it
-//! directly and no member list is rebuilt or sorted here.
+//! payload shares the previous table. The engine shares its member column
+//! between snapshots until a cell enters or leaves a cluster, so the usual
+//! test is one pointer comparison
+//! ([`ClusterSnapshot::shares_members_with`]); only a column of its own is
+//! compared id by id. Cluster labels come with every publication: the
+//! snapshot's member column lists every active cell in ascending id order
+//! with its cluster, so the table's positions index it directly and no
+//! member list is rebuilt or sorted here. What a publication shares and
+//! what it recomputes on the engine's side is described in
+//! [`edm_core::snapshot`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,11 +118,14 @@ impl<P> MemberTable<P> {
         MemberTable { ids, seeds, keys, pivot, dim, recycled, metric: metric.name() }
     }
 
-    /// Whether the table's seeds are those of `members` (a snapshot's
-    /// member column, ascending by cell id) at the recycle count
-    /// `recycled`.
-    fn holds(&self, members: &[(CellId, ClusterId)], recycled: u64) -> bool {
-        self.recycled == recycled && self.ids.iter().copied().eq(members.iter().map(|m| m.0))
+    /// Whether the table's seeds are those of `snapshot`'s members at the
+    /// recycle count `recycled`, given that the table indexes `indexed`'s
+    /// members. A member column `snapshot` shares with `indexed` holds the
+    /// same cells, so only a column of its own is compared id by id.
+    fn holds(&self, indexed: &ClusterSnapshot, snapshot: &ClusterSnapshot, recycled: u64) -> bool {
+        self.recycled == recycled
+            && (snapshot.shares_members_with(indexed)
+                || self.ids.iter().copied().eq(snapshot.members().iter().map(|m| m.0)))
     }
 
     /// The member nearest to `p` as `(distance, table position)`, ties
@@ -196,12 +205,13 @@ impl<P> Published<P> {
         P: Clone + GridCoords + Send + Sync,
     {
         let snapshot = engine.publish_snapshot(engine.stream_time());
-        let members = snapshot.members();
         let recycled = engine.stats().recycled;
         let table = match previous {
-            Some(prev) if prev.table.holds(members, recycled) => Arc::clone(&prev.table),
+            Some(prev) if prev.table.holds(&prev.snapshot, &snapshot, recycled) => {
+                Arc::clone(&prev.table)
+            }
             _ => {
-                let ids = members.iter().map(|&(cell, _)| cell).collect();
+                let ids = snapshot.members().iter().map(|&(cell, _)| cell).collect();
                 Arc::new(MemberTable::build(ids, recycled, engine.slab(), engine.metric()))
             }
         };
@@ -486,6 +496,28 @@ mod tests {
         assert!(Arc::ptr_eq(&second.table, &publisher.source().latest().table));
         // A fresh freeze always builds its own table.
         assert!(!Arc::ptr_eq(&Published::freeze(&mut e).table, &second.table));
+    }
+
+    #[test]
+    fn a_shared_member_column_reuses_the_table_by_pointer() {
+        let mut e = engine();
+        let mut t = 0.0;
+        feed(&mut e, &[[0.0, 0.0], [4.0, 0.0]], &mut t);
+        let mut publisher = SnapshotPublisher::new(&mut e, 1, None);
+        let first = publisher.source().latest();
+        // Absorbs by members move no cell between clusters.
+        feed(&mut e, &[[0.0, 0.0]], &mut t);
+        publisher.publish(&mut e);
+        let second = publisher.source().latest();
+        assert!(second.snapshot().shares_members_with(first.snapshot()));
+        assert!(Arc::ptr_eq(&first.table, &second.table));
+        // A cell entering a cluster gives the column and the table their own.
+        feed(&mut e, &[[8.0, 0.0]], &mut t);
+        publisher.publish(&mut e);
+        let third = publisher.source().latest();
+        assert_eq!(third.n_members(), 3);
+        assert!(!third.snapshot().shares_members_with(second.snapshot()));
+        assert!(!Arc::ptr_eq(&second.table, &third.table));
     }
 
     #[test]

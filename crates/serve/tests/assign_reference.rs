@@ -55,7 +55,7 @@ impl Scan {
         let snapshot = engine.snapshot(engine.stream_time());
         let mut members = Vec::new();
         for cluster in snapshot.clusters() {
-            for &cell in &cluster.cells {
+            for &cell in cluster.cells.iter() {
                 members.push((cell, cluster.id, engine.slab().get(cell).seed.clone()));
             }
         }
