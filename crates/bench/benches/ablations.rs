@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md §9 calls out:
+//! Ablation benches for three of the engine's design choices:
 //!
 //! * adaptive vs static τ (does the re-optimization cadence cost anything?)
 //! * evolution tracking on vs off (registry diff overhead)

@@ -4,7 +4,8 @@
 //! cluster registries) hash small integer keys millions of times per run.
 //! `std`'s SipHash is needlessly slow there; this is the Fx algorithm used
 //! by rustc (a multiply-xor mix), implemented locally so the workspace does
-//! not need an extra dependency (see DESIGN.md §7). HashDoS resistance is
+//! not need an extra dependency: every dependency is vendored for offline
+//! builds, and a dozen lines do not justify another. HashDoS resistance is
 //! irrelevant: all keys are internal ids, never attacker-controlled.
 
 use std::collections::{HashMap, HashSet};

@@ -14,7 +14,6 @@ use edm_common::time::Timestamp;
 use crate::cell::{Cell, CellId};
 use crate::error::EdmError;
 use crate::index::{CellIndex, NeighborIndex};
-use crate::slab::CellSlab;
 use crate::tree;
 
 use super::order::DensityOrder;
@@ -28,52 +27,32 @@ use super::{suggest_tau_from_deltas, EdmStream, Phase};
 /// work).
 const PARALLEL_CHUNK: usize = 1024;
 
-/// Cell births tracked individually per round before the birth ledger
-/// collapses the rest into a bounding box (at that churn, per-birth
-/// conflict checks cost more than the probes they might save).
-const MAX_BIRTH_TRACKING: usize = 32;
-
-/// What the birth ledger knows about births beyond its tracked list.
-#[derive(Debug, Clone, Default)]
-enum Overflow {
-    /// No untracked births this round.
-    #[default]
-    None,
-    /// Untracked births, all coordinate-bearing with one dimensionality:
-    /// their seeds' per-axis bounding box, tested through
-    /// [`CellIndex::bbox_conflicts`] in one shot.
-    BBox {
-        /// Per-axis minima of the untracked seeds' coordinates.
-        min: Vec<f64>,
-        /// Per-axis maxima of the untracked seeds' coordinates.
-        max: Vec<f64>,
-    },
-    /// At least one untracked birth with no box geometry (coordinate-less
-    /// seed, or a dimensionality clash): every probe is conservatively
-    /// stale.
-    Always,
-}
+/// Cell births tracked individually per round. Past that churn, per-birth
+/// checks would cost more than the probes they might save, so the next
+/// birth saturates the birth ledger, which then claims every remaining
+/// probe of the round.
+pub(super) const MAX_BIRTH_TRACKING: usize = 32;
 
 /// Cell births of the current commit round — the structure behind the
 /// commit loop's "is this cached probe still valid?" question.
 ///
-/// The first [`MAX_BIRTH_TRACKING`] births are tracked seed-by-seed
-/// (checked through [`NeighborIndex::probe_conflicts`]); any further ones
-/// fold into a bounding box ([`CellIndex::bbox_conflicts`]). Both checks
-/// are conservative, so the ledger only ever decides *who re-probes*,
-/// never what the engine outputs. Lives on the engine so the tracked
-/// list is reused across rounds.
+/// The first [`MAX_BIRTH_TRACKING`] births are tracked by seed and
+/// checked through [`NeighborIndex::probe_conflicts`]; a further birth
+/// saturates the ledger, and every later probe in the round is redone.
+/// Both answers are conservative, so the ledger only ever decides *who
+/// re-probes*, never what the engine outputs. Lives on the engine so the
+/// tracked list is reused across rounds.
 #[derive(Debug, Clone)]
 pub(super) struct BirthLedger<P> {
-    tracked: Vec<(CellId, P)>,
-    overflow: Overflow,
+    tracked: Vec<P>,
+    saturated: bool,
 }
 
 // Manual impl: `derive(Default)` would demand `P: Default`, which the
 // payload never needs to satisfy — the empty ledger holds no payloads.
 impl<P> Default for BirthLedger<P> {
     fn default() -> Self {
-        BirthLedger { tracked: Vec::new(), overflow: Overflow::None }
+        BirthLedger { tracked: Vec::new(), saturated: false }
     }
 }
 
@@ -81,55 +60,27 @@ impl<P: Clone + GridCoords> BirthLedger<P> {
     /// Clears the ledger for a new round.
     fn reset(&mut self) {
         self.tracked.clear();
-        self.overflow = Overflow::None;
+        self.saturated = false;
     }
 
     /// Whether any birth has been recorded this round.
     fn any_births(&self) -> bool {
-        !self.tracked.is_empty() || !matches!(self.overflow, Overflow::None)
+        !self.tracked.is_empty()
     }
 
-    /// Records a cell birth.
-    fn record(&mut self, id: CellId, seed: P) {
+    /// Records the seed of a cell born this round.
+    fn record(&mut self, seed: &P) {
         if self.tracked.len() < MAX_BIRTH_TRACKING {
-            self.tracked.push((id, seed));
-            return;
+            self.tracked.push(seed.clone());
+        } else {
+            self.saturated = true;
         }
-        self.overflow = match std::mem::take(&mut self.overflow) {
-            Overflow::Always => Overflow::Always,
-            Overflow::None => match seed.grid_coords() {
-                Some(c) => Overflow::BBox { min: c.to_vec(), max: c.to_vec() },
-                None => Overflow::Always,
-            },
-            Overflow::BBox { mut min, mut max } => match seed.grid_coords() {
-                Some(c) if c.len() == min.len() => {
-                    for ((lo, hi), x) in min.iter_mut().zip(max.iter_mut()).zip(c) {
-                        *lo = lo.min(*x);
-                        *hi = hi.max(*x);
-                    }
-                    Overflow::BBox { min, max }
-                }
-                _ => Overflow::Always,
-            },
-        };
     }
 
     /// Whether any recorded birth could have changed the answer (or the
     /// probed set) of this point's phase-1 probe.
-    fn conflicts<M: Metric<P>>(
-        &self,
-        index: &CellIndex,
-        p: &P,
-        radius: f64,
-        slab: &CellSlab<P>,
-        metric: &M,
-    ) -> bool {
-        self.tracked.iter().any(|(id, b)| index.probe_conflicts(p, *id, b, radius, slab, metric))
-            || match &self.overflow {
-                Overflow::None => false,
-                Overflow::Always => true,
-                Overflow::BBox { min, max } => index.bbox_conflicts(p, min, max, radius),
-            }
+    fn conflicts(&self, index: &CellIndex, p: &P, radius: f64) -> bool {
+        self.saturated || self.tracked.iter().any(|b| index.probe_conflicts(p, b, radius))
     }
 }
 
@@ -365,8 +316,8 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
 
         // Commit phase. A cached probe stays valid while the structures it
         // read are untouched *near the point*: cell births go into the
-        // birth ledger and are checked through the index's conflict
-        // geometry; recycling and cover-tree radius re-tightening (counted
+        // birth ledger, where only the grid's per-birth horizon can clear
+        // a probe; recycling and cover-tree radius re-tightening (counted
         // in `grid_rebuilds`; both only possible inside the maintenance
         // cadence) invalidate every remaining probe — they remove cells or
         // tighten search bounds, which birth tracking cannot describe.
@@ -383,22 +334,20 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             );
             self.now = self.now.max(*t);
             self.stats.points += 1;
-            let stale = invalidate_all
-                || ledger.conflicts(&self.index, p, radius, &self.slab, &self.metric);
+            let stale = invalidate_all || ledger.conflicts(&self.index, p, radius);
             let nearest = if stale {
                 self.stats.probe_revalidations += 1;
                 self.scan_distances(p)
             } else {
                 if ledger.any_births() {
-                    // A birth happened but its conflict geometry cleared
-                    // this probe — before the per-index horizons, any
-                    // birth in the round forced a revalidation here.
+                    // A birth happened but the grid's horizon cleared
+                    // this probe.
                     self.stats.probe_revalidations_avoided += 1;
                 }
                 self.replay_probe(slot)
             };
             if let Some(born) = self.process_resolved(p, *t, nearest) {
-                ledger.record(born, self.slab.get(born).seed.clone());
+                ledger.record(&self.slab.get(born).seed);
             }
             if self.stats.recycled != recycled_before || self.stats.grid_rebuilds != rebuilds_before
             {

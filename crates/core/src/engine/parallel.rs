@@ -13,8 +13,10 @@
 //! 2. **Commit** (in `ingest.rs`): points apply serially, in timestamp
 //!    order. A pre-computed probe is only trusted while no earlier commit
 //!    in the same batch could have changed its answer *or its probed
-//!    set*: a cell birth near the point (decided by
-//!    [`crate::index::NeighborIndex::probe_conflicts`]), any recycling,
+//!    set*: a cell birth the grid's horizon does not clear (decided by
+//!    [`crate::index::NeighborIndex::probe_conflicts`]; on the cover
+//!    tree and the linear scan every birth counts, and on any index
+//!    every probe after a round's 33rd birth is redone), any recycling,
 //!    or a cover-tree radius re-tightening sends the point back through
 //!    the serial scan — counted in
 //!    [`crate::EngineStats::probe_revalidations`]. Output is therefore

@@ -490,11 +490,9 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         }
         let snap = self.snapshot(t);
         if self.cfg.track_evolution {
-            // Belt and braces: the tracker is already synced after every
-            // diff, but a sync here is free when nothing is new and
-            // keeps the sealed record correct if a future code path
-            // records events outside `run_diff`.
-            self.tracker.sync(&self.log);
+            // Every event-recording site is followed by `run_diff`, whose
+            // sync leaves nothing for the sealed record to miss.
+            debug_assert!(self.tracker.has_read(&self.log), "events logged outside `run_diff`");
             // One summary per cluster, ascending by id, mass = density.
             let live = snap.summaries().iter().map(|s| (s.cluster, s.mass)).collect();
             self.tracker.seal(snap.generation(), t, live, snap.summaries());

@@ -988,8 +988,8 @@ fn parallel_path_works_for_coordinate_less_payloads() {
     use edm_common::metric::Jaccard;
     use edm_common::point::TokenSet;
     // TokenSet has no grid coordinates: the engine picks the cover tree,
-    // whose birth-conflict horizon is measured in Jaccard distance rather
-    // than bucket geometry — the parallel path must stay exact under it.
+    // on which every birth redoes the rest of its round's probes — the
+    // parallel path must stay exact under it.
     let cfg = EdmConfig::builder(0.6)
         .rate(100.0)
         .beta_for_threshold(2.0)
@@ -1022,8 +1022,8 @@ fn parallel_path_works_for_coordinate_less_payloads() {
 fn cover_tree_parallel_ingest_matches_the_serial_loop() {
     // The forced-threads CI leg only covers engines that defaulted their
     // index, so the explicit cover-tree + parallel combination gets its
-    // own equivalence check: the tree's birth-conflict horizons and
-    // radius re-tightening must keep cached probes exactly replayable.
+    // own equivalence check: the tree's births and radius re-tightening
+    // must keep cached probes exactly replayable.
     let batch = churny_batch(600);
     let t = batch.len() as f64 / 100.0;
     let cover = |threads: usize| {
@@ -1052,8 +1052,8 @@ fn cover_tree_parallel_ingest_matches_the_serial_loop() {
 fn far_births_no_longer_revalidate_unrelated_probes() {
     // One far-away birth at the head of a round must not force the
     // hundreds of origin-cluster probes behind it to be redone: the
-    // index's conflict geometry clears them, and the engine meters every
-    // probe so kept.
+    // grid's horizon clears them, and the engine meters every probe so
+    // kept.
     let mut e = EdmStream::new(parallel_cfg(2), Euclidean);
     let warm: Vec<(DenseVector, f64)> = (0..120)
         .map(|i| (DenseVector::from([(i % 5) as f64 * 0.1, 0.0]), i as f64 / 100.0))
@@ -1067,6 +1067,107 @@ fn far_births_no_longer_revalidate_unrelated_probes() {
     assert!(s.probe_revalidations_avoided > 0, "origin probes must replay despite the far birth");
     // And the saving is invisible to the equivalence contract.
     assert_eq!(s.normalized_for_equivalence().probe_revalidations_avoided, 0);
+}
+
+/// Feeds `points` one at a time to a fresh engine on `serial_cfg` and
+/// checks that it observes at `t` what `parallel`, already fed the same
+/// points in batches, observes.
+fn assert_batch_matches_serial(
+    serial_cfg: EdmConfig,
+    parallel: &mut EdmStream<DenseVector, Euclidean>,
+    points: &[(DenseVector, f64)],
+    t: f64,
+) {
+    let mut serial = EdmStream::new(serial_cfg, Euclidean);
+    for (p, ts) in points {
+        serial.insert(p, *ts);
+    }
+    assert_eq!(observe(&mut serial, t), observe(parallel, t));
+}
+
+#[test]
+fn cover_tree_births_redo_every_later_probe_of_the_round() {
+    // The cover tree clears no probe after a birth. The layout is one in
+    // which a proof over its covering radii could clear the origin
+    // probes: the far birth lands inside a far cluster's subtree and
+    // widens no radius on the origin's path (a sentinel farther out
+    // fixes the root's). Every probe behind the birth is redone anyway.
+    let cover = |threads: usize| {
+        parallel_cfg(threads)
+            .to_builder()
+            .neighbor_index(crate::index::NeighborIndexKind::CoverTree)
+            .build()
+            .unwrap()
+    };
+    let mut points: Vec<(DenseVector, f64)> = [
+        [0.0, 0.0],
+        [300.0, 300.0],
+        [100.0, 100.0],
+        [101.0, 100.0],
+        [100.0, 101.0],
+        [101.0, 101.0],
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, &c)| (DenseVector::from(c), i as f64 / 100.0))
+    .collect();
+    points.extend(
+        (6..120).map(|i| (DenseVector::from([(i % 5) as f64 * 0.1, 0.0]), i as f64 / 100.0)),
+    );
+    let mut e = EdmStream::new(cover(2), Euclidean);
+    e.insert_batch(&points);
+    assert!(e.is_initialized());
+    let before = e.stats().clone();
+    let mut round: Vec<(DenseVector, f64)> = vec![(DenseVector::from([100.5, 100.5]), 1.2)];
+    round.extend((0..200).map(|i| (DenseVector::from([0.05, 0.0]), 1.21 + i as f64 / 1000.0)));
+    e.insert_batch(&round);
+    let s = e.stats();
+    assert_eq!(s.new_cells - before.new_cells, 1, "the round opens with one birth");
+    assert_eq!(
+        s.probe_revalidations - before.probe_revalidations,
+        200,
+        "every probe behind the birth is redone"
+    );
+    assert_eq!(s.probe_revalidations_avoided, 0);
+    points.extend(round);
+    assert_batch_matches_serial(cover(1), &mut e, &points, 1.5);
+}
+
+#[test]
+fn births_past_the_tracked_ones_redo_every_later_probe_of_the_round() {
+    // On the grid, each of a round's first MAX_BIRTH_TRACKING births
+    // clears the far probes behind it. The next birth saturates the
+    // ledger: every probe after it is redone, however far it lies.
+    use super::ingest::MAX_BIRTH_TRACKING;
+    let mut e = EdmStream::new(parallel_cfg(2), Euclidean);
+    let mut points: Vec<(DenseVector, f64)> = (0..120)
+        .map(|i| (DenseVector::from([(i % 5) as f64 * 0.1, 0.0]), i as f64 / 100.0))
+        .collect();
+    e.insert_batch(&points);
+    assert!(e.is_initialized());
+    assert_eq!(e.index_label(), "grid");
+    let before = e.stats().clone();
+    let far = MAX_BIRTH_TRACKING + 8;
+    let mut round: Vec<(DenseVector, f64)> = (0..far)
+        .map(|k| (DenseVector::from([50.0 + 3.0 * k as f64, 50.0]), 1.2 + k as f64 / 1000.0))
+        .collect();
+    round.extend((0..200).map(|i| (DenseVector::from([0.05, 0.0]), 1.3 + i as f64 / 1000.0)));
+    e.insert_batch(&round);
+    let s = e.stats();
+    assert_eq!(s.new_cells - before.new_cells, far as u64, "every far point founds a cell");
+    // Births 2 to MAX_BIRTH_TRACKING + 1 were each cleared against the
+    // tracked births before them.
+    assert_eq!(
+        s.probe_revalidations_avoided - before.probe_revalidations_avoided,
+        MAX_BIRTH_TRACKING as u64
+    );
+    assert_eq!(
+        s.probe_revalidations - before.probe_revalidations,
+        (round.len() - MAX_BIRTH_TRACKING - 1) as u64,
+        "every probe after the saturating birth is redone"
+    );
+    points.extend(round);
+    assert_batch_matches_serial(parallel_cfg(1), &mut e, &points, 1.6);
 }
 
 #[test]

@@ -82,6 +82,11 @@ impl EvolutionTracker {
         self.cursor = log.cursor().seq();
     }
 
+    /// Whether the tracker has consumed every event `log` has recorded.
+    pub(crate) fn has_read(&self, log: &EvolutionLog) -> bool {
+        self.cursor == log.cursor().seq()
+    }
+
     /// Seals the pending interval into the record of `generation`:
     /// `live` is the `(cluster, mass)` list at the publication instant
     /// (ascending by id) and `summaries` the freshly frozen per-cluster

@@ -129,8 +129,10 @@ pub struct EngineStats {
     /// `ingest_threads` is 1).
     pub probe_tasks: u64,
     /// Pre-computed probes the commit phase had to redo serially because
-    /// an earlier commit in the same batch touched their neighborhood
-    /// (cell births nearby, recycling, or a cover-tree re-tightening).
+    /// an earlier commit in the same batch could have touched their
+    /// neighborhood (a cell birth the grid's horizon does not clear, any
+    /// birth on the other indexes, recycling, or a cover-tree
+    /// re-tightening).
     /// High values mean the workload creates/recycles too much for the
     /// batch size — the two-phase path degrades toward serial cost, never
     /// toward wrong output.
@@ -147,11 +149,12 @@ pub struct EngineStats {
     #[serde(default)]
     pub snapshots_published: u64,
     /// Cached parallel probes the commit phase *kept* after a cell birth
-    /// in the same batch, because the index's conflict geometry proved
-    /// the birth could not have reached the probe's neighborhood. Before
-    /// the per-index horizons, every one of these would have been a
-    /// serial revalidation — the counter meters what the finer
-    /// `probe_conflicts` checks save. Zero when `ingest_threads` is 1.
+    /// in the same batch, because the grid's per-birth horizon proved
+    /// the birth could not have reached the probe's neighborhood. Without
+    /// that horizon every one of these would have been a serial
+    /// revalidation, as it is on the cover tree and the linear scan, and
+    /// on any index after a round's 33rd birth. Zero when
+    /// `ingest_threads` is 1.
     /// Serde-defaulted so stats persisted before the field existed still
     /// load.
     #[serde(default)]

@@ -66,7 +66,7 @@ use edm_common::point::GridCoords;
 use crate::cell::{Cell, CellId};
 use crate::slab::CellSlab;
 
-use super::{chebyshev_lower_bound, chebyshev_prunes, closer, NeighborIndex};
+use super::{chebyshev_prunes, closer, NeighborIndex};
 
 /// Relative inflation applied to triangle-inequality radius updates on
 /// removal, so float rounding in the `d + radius` sum can never leave a
@@ -163,10 +163,9 @@ pub struct CoverTree {
     /// Cell id → arena index, for O(1) removal lookup.
     loc: FxHashMap<CellId, usize>,
     /// Whether the engine's metric dominates per-axis coordinate
-    /// differences, enabling the Chebyshev
-    /// [`NeighborIndex::distance_lower_bound`]. Pure-metric payloads
-    /// (token sets) leave this off and the engine falls back to the
-    /// no-information bound of `0.0`.
+    /// differences, enabling the Chebyshev bound of
+    /// [`NeighborIndex::lower_bound_prunes`]. Pure-metric payloads (token
+    /// sets) leave this off, and the index then prunes nothing there.
     axis_lower_bound: bool,
     /// Arena indices whose covering radius was widened by a removal
     /// re-hang — the only radius updates that *over*-estimate (insert
@@ -181,7 +180,7 @@ impl CoverTree {
     /// Creates an empty tree. `axis_lower_bound` states whether the
     /// engine's metric dominates per-axis coordinate differences (see
     /// [`edm_common::metric::Metric::dominates_coordinate_axes`]); it
-    /// only affects [`NeighborIndex::distance_lower_bound`], never the
+    /// only affects [`NeighborIndex::lower_bound_prunes`], never the
     /// tree search itself.
     pub fn new(axis_lower_bound: bool) -> Self {
         CoverTree {
@@ -552,95 +551,11 @@ impl<P: GridCoords> NeighborIndex<P> for CoverTree {
         best
     }
 
-    fn distance_lower_bound(&self, q: &P, seed: &P) -> f64 {
-        // The tree's own bounds need a measured distance to q, which this
-        // method must not spend; the coordinate Chebyshev bound is free
-        // and sound whenever the metric dominates per-axis differences.
-        if self.axis_lower_bound {
-            chebyshev_lower_bound(q, seed)
-        } else {
-            0.0
-        }
-    }
-
     fn lower_bound_prunes(&self, q: &P, seed: &P, p_dist: f64, delta: f64) -> bool {
-        // Mirrors `distance_lower_bound`: the Chebyshev walk when axis
-        // domination holds, otherwise the 0.0 bound proves nothing
-        // (`0.0 - p_dist > delta` is false for nonnegative inputs).
+        // The tree's own bounds need a measured distance to q, which this
+        // test must not spend; the coordinate Chebyshev bound is free and
+        // sound whenever the metric dominates per-axis differences.
         self.axis_lower_bound && chebyshev_prunes(q, seed, p_dist, delta)
-    }
-
-    fn probe_conflicts<M: Metric<P>>(
-        &self,
-        q: &P,
-        changed: CellId,
-        changed_seed: &P,
-        radius: f64,
-        slab: &CellSlab<P>,
-        metric: &M,
-    ) -> bool {
-        // A birth can perturb a pending `nearest_within(q, ρ)` probe in
-        // exactly two ways, and both are testable with *exact* distances
-        // against the current tree (radii could only have grown since the
-        // probe was cached — any shrink, i.e. a re-tightening, counts as
-        // a rebuild and already invalidated every cached probe):
-        //
-        // 1. **The born node gets probed.** The search probes a node iff
-        //    it expands the node's parent, and expanding parent `p`
-        //    requires its lower bound `d(q,p) − r_p` to stay within the
-        //    search bound, which never exceeds ρ. `d(q,p) > ρ + r_p` with
-        //    the parent's *current* (post-widening) radius therefore
-        //    proves `p` expands in neither the cached nor the re-run
-        //    search: the born node — and anything that attached under it
-        //    later in the batch — is probed in neither.
-        // 2. **A widened ancestor's loosened lower bound changes the
-        //    expansion set.** This birth can only have widened ancestor
-        //    `a` if it set `a.radius = d(a,born)` outright (insert folds
-        //    are exact maxima), so `a.radius ≤ d(a,born)` — up to
-        //    removal-widening slack — is a necessary condition. A widened
-        //    `a` perturbs the search only by itself expanding, which
-        //    needs `d(q,a) ≤ ρ + a.radius`; past that, `a` expands in
-        //    neither run, and a never-expanded entry cannot perturb the
-        //    rest: the frontier's total order (lb, then node) makes each
-        //    pop a function of the live entry *set*, so the expanded
-        //    prefix — and with it every probe — replays identically, and
-        //    at worst the final over-bound pop lands on `a` instead,
-        //    which only ends the search as before. When several batched
-        //    births widened the same ancestor, the final radius belongs
-        //    to one of them and *that* birth's check catches the flip;
-        //    subsumed widenings need no claim of their own.
-        //
-        // Outside both horizons the probed set and every probed distance
-        // are provably identical, so the cached probe stands.
-        let Some(&idx) = self.loc.get(&changed) else {
-            // Not (or no longer) in the tree — a removal or an unknown
-            // change; no horizon to measure, claim the conflict.
-            return true;
-        };
-        let node = &self.nodes[idx];
-        let Some(parent) = node.parent else {
-            // The born cell seeded (or got promoted to) the root: the
-            // root always expands, so the birth is always probed.
-            return true;
-        };
-        let pn = &self.nodes[parent];
-        let d_qp = metric.dist(q, &slab.get(pn.id).seed);
-        if d_qp <= radius + pn.radius {
-            return true;
-        }
-        let mut anc = pn.parent;
-        while let Some(a) = anc {
-            let an = &self.nodes[a];
-            let da = metric.dist(changed_seed, &slab.get(an.id).seed);
-            if an.radius <= da * RADIUS_SLACK {
-                let d_qa = metric.dist(q, &slab.get(an.id).seed);
-                if d_qa <= radius + an.radius {
-                    return true;
-                }
-            }
-            anc = an.parent;
-        }
-        false
     }
 
     fn maintain<M: Metric<P>>(&mut self, slab: &CellSlab<P>, metric: &M) -> u64 {
@@ -883,11 +798,12 @@ mod tests {
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
             .filter(|&(_, d)| d <= 0.9);
         assert_eq!(hit, brute);
-        // No coordinates → no free lower bound to hand out.
-        assert_eq!(
-            NeighborIndex::<TokenSet>::distance_lower_bound(&tree, &q, &slab.get(ids[0]).seed),
-            0.0
-        );
+        // No coordinates → no free lower bound: a disjoint seed, at
+        // Jaccard distance 1, is not pruned even at the bound's edge,
+        // where a gap of 0 equals p_dist + delta.
+        let far = &slab.get(ids[0]).seed;
+        assert_eq!(q.jaccard_dist(far), 1.0);
+        assert!(!NeighborIndex::<TokenSet>::lower_bound_prunes(&tree, &q, far, 0.0, 0.0));
         let cell = slab.remove(ids[3]);
         tree.on_remove(ids[3], &cell.seed, &slab, &Jaccard);
         assert!(tree.check_coherence(&slab, &Jaccard).is_ok());
@@ -895,84 +811,19 @@ mod tests {
 
     #[test]
     fn axis_bound_flag_gates_the_chebyshev_lower_bound() {
+        // The Chebyshev gap of (0, 0) to (3, -1.5) is 3 = p_dist + delta
+        // exactly: no prune. The next representable gap above it prunes,
+        // but only with the axis bound on.
         let with = CoverTree::new(true);
         let without = CoverTree::new(false);
-        let (a, b) = (v(0.0, 0.0), v(3.0, -1.5));
-        assert_eq!(NeighborIndex::<DenseVector>::distance_lower_bound(&with, &a, &b), 3.0);
-        assert_eq!(NeighborIndex::<DenseVector>::distance_lower_bound(&without, &a, &b), 0.0);
-    }
-
-    #[test]
-    fn probe_conflicts_clears_far_births_and_claims_near_ones() {
-        // A tight cluster near the origin, a second cluster far away, and
-        // a sentinel even farther (so the far birth widens no ancestor
-        // radius): a probe at the origin must shrug off a birth landing
-        // inside the far cluster's subtree (that is the whole point of
-        // the finer horizon) but must keep claiming conflicts for births
-        // inside its own neighborhood.
-        let mut tree = CoverTree::new(true);
-        let mut slab = CellSlab::new();
-        let add = |slab: &mut CellSlab<DenseVector>, tree: &mut CoverTree, x: f64, y: f64| {
-            let id = slab.insert(Cell::new(v(x, y), 0.0));
-            tree.on_insert(id, &slab.get(id).seed, slab, &Euclidean);
-            id
+        let (edge, above) = (v(3.0, -1.5), v(3.0f64.next_up(), -1.5));
+        let prunes = |tree: &CoverTree, seed: &DenseVector| {
+            NeighborIndex::<DenseVector>::lower_bound_prunes(tree, &v(0.0, 0.0), seed, 1.0, 2.0)
         };
-        add(&mut slab, &mut tree, 0.0, 0.0); // root
-        add(&mut slab, &mut tree, 300.0, 300.0); // sentinel: fixes root radius
-        for i in 0..30 {
-            add(&mut slab, &mut tree, (i % 6) as f64 * 0.8, (i / 6) as f64 * 0.8);
-        }
-        for (dx, dy) in [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)] {
-            add(&mut slab, &mut tree, 100.0 + dx, 100.0 + dy);
-        }
-        let far = add(&mut slab, &mut tree, 100.3, 100.3);
-        let near = add(&mut slab, &mut tree, 0.3, 0.3);
-        let q = v(0.1, 0.1);
-        assert!(
-            !tree.probe_conflicts(&q, far, &slab.get(far).seed, 0.5, &slab, &Euclidean),
-            "a birth inside an unexpanded far subtree cannot touch a \
-             radius-0.5 probe at the origin"
-        );
-        assert!(
-            tree.probe_conflicts(&q, near, &slab.get(near).seed, 0.5, &slab, &Euclidean),
-            "a birth inside the probe radius must conflict"
-        );
-        // A cell the tree does not hold (e.g. already recycled away) has
-        // no measurable horizon — conservative claim.
-        let gone = slab.insert(Cell::new(v(50.0, 50.0), 0.0));
-        let cell = slab.remove(gone);
-        assert!(tree.probe_conflicts(&q, gone, &cell.seed, 0.5, &slab, &Euclidean));
-    }
-
-    #[test]
-    fn probe_conflicts_never_clears_a_probe_the_birth_actually_perturbs() {
-        // Oracle check: for every (query, birth) pair over a scattered
-        // population, a cleared probe must reproduce the identical probed
-        // set and answer before and after the birth.
-        let (mut tree, mut slab, _) = scattered(80);
-        let mut x = 77u64;
-        for step in 0..40 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let q = v(((x >> 33) % 1000) as f64 / 25.0, ((x >> 13) % 1000) as f64 / 25.0);
-            let radius = [0.5, 2.0, 8.0][step % 3];
-            let mut before = Vec::new();
-            let hit_before = tree.nearest_within(&q, radius, &slab, &Euclidean, &mut |id, d| {
-                before.push((id, d.to_bits()))
-            });
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let seed = v(((x >> 23) % 2000) as f64 / 25.0, ((x >> 3) % 2000) as f64 / 25.0);
-            let born = slab.insert(Cell::new(seed.clone(), 0.0));
-            tree.on_insert(born, &slab.get(born).seed, &slab, &Euclidean);
-            let conflicts = tree.probe_conflicts(&q, born, &seed, radius, &slab, &Euclidean);
-            let mut after = Vec::new();
-            let hit_after = tree.nearest_within(&q, radius, &slab, &Euclidean, &mut |id, d| {
-                after.push((id, d.to_bits()))
-            });
-            if !conflicts {
-                assert_eq!(hit_before, hit_after, "cleared probe changed its answer");
-                assert_eq!(before, after, "cleared probe changed its probed set");
-            }
-        }
+        assert!(!prunes(&with, &edge));
+        assert!(prunes(&with, &above));
+        assert!(!prunes(&without, &edge));
+        assert!(!prunes(&without, &above));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use edm_common::point::GridCoords;
 use crate::cell::{Cell, CellId};
 use crate::slab::CellSlab;
 
-use super::{chebyshev_lower_bound, chebyshev_prunes, closer, NeighborIndex};
+use super::{chebyshev_prunes, closer, NeighborIndex};
 
 /// Reusable integer-key buffers for the query hot path.
 ///
@@ -100,55 +100,6 @@ impl UniformGrid {
     /// Bucket side length.
     pub fn side(&self) -> f64 {
         self.side
-    }
-
-    /// The per-axis distance beyond which a coordinate-bearing structural
-    /// change provably cannot alter a `nearest_within(q, radius, ..)`
-    /// probe — the same `(reach + 1) · side` geometry `probe_conflicts`
-    /// applies per birth, exposed so the batch committer's birth ledger
-    /// can test a whole *bounding box* of overflowed births at once.
-    pub(crate) fn conflict_horizon(&self, radius: f64) -> f64 {
-        let reach = (radius / self.side).ceil().min(i64::MAX as f64);
-        (reach + 1.0) * self.side
-    }
-
-    /// Whether *any* birth inside the axis-aligned box `[min, max]` could
-    /// conflict with a `nearest_within(q, radius, ..)` probe — the
-    /// bounding-box generalization of
-    /// [`NeighborIndex::probe_conflicts`], used by the batch committer's
-    /// birth ledger once it stops tracking births individually. The box
-    /// only ever holds coordinate-bearing births of one dimensionality
-    /// (`min.len()`); the same coordless / dimension-mismatch escapes as
-    /// the per-birth check apply, because a mismatched birth lands in the
-    /// unbucketed list every query scans.
-    pub(crate) fn bbox_conflicts<P: GridCoords>(
-        &self,
-        q: &P,
-        min: &[f64],
-        max: &[f64],
-        radius: f64,
-    ) -> bool {
-        let Some(qc) = q.grid_coords() else {
-            return true; // coordinate-less query scans every bucket
-        };
-        if qc.len() != min.len() || self.dim.is_some_and(|d| d != min.len()) {
-            return true; // dimension mismatch: births are unbucketed
-        }
-        let horizon = self.conflict_horizon(radius);
-        // A birth in the box can reach the probe only if, on every axis,
-        // the interval `[lo, hi]` comes within the horizon of the query —
-        // the per-axis distance to an interval, against the same
-        // `(reach + 1)·side` bound `probe_conflicts` uses per birth.
-        qc.iter().zip(min.iter().zip(max.iter())).all(|(a, (lo, hi))| {
-            let d = if a < lo {
-                lo - a
-            } else if a > hi {
-                a - hi
-            } else {
-                0.0
-            };
-            d <= horizon
-        })
     }
 
     /// Checks that `id` (with seed coordinates `coords`) is filed exactly
@@ -457,26 +408,14 @@ impl<P: GridCoords> NeighborIndex<P> for UniformGrid {
         best
     }
 
-    fn distance_lower_bound(&self, q: &P, seed: &P) -> f64 {
-        // Chebyshev distance: sound for any metric dominating per-axis
+    fn lower_bound_prunes(&self, q: &P, seed: &P, p_dist: f64, delta: f64) -> bool {
+        // The Chebyshev bound: sound for any metric dominating per-axis
         // coordinate differences (the GridCoords contract), and tighter
         // than what bucket keys alone could prove.
-        chebyshev_lower_bound(q, seed)
-    }
-
-    fn lower_bound_prunes(&self, q: &P, seed: &P, p_dist: f64, delta: f64) -> bool {
         chebyshev_prunes(q, seed, p_dist, delta)
     }
 
-    fn probe_conflicts<M: Metric<P>>(
-        &self,
-        q: &P,
-        _changed: CellId,
-        changed: &P,
-        radius: f64,
-        _slab: &CellSlab<P>,
-        _metric: &M,
-    ) -> bool {
+    fn probe_conflicts(&self, q: &P, changed: &P, radius: f64) -> bool {
         let (Some(qc), Some(cc)) = (q.grid_coords(), changed.grid_coords()) else {
             // No geometry to prove anything with: a coordinate-less cell
             // lands in the unbucketed list every query scans, and a
@@ -494,7 +433,8 @@ impl<P: GridCoords> NeighborIndex<P> for UniformGrid {
         // set). Keys are floors, so a seed farther than (reach + 1)·side
         // on some axis is strictly beyond reach and can neither enter nor
         // leave the set.
-        let horizon = self.conflict_horizon(radius);
+        let reach = (radius / self.side).ceil().min(i64::MAX as f64);
+        let horizon = (reach + 1.0) * self.side;
         qc.iter().zip(cc.iter()).all(|(a, b)| (a - b).abs() <= horizon)
     }
 
@@ -591,11 +531,17 @@ mod tests {
 
     #[test]
     fn lower_bound_is_chebyshev() {
+        // The Chebyshev gap of (0, 0) to (3, -1.5) is 3 = p_dist + delta
+        // exactly: no prune. The next representable gap above it prunes.
         let grid = UniformGrid::new(1.0);
-        let lb =
-            NeighborIndex::<DenseVector>::distance_lower_bound(&grid, &v(0.0, 0.0), &v(3.0, -1.5));
-        assert_eq!(lb, 3.0);
-        assert!(lb <= v(0.0, 0.0).dist(&v(3.0, -1.5)));
+        let prunes = |seed: &DenseVector| {
+            NeighborIndex::<DenseVector>::lower_bound_prunes(&grid, &v(0.0, 0.0), seed, 1.0, 2.0)
+        };
+        assert!(!prunes(&v(3.0, -1.5)));
+        let above = v(3.0f64.next_up(), -1.5);
+        assert!(prunes(&above));
+        // Sound: the true distance proves the prune too.
+        assert!(v(0.0, 0.0).dist(&above) - 1.0 > 2.0);
     }
 
     #[test]

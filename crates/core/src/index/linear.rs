@@ -76,10 +76,10 @@ impl<P> NeighborIndex<P> for LinearScan {
         best
     }
 
-    fn distance_lower_bound(&self, _q: &P, _seed: &P) -> f64 {
+    fn lower_bound_prunes(&self, _q: &P, _seed: &P, _p_dist: f64, _delta: f64) -> bool {
         // The scan probes everything, so the engine never needs a bound
-        // from it; claim nothing.
-        0.0
+        // from it; prove nothing.
+        false
     }
 
     fn check_coherence<M: Metric<P>>(

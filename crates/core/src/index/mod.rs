@@ -153,49 +153,30 @@ pub trait NeighborIndex<P> {
         pred: &mut dyn FnMut(CellId, &Cell<P>) -> bool,
     ) -> Option<(CellId, f64)>;
 
-    /// A sound lower bound on `metric.dist(q, seed)` that costs no metric
-    /// evaluation; `0.0` when the index can prove nothing. Used by the
-    /// engine to run the triangle filter on cells whose exact distance the
-    /// assignment probe skipped.
-    fn distance_lower_bound(&self, q: &P, seed: &P) -> f64;
-
     /// Whether the index can prove `metric.dist(q, seed) - p_dist > delta`
     /// without a metric evaluation — the exact prune test of the engine's
-    /// Theorem-2 fallback path, fused so the index can short-circuit. The
-    /// default derives the decision from
-    /// [`NeighborIndex::distance_lower_bound`]; coordinate-backed indexes
-    /// override it with a per-axis walk that reaches the identical
-    /// decision (the test is monotone in the bound, so the first axis that
-    /// proves it settles it) in O(1) for well-separated cells instead of
-    /// O(d) for every candidate.
-    fn lower_bound_prunes(&self, q: &P, seed: &P, p_dist: f64, delta: f64) -> bool {
-        self.distance_lower_bound(q, seed) - p_dist > delta
-    }
+    /// Theorem-2 fallback path, for cells whose exact distance the
+    /// assignment probe skipped. Coordinate-backed indexes walk the axes
+    /// and stop at the first one that proves it; an index that can prove
+    /// nothing answers `false`.
+    fn lower_bound_prunes(&self, q: &P, seed: &P, p_dist: f64, delta: f64) -> bool;
 
-    /// Whether a structural change at `changed` — a cell with seed
-    /// `changed_seed` inserted into (or removed from) this index — could
-    /// alter the result **or the probed set** of
+    /// Whether a cell birth with seed `changed_seed` could alter the
+    /// result **or the probed set** of
     /// [`NeighborIndex::nearest_within`]`(q, radius, ..)`. The parallel
     /// batch committer asks this to decide which pre-computed assignment
     /// probes survive an earlier commit's cell birth; a stale probe is
     /// simply redone serially, so the method affects only throughput,
-    /// never output. `slab` and `metric` let structural backends (the
-    /// cover tree) measure a real change horizon instead of claiming
-    /// everything; `changed` may or may not still be live in `slab`.
+    /// never output.
     ///
     /// Implementations must be **conservative**: return `true` whenever
     /// the probe cannot be proven untouched. The default claims every
-    /// change conflicts — exact for the linear scan, which probes every
-    /// live cell.
-    fn probe_conflicts<M: Metric<P>>(
-        &self,
-        _q: &P,
-        _changed: CellId,
-        _changed_seed: &P,
-        _radius: f64,
-        _slab: &CellSlab<P>,
-        _metric: &M,
-    ) -> bool {
+    /// birth conflicts — exact for the linear scan, which probes every
+    /// live cell, and the cover tree's answer too: a birth widens the
+    /// covering radii along its whole insertion path, which can change
+    /// what a distant query expands. Only the grid overrides it, with a
+    /// per-axis horizon around the query's bucket shell.
+    fn probe_conflicts(&self, _q: &P, _changed_seed: &P, _radius: f64) -> bool {
         true
     }
 
@@ -216,26 +197,16 @@ pub trait NeighborIndex<P> {
     fn check_coherence<M: Metric<P>>(&self, slab: &CellSlab<P>, metric: &M) -> Result<(), String>;
 }
 
-/// Chebyshev (L∞) distance between two payloads' coordinate embeddings —
-/// `0.0` when either has none or the dimensionalities disagree. A sound
-/// lower bound on any metric that dominates per-axis coordinate
-/// differences; shared by the grid and cover-tree
-/// [`NeighborIndex::distance_lower_bound`] implementations.
-pub(crate) fn chebyshev_lower_bound<P: GridCoords>(q: &P, seed: &P) -> f64 {
-    match (q.grid_coords(), seed.grid_coords()) {
-        (Some(a), Some(b)) if a.len() == b.len() => {
-            a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
-        }
-        _ => 0.0,
-    }
-}
-
-/// Short-circuiting form of the Theorem-2 fallback prune: true iff
-/// `chebyshev_lower_bound(q, seed) - p_dist > delta`, decided at the first
-/// axis that proves it. `fl(u - p_dist)` is monotone non-decreasing in
-/// `u`, so "some axis proves it" and "the maximum axis proves it" are the
-/// same decision, bit for bit — only the cost changes: far cells exit on
+/// The Theorem-2 fallback prune on coordinates: true iff some axis
+/// satisfies `|q_i − seed_i| - p_dist > delta`, i.e. iff the Chebyshev
+/// (L∞) distance between the two coordinate embeddings, a sound lower
+/// bound on any metric that dominates per-axis coordinate differences,
+/// proves `dist(q, seed) - p_dist > delta`. `fl(u - p_dist)` is monotone
+/// non-decreasing in `u`, so "some axis proves it" and "the maximum axis
+/// proves it" are the same decision, bit for bit; far cells exit on
 /// their first separated axis instead of walking every coordinate.
+/// `false` when either payload has no coordinates or the
+/// dimensionalities disagree.
 pub(crate) fn chebyshev_prunes<P: GridCoords>(q: &P, seed: &P, p_dist: f64, delta: f64) -> bool {
     match (q.grid_coords(), seed.grid_coords()) {
         (Some(a), Some(b)) if a.len() == b.len() => {
@@ -327,29 +298,6 @@ impl CellIndex {
             CellIndex::Cover(_) => "cover-tree",
         }
     }
-
-    /// Whether any cell birth inside the axis-aligned bounding box
-    /// `[min, max]` could conflict with a `nearest_within(q, radius, ..)`
-    /// probe — the bounding-box generalization of
-    /// [`NeighborIndex::probe_conflicts`], used by the batch committer's
-    /// birth ledger once a round has seen too many births to track
-    /// individually. Lives in the index (not the ledger) because the
-    /// coordless / dimension-mismatch escapes need the grid's tracked
-    /// dimensionality to stay sound. Conservative `true` for backends
-    /// with no box geometry: the linear scan probes everything, and the
-    /// cover tree's change horizon is per-change, not global.
-    pub(crate) fn bbox_conflicts<P: GridCoords>(
-        &self,
-        q: &P,
-        min: &[f64],
-        max: &[f64],
-        radius: f64,
-    ) -> bool {
-        match self {
-            CellIndex::Grid(g) => g.bbox_conflicts(q, min, max, radius),
-            CellIndex::Linear(_) | CellIndex::Cover(_) => true,
-        }
-    }
 }
 
 impl<P: GridCoords> NeighborIndex<P> for CellIndex {
@@ -398,14 +346,6 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
         }
     }
 
-    fn distance_lower_bound(&self, q: &P, seed: &P) -> f64 {
-        match self {
-            CellIndex::Linear(ix) => NeighborIndex::<P>::distance_lower_bound(ix, q, seed),
-            CellIndex::Grid(ix) => NeighborIndex::<P>::distance_lower_bound(ix, q, seed),
-            CellIndex::Cover(ix) => NeighborIndex::<P>::distance_lower_bound(ix, q, seed),
-        }
-    }
-
     fn lower_bound_prunes(&self, q: &P, seed: &P, p_dist: f64, delta: f64) -> bool {
         match self {
             CellIndex::Linear(ix) => {
@@ -420,25 +360,11 @@ impl<P: GridCoords> NeighborIndex<P> for CellIndex {
         }
     }
 
-    fn probe_conflicts<M: Metric<P>>(
-        &self,
-        q: &P,
-        changed: CellId,
-        changed_seed: &P,
-        radius: f64,
-        slab: &CellSlab<P>,
-        metric: &M,
-    ) -> bool {
+    fn probe_conflicts(&self, q: &P, changed_seed: &P, radius: f64) -> bool {
         match self {
-            CellIndex::Linear(ix) => {
-                ix.probe_conflicts(q, changed, changed_seed, radius, slab, metric)
-            }
-            CellIndex::Grid(ix) => {
-                ix.probe_conflicts(q, changed, changed_seed, radius, slab, metric)
-            }
-            CellIndex::Cover(ix) => {
-                ix.probe_conflicts(q, changed, changed_seed, radius, slab, metric)
-            }
+            CellIndex::Linear(ix) => ix.probe_conflicts(q, changed_seed, radius),
+            CellIndex::Grid(ix) => ix.probe_conflicts(q, changed_seed, radius),
+            CellIndex::Cover(ix) => ix.probe_conflicts(q, changed_seed, radius),
         }
     }
 

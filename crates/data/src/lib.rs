@@ -9,7 +9,9 @@
 //!   uniformly.
 //! * [`gen`] — deterministic synthetic generators for the six datasets of
 //!   the paper's Table 2 (SDS, HDS and surrogates for KDDCUP99, CoverType,
-//!   PAMAP2, NADS; see DESIGN.md §5 for the substitution rationale).
+//!   PAMAP2, NADS). The real datasets are not bundled, so each surrogate
+//!   reproduces the shape, class skew and drift the paper's experiments
+//!   lean on; each generator's module docs say what it keeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,7 +14,8 @@ fn main() {
     println!("SDS: {} points over {:.0} seconds\n", stream.len(), stream.duration());
 
     // SDS plays out in 20 s, so it needs a fast-forgetting decay model
-    // (half-life ≈ 1.7 s); see DESIGN.md §5.
+    // (half-life ≈ 1.7 s): with the paper's 346 s half-life a faded
+    // component would still be active when the script moves on.
     let cfg = EdmConfig::builder(0.3)
         .decay(DecayModel::new(0.998, 200.0))
         .beta(3e-3)

@@ -19,7 +19,11 @@ fn main() {
         stream.n_classes
     );
 
-    // Engine over token sets: see DESIGN.md for the NADS parameterization.
+    // Engine over token sets, the NADS parameterization: news decay
+    // (half-life ≈ one calendar day), β putting the activation threshold
+    // at a density of 3 headlines, and a static τ of 0.75, between the
+    // Jaccard distance of a topic's stories (≈ 0.7) and that of unrelated
+    // topics (≳ 0.9).
     let rate = stream.len() as f64 / (nads::DAYS * ncfg.seconds_per_day);
     let decay = edmstream::DecayModel::new(0.998, 60.0);
     let cfg = EdmConfig::builder(0.4)
