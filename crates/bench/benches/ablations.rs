@@ -1,7 +1,6 @@
-//! Ablation benches for three of the engine's design choices:
+//! Ablation benches for two of the engine's design choices:
 //!
 //! * adaptive vs static τ (does the re-optimization cadence cost anything?)
-//! * evolution tracking on vs off (registry diff overhead)
 //! * cell radius r (granularity vs per-point cost — Fig 17's microscopic view)
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -26,16 +25,6 @@ fn bench_ablations(c: &mut Criterion) {
         [("adaptive", TauMode::Adaptive { alpha: None }), ("static", TauMode::Static(5.0))]
     {
         let cfg = ds.edm.to_builder().tau_mode(mode).build().unwrap();
-        group.bench_function(label, |b| {
-            b.iter_batched(|| cfg.clone(), |cfg| run_stream(cfg, &ds), BatchSize::SmallInput)
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("ablation_evolution_tracking");
-    group.sample_size(10);
-    for (label, track) in [("on", true), ("off", false)] {
-        let cfg = ds.edm.to_builder().track_evolution(track).build().unwrap();
         group.bench_function(label, |b| {
             b.iter_batched(|| cfg.clone(), |cfg| run_stream(cfg, &ds), BatchSize::SmallInput)
         });

@@ -11,7 +11,7 @@ fn bench_filters(c: &mut Criterion) {
     let mut group = c.benchmark_group("filters_kdd");
     group.sample_size(10);
     for filters in [FilterConfig::none(), FilterConfig::density_only(), FilterConfig::all()] {
-        let cfg = ds.edm.to_builder().filters(filters).track_evolution(false).build().unwrap();
+        let cfg = ds.edm.to_builder().filters(filters).build().unwrap();
         group.bench_function(filters.label(), |b| {
             b.iter_batched(
                 || EdmStream::new(cfg.clone(), Euclidean),

@@ -78,7 +78,6 @@ fn seeded_engine(
         .tau_every(1 << 40)
         .maintenance_every(1 << 40)
         .recycle_horizon(f64::MAX)
-        .track_evolution(false)
         .neighbor_index(kind)
         .build()
         .expect("valid bench configuration");
@@ -155,7 +154,6 @@ fn bench_active_absorb(c: &mut Criterion) {
                 .tau_every(1 << 40)
                 .maintenance_every(1 << 40)
                 .recycle_horizon(f64::MAX)
-                .track_evolution(false)
                 .neighbor_index(kind)
                 .build()
                 .expect("valid bench configuration");
@@ -250,7 +248,7 @@ fn emit_highd_json(c: &mut Criterion) {
     let mut entries: Vec<String> = Vec::new();
     for &d in &[16usize, 51] {
         for (label, kind) in HD_KINDS {
-            let (pps, recomputes) = scenarios::highd_measure(kind, d, HD_POINTS);
+            let (pps, recomputes, _) = scenarios::highd_measure(kind, d, HD_POINTS);
             assert!(recomputes > 0, "the scenario must drive nearest-denser recomputation");
             entries.push(format!(
                 "{{\"d\": {d}, \"index\": \"{label}\", \"points_per_sec\": {pps:.0}, \

@@ -30,7 +30,6 @@ fn engine_with_reservoir(n_reservoir: usize) -> (EdmStream<DenseVector, Euclidea
         .tau_every(1 << 40)
         .maintenance_every(16)
         .recycle_horizon(f64::MAX)
-        .track_evolution(false)
         .build()
         .expect("valid bench configuration");
     let mut e = EdmStream::new(cfg, Euclidean);

@@ -15,8 +15,8 @@
 //!   entered or left a cluster;
 //!
 //! and on the writer's side, `EdmStream::insert` p50 of one absorb within
-//! 0.2 of a member, with evolution tracking on (the default) — the path
-//! every point of a served writer takes, evolution diff included.
+//! 0.2 of a member — the path every point of a served writer takes,
+//! evolution diff included.
 //!
 //! Read cost should stay nearly flat as the member count grows; the
 //! publication costs grow with it.

@@ -47,13 +47,17 @@
 //!    the fresh d = 51 cover-tree throughput is additionally gated
 //!    against the committed baseline under the same median calibration
 //!    and tolerance as the other throughput entries; the raw
-//!    scalar-vs-chunked kernel numbers are recorded in the artifact for
-//!    trend inspection but never gated.
+//!    scalar-vs-chunked kernel numbers, and how many nanoseconds of each
+//!    fresh d = 51 insert the evolution diff took, are recorded in the
+//!    artifact for trend inspection but never gated.
 //!
 //! Exit status is non-zero on any regression, which is what makes the CI
-//! job a gate. Refresh the baseline by re-running the full benches
-//! (`cargo bench --bench insert_latency --bench parallel_batch_ingest
-//! --bench index_scaling`) and committing the rewritten JSON.
+//! job a gate. Refresh the baseline by re-running, back to back, the full
+//! benches of every section it compares (`cargo bench --bench
+//! insert_latency --bench parallel_batch_ingest --bench index_scaling
+//! --bench mixed_read_write --bench net_read_latency`), so that the
+//! median calibration compares like with like, and committing the
+//! rewritten JSON.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -110,17 +114,16 @@ const NET_SMOKE_THREADS: usize = 2;
 const KERNEL_SMOKE_EVALS: usize = 1_000_000;
 
 /// One smoke measurement of `digest_since` latency: build a full digest
-/// window over the crowded steady state (one publication per batch),
-/// then time whole-window digests. Recorded in the artifact for trend
+/// window over a churny blob stream (one publication per batch), then
+/// time whole-window digests. Recorded in the artifact for trend
 /// inspection, never gated — digest reads are reader-side work over a
 /// bounded window, and their cost floor is set by cluster churn, which
-/// the crowded workload deliberately maximizes.
+/// this stream deliberately maximizes.
 fn smoke_digest_since() -> (u64, f64, f64) {
-    // The crowded scenario turns evolution tracking off (it prices pure
-    // ingest); digests need it on, plus genuine cluster churn so the
-    // sealed records carry events. Eight blob sites visited round-robin
-    // with a short recycle horizon: clusters emerge, fade, and die all
-    // through the run.
+    // The crowded scenario activates no cell, so its sealed records would
+    // carry no events; digests need genuine cluster churn. Eight blob
+    // sites visited round-robin with a short recycle horizon: clusters
+    // emerge, fade, and die all through the run.
     let cfg = edm_core::EdmConfig::builder(0.8)
         .rate(1_000.0)
         .beta_for_threshold(3.0)
@@ -526,18 +529,36 @@ fn main() {
             failures += 1;
         }
     }
-    let (grid_pps, _) = scenarios::highd_measure(NeighborIndexKind::Grid, 51, HIGHD_SMOKE_POINTS);
-    let (cover_pps, cover_recomputes) =
+    let (grid_pps, grid_recomputes, grid_diff_ns) =
+        scenarios::highd_measure(NeighborIndexKind::Grid, 51, HIGHD_SMOKE_POINTS);
+    let (cover_pps, cover_recomputes, cover_diff_ns) =
         scenarios::highd_measure(NeighborIndexKind::CoverTree, 51, HIGHD_SMOKE_POINTS);
     let fresh_ratio = cover_pps / grid_pps;
     let verdict = if fresh_ratio >= 2.0 && cover_recomputes > 0 { "ok" } else { "REGRESSED" };
     println!(
         "  fresh index_scaling_highd d=51: cover {cover_pps:.0} vs grid {grid_pps:.0} points/s \
-         ({fresh_ratio:.2}x, bar 2.00x, {cover_recomputes} recomputes) {verdict}"
+         ({fresh_ratio:.2}x, bar 2.00x, {cover_recomputes} recomputes; evolution diff \
+         {cover_diff_ns:.0} ns/point on the cover tree, recorded, not gated) {verdict}"
     );
     if fresh_ratio < 2.0 || cover_recomputes == 0 {
         failures += 1;
     }
+    // The evolution diff's share of each smoke insert: recorded in the
+    // artifact for trend inspection, never gated.
+    let highd_json: Vec<String> = [
+        ("grid", grid_pps, grid_recomputes, grid_diff_ns),
+        ("cover", cover_pps, cover_recomputes, cover_diff_ns),
+    ]
+    .iter()
+    .map(|(index, pps, recomputes, diff_ns)| {
+        format!(
+            "{{\"d\": 51, \"index\": \"{index}\", \"points_per_sec\": {pps:.0}, \
+             \"dep_recomputes\": {recomputes}, \"diff_ns_per_point\": {diff_ns:.0}}}"
+        )
+    })
+    .collect();
+    merge_bench_json(&out_path, "highd_smoke", &format!("[{}]", highd_json.join(", ")))
+        .expect("write fresh artifact");
     // The within-host ratio guards pruning, not raw speed: a kernel
     // regression slows cover and grid together and the ratio never moves.
     // Gate the d=51 cover-tree *throughput* against the committed

@@ -26,13 +26,8 @@ pub fn run(ctx: &Ctx) -> std::io::Result<()> {
     for id in [DatasetId::Kdd, DatasetId::CoverType, DatasetId::Pamap2] {
         let ds = catalog::load(id, ctx.scale, 1_000.0);
         for filters in [FilterConfig::none(), FilterConfig::density_only(), FilterConfig::all()] {
-            let cfg = ds
-                .edm
-                .to_builder()
-                .filters(filters)
-                .track_evolution(false) // isolate dependency-update cost
-                .build()
-                .expect("ablation config is valid");
+            let cfg =
+                ds.edm.to_builder().filters(filters).build().expect("ablation config is valid");
             let mut engine = EdmStream::new(cfg, Euclidean);
             let n = ds.stream.len();
             let bucket = (n / 6).max(1);

@@ -36,7 +36,6 @@ pub fn run(ctx: &Ctx) -> std::io::Result<()> {
         let r = distance_quantile(&sample, &Euclidean, pct, 100_000, 17);
         let cfg = catalog::edm_config(DatasetId::Pamap2, r, 1_000.0)
             .to_builder()
-            .track_evolution(false)
             // This is a granularity study: β is lowered so that even the
             // finest-grained cells stay active and the r tradeoff (quality
             // vs update cost) is what the sweep measures, not threshold

@@ -70,7 +70,6 @@ pub fn crowded_engine(threads: usize) -> (EdmStream<DenseVector, Euclidean>, f64
         .tau_every(1 << 40)
         .maintenance_every(64)
         .recycle_horizon(f64::MAX)
-        .track_evolution(false)
         .neighbor_index(NeighborIndexKind::Grid)
         .ingest_threads(NonZeroUsize::new(threads).expect("bench thread counts are nonzero"))
         .build()
@@ -146,7 +145,9 @@ pub fn parallel_measure(threads: usize, batch: usize, points: usize) -> (f64, f6
 /// own cell at r = 0.5) while every coordinate stays inside one side-0.5
 /// bucket.
 pub const HIGHD_PER_CLUSTER: usize = 8;
-/// Clusters taking absorb traffic (their cells are activated in warmup).
+/// Seed clusters taking absorb traffic (their cells are activated in
+/// warmup). They are 64 sites of 8 seeds, not 64 MSDSubTrees: see
+/// [`highd_engine`] for why the engine sees one cluster.
 pub const HIGHD_HOT_CLUSTERS: usize = 64;
 /// Background reservoir clusters (inactive one-point cells). Many
 /// *spread* clusters are the grid's pain: each is one more occupied
@@ -187,6 +188,16 @@ pub fn highd_seed(c: usize, k: usize, d: usize) -> DenseVector {
 /// [`HIGHD_COLD_CLUSTERS`] clusters of inactive reservoir cells the
 /// index must keep pruning. `kind` pins the index (`None` leaves the pick
 /// to the engine). Returns the engine and its stream clock.
+///
+/// The engine clusters the hot cells as one MSDSubTree (`n_clusters()`
+/// reads 1 before and after the probes): with `init_points(1)` there is
+/// no decision graph to read τ₀ from, so τ₀ falls back to 4r = 2.0, τ is
+/// never re-optimized, and no dependency between sites 2.0 apart is
+/// longer than τ. Every probe re-points a dependency, and the evolution
+/// diff regroups the whole MSDSubTree it reaches: 201.6 cells and 4–5 µs
+/// of `EngineStats::diff_nanos` per probe in a 2,048-probe replay at
+/// d = 16 and 51, where a whole probe took 10–14 µs on the cover tree
+/// (2-vCPU host).
 pub fn highd_engine(
     kind: impl Into<Option<NeighborIndexKind>>,
     d: usize,
@@ -199,7 +210,6 @@ pub fn highd_engine(
         .tau_every(1 << 40)
         .maintenance_every(1 << 40)
         .recycle_horizon(f64::MAX)
-        .track_evolution(false)
         .neighbor_index(kind)
         .build()
         .expect("valid bench configuration");
@@ -245,20 +255,23 @@ pub fn highd_probes(d: usize) -> Vec<DenseVector> {
 }
 
 /// Streams `points` absorb probes through a warmed high-d engine and
-/// returns `(points_per_sec, dep_recomputes)` — the measurement both the
-/// committed `index_scaling_highd` section and the CI gate's fresh smoke
-/// derive from.
-pub fn highd_measure(kind: NeighborIndexKind, d: usize, points: usize) -> (f64, u64) {
+/// returns `(points_per_sec, dep_recomputes, diff_ns_per_point)` — the
+/// measurement both the committed `index_scaling_highd` section and the
+/// CI gate's fresh smoke derive from. The last is the run's
+/// `EngineStats::diff_nanos` per probe: how much of each insert the
+/// evolution diff took.
+pub fn highd_measure(kind: NeighborIndexKind, d: usize, points: usize) -> (f64, u64, f64) {
     let (mut e, mut t) = highd_engine(kind, d);
     let probes = highd_probes(d);
-    let recomputes_before = e.stats().dep_recomputes;
+    let (recomputes_before, diff_before) = (e.stats().dep_recomputes, e.stats().diff_nanos);
     let start = std::time::Instant::now();
     for i in 0..points {
         t += 1e-5;
         e.insert(&probes[i % probes.len()], t);
     }
     let pps = points as f64 / start.elapsed().as_secs_f64();
-    (pps, e.stats().dep_recomputes - recomputes_before)
+    let diff_ns = (e.stats().diff_nanos - diff_before) as f64 / points as f64;
+    (pps, e.stats().dep_recomputes - recomputes_before, diff_ns)
 }
 
 // ----- raw distance-kernel scenario (`kernel`) -----
@@ -527,7 +540,7 @@ fn digest_handle() -> (ServeHandle<DenseVector, Euclidean>, u64) {
     }
     let handle = server.handle();
     server.shutdown().expect("writer survives the digest stream");
-    let (oldest, _) = handle.digest_generations().expect("evolution tracking is on by default");
+    let (oldest, _) = handle.digest_generations().expect("a published payload holds its record");
     (handle, oldest)
 }
 

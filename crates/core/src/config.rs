@@ -126,8 +126,9 @@ impl std::error::Error for ConfigError {}
 /// let cfg = EdmConfig::builder(0.5).rate(100.0).beta(6e-5).build()?;
 /// assert_eq!(cfg.r(), 0.5);
 /// // Derive a variant without re-specifying everything:
-/// let quiet = cfg.to_builder().track_evolution(false).build()?;
-/// assert!(!quiet.track_evolution());
+/// let short = cfg.to_builder().event_capacity(64).build()?;
+/// assert_eq!(short.event_capacity(), 64);
+/// assert_eq!(short.r(), 0.5);
 /// # Ok::<(), edm_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -157,8 +158,6 @@ pub struct EdmConfig {
     pub(crate) recycle_horizon: Option<f64>,
     /// Scale the activation threshold by the stream's accumulated mass.
     pub(crate) age_adjusted_threshold: bool,
-    /// Record evolution events (Figs 7–8).
-    pub(crate) track_evolution: bool,
     /// Bound on the buffered evolution-event backlog; oldest events are
     /// evicted past it (see `EdmStream::take_events` / `events_since`).
     pub(crate) event_capacity: usize,
@@ -212,7 +211,6 @@ impl EdmConfig {
                 filters: FilterConfig::all(),
                 recycle_horizon: None,
                 age_adjusted_threshold: true,
-                track_evolution: true,
                 event_capacity: DEFAULT_EVENT_CAPACITY,
                 digest_history: default_digest_history(),
                 neighbor_index: None,
@@ -337,11 +335,6 @@ impl EdmConfig {
     /// Whether the activation threshold is age-adjusted.
     pub fn age_adjusted_threshold(&self) -> bool {
         self.age_adjusted_threshold
-    }
-
-    /// Whether evolution events are recorded.
-    pub fn track_evolution(&self) -> bool {
-        self.track_evolution
     }
 
     /// Bound on the buffered evolution-event backlog.
@@ -488,13 +481,6 @@ impl EdmConfigBuilder {
         self
     }
 
-    /// Enables/disables evolution-event recording (Figs 7–8). Disable for
-    /// pure-throughput runs.
-    pub fn track_evolution(mut self, on: bool) -> Self {
-        self.cfg.track_evolution = on;
-        self
-    }
-
     /// Bounds the buffered evolution-event backlog (oldest events are
     /// evicted past the bound; drain with `EdmStream::take_events`).
     pub fn event_capacity(mut self, capacity: usize) -> Self {
@@ -571,7 +557,6 @@ mod tests {
         assert!((cfg.active_threshold() - 1050.0).abs() < 1e-6);
         assert!(cfg.delta_t_del() > 0.0);
         assert!(cfg.reservoir_bound() > cfg.delta_t_del() * cfg.rate());
-        assert!(cfg.track_evolution());
         assert_eq!(cfg.event_capacity(), DEFAULT_EVENT_CAPACITY);
         assert_eq!(cfg.digest_history(), DEFAULT_DIGEST_HISTORY);
     }

@@ -307,7 +307,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             // per cluster, and event order must be identical across engine
             // instances (the equivalence suites compare event streams) —
             // a hashed iteration order is randomized per instance.
-            let mut by_cluster: std::collections::BTreeMap<Option<ClusterId>, u32> =
+            let mut by_cluster: std::collections::BTreeMap<ClusterId, u32> =
                 std::collections::BTreeMap::new();
             for top in decayed_tops {
                 tree::detach(&mut self.slab, top);
@@ -319,7 +319,11 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
                     cell.dep = None;
                     cell.delta = f64::INFINITY;
                     cell.children.clear();
-                    *by_cluster.entry(cell.cluster.take()).or_insert(0) += 1;
+                    // Only a cell activated by this very point, which the
+                    // diff below labels, carries none.
+                    if let Some(cluster) = cell.cluster.take() {
+                        *by_cluster.entry(cluster).or_insert(0) += 1;
+                    }
                     self.stats.deactivations += 1;
                     // Back in the reservoir: idle clock starts from the
                     // cell's last absorption.
@@ -335,18 +339,15 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             if self.apex.is_some_and(|a| !self.slab.get(a).active) {
                 self.apex = self.densest_active(t);
             }
-            // Labelled only while evolution is tracked. The next diff
-            // reconsiders every cluster that lost cells here.
+            // The next diff reconsiders every cluster that lost cells here.
             for (cluster, cells) in by_cluster {
-                if let Some(cluster) = cluster {
-                    self.log.push(
-                        t,
-                        EventKind::Adjust { kind: AdjustKind::BecameOutliers, cluster, cells },
-                    );
-                    self.stats.events += 1;
-                    self.decayed.push(cluster);
-                    self.parts.mark(cluster);
-                }
+                self.log.push(
+                    t,
+                    EventKind::Adjust { kind: AdjustKind::BecameOutliers, cluster, cells },
+                );
+                self.stats.events += 1;
+                self.decayed.push(cluster);
+                self.parts.mark(cluster);
             }
         }
         // Memory recycling: inactive cells idle for ΔT_del are deleted
@@ -392,39 +393,36 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
 
     /// Diffs the MSDSubTrees this point's structural changes reached
     /// against the clusters they replace, writes the new labels back and
-    /// clears the touched-cell record. A no-op while evolution is not
-    /// tracked.
+    /// clears the touched-cell record.
     pub(super) fn run_diff(&mut self, t: Timestamp) {
         let started = std::time::Instant::now();
         let mut touched = std::mem::take(&mut self.touched);
         let mut decayed = std::mem::take(&mut self.decayed);
-        if self.cfg.track_evolution {
-            let groups = self.reached_subtrees(&touched, &decayed);
-            self.stats.diff_cells += groups.iter().map(|g| g.members.len() as u64).sum::<u64>();
-            let before = self.log.total();
-            let assignments = self.registry.diff(t, &groups, &decayed, &mut self.log);
-            self.stats.events += self.log.total() - before;
-            // A cell whose label changes left one cluster and entered
-            // another: neither keeps its shared parts.
-            let labelled = groups.iter().flat_map(|g| &g.members);
-            for (&(cell, old), (assigned, cid)) in labelled.zip(assignments) {
-                debug_assert_eq!(cell, assigned, "the diff assigns the members in the order given");
-                if old != Some(cid) {
-                    self.parts.mark(cid);
-                    if let Some(old) = old {
-                        self.parts.mark(old);
-                    }
+        let groups = self.reached_subtrees(&touched, &decayed);
+        self.stats.diff_cells += groups.iter().map(|g| g.members.len() as u64).sum::<u64>();
+        let before = self.log.total();
+        let assignments = self.registry.diff(t, &groups, &decayed, &mut self.log);
+        self.stats.events += self.log.total() - before;
+        // A cell whose label changes left one cluster and entered
+        // another: neither keeps its shared parts.
+        let labelled = groups.iter().flat_map(|g| &g.members);
+        for (&(cell, old), (assigned, cid)) in labelled.zip(assignments) {
+            debug_assert_eq!(cell, assigned, "the diff assigns the members in the order given");
+            if old != Some(cid) {
+                self.parts.mark(cid);
+                if let Some(old) = old {
+                    self.parts.mark(old);
                 }
-                self.slab.get_mut(cell).cluster = Some(cid);
             }
-            // Every event-recording site funnels through here (each of the
-            // sweep's adjust events files a decayed cluster, so a diff —
-            // and this sync — always follows), which keeps the lineage tracker's cursor
-            // ahead of the log's eviction point unless one diff alone
-            // overflows `event_capacity`.
-            self.tracker.sync(&self.log);
-            self.stats.diff_nanos += started.elapsed().as_nanos() as u64;
+            self.slab.get_mut(cell).cluster = Some(cid);
         }
+        // Every event-recording site funnels through here (each of the
+        // sweep's adjust events files a decayed cluster, so a diff — and
+        // this sync — always follows), which keeps the lineage tracker's
+        // cursor ahead of the log's eviction point unless one diff alone
+        // overflows `event_capacity`.
+        self.tracker.sync(&self.log);
+        self.stats.diff_nanos += started.elapsed().as_nanos() as u64;
         touched.clear();
         decayed.clear();
         self.touched = touched;

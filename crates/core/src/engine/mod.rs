@@ -155,8 +155,7 @@ pub struct EdmStream<P, M> {
     decayed: Vec<crate::evolution::ClusterId>,
     /// What the last publication froze of each cluster's membership: cell
     /// lists, bounding boxes and the member column, shared with the next
-    /// snapshots until a cell enters or leaves the cluster. Kept only while
-    /// evolution is tracked.
+    /// snapshots until a cell enters or leaves the cluster.
     parts: SharedParts,
 }
 

@@ -117,16 +117,10 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         self.slab.len()
     }
 
-    /// Current number of clusters (MSDSubTrees).
+    /// Current number of clusters (MSDSubTrees), as the identity registry
+    /// holds them.
     pub fn n_clusters(&self) -> usize {
-        let tau = self.tau_ctl.tau();
-        self.active_ids
-            .iter()
-            .filter(|&&id| {
-                let c = self.slab.get(id);
-                c.dep.is_none() || c.delta > tau
-            })
-            .count()
+        self.registry.n_clusters()
     }
 
     /// Active ids in ascending order — the iteration order every
@@ -153,24 +147,20 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// Reporting and metrics code works off the frozen view instead of
     /// re-entering the engine.
     ///
-    /// While evolution is tracked, the parts that depend only on
-    /// membership (each cluster's ascending cell list and seed bounding
-    /// box, and the member column over them) come from the engine's
-    /// shared parts, rebuilt first for the clusters a cell entered or left
-    /// since they were last brought up to date; a plain freeze rebuilds a
-    /// copy, [`EdmStream::publish_snapshot`] the engine's own. The rest
-    /// moves with decay and is recomputed: one pass over the clusters,
-    /// each walking its cells in ascending id order, reads each cell's
-    /// density decayed to `t` once as its decision-graph value, its share
-    /// of the cluster density and its weight in the cluster's
-    /// density-weighted seed centroid. Each cluster's root and birth time
-    /// come from the identity registry. An
-    /// engine that does not track evolution keeps no labels, so there the
-    /// walk goes over the sorted active cells and takes each one to its
-    /// strong root, and no summaries are made. Summaries hold the centroid
-    /// and bounding box (`None` for coordinate-less payloads), mass, and
-    /// birth time; their generations are stamped with the current
-    /// publication count, and the engine's rolling map (see
+    /// The parts that depend only on membership (each cluster's ascending
+    /// cell list and seed bounding box, and the member column over them)
+    /// come from the engine's shared parts, rebuilt first for the clusters
+    /// a cell entered or left since they were last brought up to date; a
+    /// plain freeze rebuilds a copy, [`EdmStream::publish_snapshot`] the
+    /// engine's own. The rest moves with decay and is recomputed: one pass
+    /// over the clusters, each walking its cells in ascending id order,
+    /// reads each cell's density decayed to `t` once as its decision-graph
+    /// value, its share of the cluster density and its weight in the
+    /// cluster's density-weighted seed centroid. Each cluster's root and
+    /// birth time come from the identity registry. Summaries hold the
+    /// centroid and bounding box (`None` for coordinate-less payloads),
+    /// mass, and birth time; their generations are stamped with the
+    /// current publication count, and the engine's rolling map (see
     /// [`EdmStream::summary_of`]) preserves each cluster's true first
     /// observation.
     ///
@@ -194,9 +184,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// # Ok::<(), edm_core::ConfigError>(())
     /// ```
     pub fn snapshot(&self, t: Timestamp) -> ClusterSnapshot {
-        if !self.cfg.track_evolution {
-            return self.freeze_by_strong_roots(t);
-        }
         if !self.parts.is_stale() {
             return self.freeze(t, &self.parts);
         }
@@ -205,8 +192,8 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         self.freeze(t, &parts)
     }
 
-    /// The tracked freeze over up-to-date `parts`: one pass over the
-    /// clusters, each walking its cells in ascending id order.
+    /// The freeze over up-to-date `parts`: one pass over the clusters,
+    /// each walking its cells in ascending id order.
     fn freeze(&self, t: Timestamp, parts: &SharedParts) -> ClusterSnapshot {
         let n = parts.members.len();
         debug_assert_eq!(n, self.active_ids.len(), "the column holds every active cell");
@@ -269,45 +256,6 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         }
         clusters.sort_unstable_by_key(|c| c.root);
         self.frozen(t, clusters, Arc::clone(&parts.members), summaries, rho, delta)
-    }
-
-    /// The freeze of an engine that keeps no cluster labels: every active
-    /// cell, in ascending id order, walked to its strong root, whose id
-    /// names the cluster. No summaries.
-    fn freeze_by_strong_roots(&self, t: Timestamp) -> ClusterSnapshot {
-        let tau = self.tau_ctl.tau();
-        let ids = self.sorted_active_ids();
-        let mut rho = Vec::with_capacity(ids.len());
-        let mut delta = Vec::with_capacity(ids.len());
-        let mut members = Vec::with_capacity(ids.len());
-        // Clusters in the order of their lowest member id.
-        let mut grouped: Vec<(CellId, Vec<CellId>, f64)> = Vec::new();
-        let mut slot_of: FxHashMap<CellId, usize> = fx_map();
-        for id in ids {
-            let cell = self.slab.get(id);
-            let cell_density = cell.rho_at(t, self.decay());
-            rho.push(cell_density);
-            delta.push(cell.delta);
-            let root = tree::strong_root(&self.slab, id, tau);
-            members.push((id, root.0 as ClusterId));
-            let k = *slot_of.entry(root).or_insert_with(|| {
-                grouped.push((root, Vec::new(), 0.0));
-                grouped.len() - 1
-            });
-            grouped[k].1.push(id);
-            grouped[k].2 += cell_density;
-        }
-        let mut clusters: Vec<ClusterInfo> = grouped
-            .into_iter()
-            .map(|(root, cells, density)| ClusterInfo {
-                id: root.0 as ClusterId,
-                root,
-                cells: cells.into(),
-                density,
-            })
-            .collect();
-        clusters.sort_unstable_by_key(|c| c.root);
-        self.frozen(t, clusters, members.into(), Vec::new(), rho, delta)
     }
 
     /// Wraps a freeze's parts into the snapshot, with the root's infinite
@@ -392,7 +340,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         let mut positions = vec![0u32; n];
         let mut cells = vec![CellId(0); n];
         for id in self.sorted_active_ids() {
-            let cluster = self.slab.get(id).cluster.expect("a tracking engine labels active cells");
+            let cluster = self.slab.get(id).cluster.expect("active cells carry a label");
             let at = run.get_mut(&cluster).expect("labels name live clusters");
             positions[*at] = column.len() as u32;
             cells[*at] = id;
@@ -489,14 +437,12 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
             self.parts = parts;
         }
         let snap = self.snapshot(t);
-        if self.cfg.track_evolution {
-            // Every event-recording site is followed by `run_diff`, whose
-            // sync leaves nothing for the sealed record to miss.
-            debug_assert!(self.tracker.has_read(&self.log), "events logged outside `run_diff`");
-            // One summary per cluster, ascending by id, mass = density.
-            let live = snap.summaries().iter().map(|s| (s.cluster, s.mass)).collect();
-            self.tracker.seal(snap.generation(), t, live, snap.summaries());
-        }
+        // Every event-recording site is followed by `run_diff`, whose
+        // sync leaves nothing for the sealed record to miss.
+        debug_assert!(self.tracker.has_read(&self.log), "events logged outside `run_diff`");
+        // One summary per cluster, ascending by id, mass = density.
+        let live = snap.summaries().iter().map(|s| (s.cluster, s.mass)).collect();
+        self.tracker.seal(snap.generation(), t, live, snap.summaries());
         self.stats.publish_nanos += started.elapsed().as_nanos() as u64;
         snap
     }
@@ -507,14 +453,10 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// parents and its current identity through the transitive merge
     /// chain — "which of today's clusters is yesterday's #3?".
     ///
-    /// Refuses with a typed [`EvolveError`] when evolution tracking is
-    /// disabled, when events were lost to the bounded log before the
-    /// tracker read them (the graph would be missing edges), or when the
-    /// id was never observed.
+    /// Refuses with a typed [`EvolveError`] when events were lost to the
+    /// bounded log before the tracker read them (the graph would be
+    /// missing edges), or when the id was never observed.
     pub fn lineage_of(&self, cluster: ClusterId) -> Result<Lineage, EvolveError> {
-        if !self.cfg.track_evolution {
-            return Err(EvolveError::EvolutionDisabled);
-        }
         if self.tracker.lost() > 0 {
             return Err(EvolveError::EventsLost { lost: self.tracker.lost() });
         }
@@ -553,7 +495,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// what the serving tier attaches to each published payload so that
     /// readers compute digests without re-entering the engine.
     pub fn digest_window(&self) -> DigestWindow {
-        self.tracker.window(self.cfg.track_evolution)
+        self.tracker.window()
     }
 
     /// The rolling publish-cadence summary of `cluster`, if held: unlike
@@ -594,28 +536,23 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
         self.snapshot(t).clusters
     }
 
-    /// Cluster id of the nearest cell within `r`, or `None` when the
-    /// point falls into no cell, an inactive (outlier) cell, or a cell
-    /// whose density **decayed to `t`** no longer clears the activation
-    /// threshold. The last case is what makes `t` meaningful: the decay
-    /// sweep only demotes cells on the maintenance cadence, so between
-    /// sweeps the tree can hold cells that are already below threshold at
-    /// `t` — this query answers as if the sweep had just run, instead of
-    /// leaking the stale structure. Resolved through the neighbor index,
-    /// so the cost matches an insert's assignment step rather than a full
-    /// slab scan.
+    /// Cluster id of the nearest cell within `r` (the label the evolution
+    /// diff gave that cell), or `None` when the point falls into no cell,
+    /// an inactive (outlier) cell, or a cell whose density **decayed to
+    /// `t`** no longer clears the activation threshold. The last case is
+    /// what makes `t` meaningful: the decay sweep only demotes cells on
+    /// the maintenance cadence, so between sweeps the tree can hold cells
+    /// that are already below threshold at `t` — this query answers as if
+    /// the sweep had just run, instead of leaking the stale structure.
+    /// Resolved through the neighbor index, so the cost matches an
+    /// insert's assignment step rather than a full slab scan.
     pub fn cluster_of(&self, p: &P, t: Timestamp) -> Option<ClusterId> {
-        match self.nearest_cell(p) {
-            Some((id, _)) => {
-                let cell = self.slab.get(id);
-                if !cell.active || cell.rho_at(t, self.decay()) < self.threshold_at(t) {
-                    return None;
-                }
-                let root = tree::strong_root(&self.slab, id, self.tau_ctl.tau());
-                self.registry.cluster_at_root(root).or(Some(root.0 as u64))
-            }
-            _ => None,
+        let (id, _) = self.nearest_cell(p)?;
+        let cell = self.slab.get(id);
+        if !cell.active || cell.rho_at(t, self.decay()) < self.threshold_at(t) {
+            return None;
         }
+        cell.cluster
     }
 
     /// The (ρ, δ) pairs of all active cells at time `t`, in ascending
@@ -705,18 +642,8 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// The labels the evolution diff leaves behind equal the full
     /// partition: each active cell carries the cluster registered at its
     /// strong root, the registry holds exactly the current strong roots
-    /// with their member counts, and inactive cells carry no label. With
-    /// evolution not tracked, nothing is labelled or registered.
+    /// with their member counts, and inactive cells carry no label.
     fn check_labels(&self) -> Result<(), String> {
-        if !self.cfg.track_evolution {
-            if let Some((id, _)) = self.slab.iter().find(|(_, c)| c.cluster.is_some()) {
-                return Err(format!("{id} is labelled while evolution is not tracked"));
-            }
-            if self.registry.n_clusters() != 0 {
-                return Err("clusters registered while evolution is not tracked".into());
-            }
-            return Ok(());
-        }
         if let Some((id, _)) = self.slab.iter().find(|(_, c)| !c.active && c.cluster.is_some()) {
             return Err(format!("inactive {id} keeps a cluster label"));
         }
@@ -756,17 +683,9 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
     /// give: its cluster's current members, ascending, and their seeds'
     /// bounding box to the bit. The member column holds exactly the active
     /// cells of unmarked clusters with their labels, ascending, and every
-    /// position names its cell's entry. An engine that does not track
-    /// evolution keeps no parts.
+    /// position names its cell's entry.
     fn check_parts(&self) -> Result<(), String> {
         let parts = &self.parts;
-        if !self.cfg.track_evolution {
-            return match parts.clusters.is_empty() && parts.members.is_empty() && !parts.is_stale()
-            {
-                true => Ok(()),
-                false => Err("shared parts kept while evolution is not tracked".into()),
-            };
-        }
         if parts.all_stale {
             return Ok(()); // every part is rebuilt before the next freeze
         }
@@ -844,7 +763,7 @@ impl<P: Clone + GridCoords + Send + Sync, M: Metric<P>> EdmStream<P, M> {
 }
 
 /// The parts of a freeze that depend only on cluster membership, kept
-/// by a tracking engine between freezes (see the `snapshot` module docs).
+/// by the engine between freezes (see the `snapshot` module docs).
 /// A cluster a cell entered or left is *stale*: the evolution diff and the
 /// decay sweep, the two sites that write or clear cluster labels, mark it,
 /// and the next freeze rebuilds its part from the tree.

@@ -1608,7 +1608,7 @@ fn reference_clusters(e: &EdmStream<DenseVector, Euclidean>, t: f64) -> Vec<crat
         let cell = e.slab.get(id);
         let root = crate::tree::strong_root(&e.slab, id, tau);
         let (info, cells) = by_root.entry(root).or_insert_with(|| {
-            let id = e.registry.cluster_at_root(root).unwrap_or(root.0 as u64);
+            let id = e.registry.cluster_at_root(root).expect("every strong root is registered");
             (crate::ClusterInfo { id, root, cells: Arc::new([]), density: 0.0 }, Vec::new())
         });
         cells.push(id);
@@ -1649,9 +1649,6 @@ fn reference_summaries(
     clusters: &[crate::ClusterInfo],
 ) -> Vec<crate::evolve::ClusterSummary> {
     use crate::evolve::{BoundingBox, ClusterSummary};
-    if !e.cfg.track_evolution {
-        return Vec::new();
-    }
     let born: edm_common::hash::FxHashMap<crate::evolution::ClusterId, f64> =
         e.registry.clusters().map(|(id, m)| (id, m.born)).collect();
     let generation = e.stats.snapshots_published;
@@ -1842,16 +1839,17 @@ struct FreezeCoverage {
 /// the stream time after every point (after every chunk on the batch
 /// path) and far past it, where every density has decayed to zero, and on
 /// every fifth step a `publish_snapshot` whose rolling summaries must
-/// equal the clone-and-insert reference map.
+/// equal the clone-and-insert reference map. After every point the
+/// engine's `n_clusters` and its `cluster_of` at each member's seed that
+/// clears the threshold answer as the freeze does.
 fn run_against_reference_freeze(
     tau: TauMode,
     dim: usize,
-    track: bool,
     batch: bool,
     ops: &[(u64, f64, f64, u64, u64)],
 ) -> Result<FreezeCoverage, String> {
     let threads = std::num::NonZeroUsize::new(if batch { 2 } else { 1 }).expect("nonzero");
-    let cfg = reference_cfg(tau).to_builder().track_evolution(track).ingest_threads(threads);
+    let cfg = reference_cfg(tau).to_builder().ingest_threads(threads);
     let mut e = EdmStream::new(cfg.build().expect("valid"), Euclidean);
     let mut rolling = RollingReference::default();
     let mut cov = FreezeCoverage::default();
@@ -1889,14 +1887,32 @@ fn run_against_reference_freeze(
                 return Err(format!("point {i}: clusters() is not the freeze's"));
             }
         }
+        let snap = e.snapshot(t);
+        if e.n_clusters() != snap.n_clusters() {
+            return Err(format!(
+                "point {i}: n_clusters() {}, the freeze has {}",
+                e.n_clusters(),
+                snap.n_clusters()
+            ));
+        }
+        for &(cell, cluster) in snap.members() {
+            let c = e.slab.get(cell);
+            if c.rho_at(t, e.decay()) < e.threshold_at(t) {
+                continue;
+            }
+            let got = e.cluster_of(&c.seed, t);
+            if got != Some(cluster) {
+                return Err(format!(
+                    "point {i}: cluster_of({cell}'s seed) {got:?}, freeze {cluster}"
+                ));
+            }
+        }
         if i % 5 == 4 {
             let snap = e.publish_snapshot(t);
             check_freeze(&e, t, &snap).map_err(|err| format!("point {i}, published: {err}"))?;
             cov.publications += 1;
-            if track {
-                let oldest = e.digest_window().generations().map_or(snap.generation(), |g| g.0);
-                rolling.seal(snap.generation(), snap.summaries(), oldest);
-            }
+            let oldest = e.digest_window().generations().map_or(snap.generation(), |g| g.0);
+            rolling.seal(snap.generation(), snap.summaries(), oldest);
             let got: Vec<SummaryBits> = e.tracked_summaries().map(summary_bits).collect();
             let want: Vec<SummaryBits> = rolling.0.values().map(summary_bits).collect();
             if got != want {
@@ -1933,20 +1949,19 @@ proptest::proptest! {
     /// The one-pass freeze equals the clusters, decision graph and
     /// summaries of the three passes it replaced, bit for bit, and the
     /// rolling summaries sealed in place equal the cloned ones: 2-d (grid)
-    /// and 16-d (cover tree), evolution tracked or not, static or adaptive
-    /// τ, serial inserts or parallel batches.
+    /// and 16-d (cover tree), static or adaptive τ, serial inserts or
+    /// parallel batches.
     #[test]
     fn the_one_pass_freeze_equals_the_three_pass_reference(
         ops in freeze_ops(),
         wide in proptest::prelude::any::<bool>(),
-        track in proptest::prelude::any::<bool>(),
         adaptive in proptest::prelude::any::<bool>(),
         batch in proptest::prelude::any::<bool>(),
     ) {
         let tau = if adaptive { TauMode::Adaptive { alpha: None } } else { TauMode::Static(1.0) };
         let dim = if wide { 16 } else { 2 };
-        if let Err(e) = run_against_reference_freeze(tau, dim, track, batch, &ops) {
-            return Err(format!("{tau:?}, {dim}-d, track {track}, batch {batch}: {e}"));
+        if let Err(e) = run_against_reference_freeze(tau, dim, batch, &ops) {
+            return Err(format!("{tau:?}, {dim}-d, batch {batch}: {e}"));
         }
     }
 }
@@ -1970,7 +1985,7 @@ fn freeze_reference_streams_reach_every_path() {
         let ops: Vec<(u64, f64, f64, u64, u64)> = (0..600)
             .map(|_| (draw() % 8, unit(draw()), unit(draw()), draw() % 40, draw()))
             .collect();
-        let c = run_against_reference_freeze(tau, dim, true, batch, &ops).unwrap();
+        let c = run_against_reference_freeze(tau, dim, batch, &ops).unwrap();
         assert!(
             [
                 c.deactivations,

@@ -162,7 +162,6 @@ impl EvolutionDigest {
 /// blocked by a digest query.
 #[derive(Debug, Clone, Default)]
 pub struct DigestWindow {
-    pub(crate) enabled: bool,
     /// Records ascending by generation; generations are consecutive.
     pub(crate) records: Vec<Arc<GenerationRecord>>,
 }
@@ -179,7 +178,7 @@ impl DigestWindow {
     }
 
     /// The `(oldest, latest)` generations held, or `None` when nothing
-    /// was published yet (or evolution tracking is disabled).
+    /// was published yet.
     pub fn generations(&self) -> Option<(u64, u64)> {
         match (self.records.first(), self.records.last()) {
             (Some(a), Some(b)) => Some((a.generation, b.generation)),
@@ -195,9 +194,6 @@ impl DigestWindow {
     /// Digest of everything after generation `from`, up to the newest
     /// held generation. `digest(from, latest)` in one call.
     pub fn digest_since(&self, from: u64) -> Result<EvolutionDigest, EvolveError> {
-        if !self.enabled {
-            return Err(EvolveError::EvolutionDisabled);
-        }
         let (_, latest) = self.generations().ok_or(EvolveError::NoGenerations)?;
         if from > latest {
             // `digest` would report this as an inverted window (we pass
@@ -217,9 +213,6 @@ impl DigestWindow {
     /// reaches beyond the held history on either side, or contains an
     /// interval whose events were lost to bounded buffers.
     pub fn digest(&self, from: u64, to: u64) -> Result<EvolutionDigest, EvolveError> {
-        if !self.enabled {
-            return Err(EvolveError::EvolutionDisabled);
-        }
         let (oldest, latest) = self.generations().ok_or(EvolveError::NoGenerations)?;
         if from > to {
             return Err(EvolveError::InvertedWindow { from, to });
@@ -320,13 +313,7 @@ mod tests {
     }
 
     fn window(records: Vec<Arc<GenerationRecord>>) -> DigestWindow {
-        DigestWindow { enabled: true, records }
-    }
-
-    #[test]
-    fn disabled_window_refuses() {
-        let w = DigestWindow::default();
-        assert_eq!(w.digest_since(0), Err(EvolveError::EvolutionDisabled));
+        DigestWindow { records }
     }
 
     #[test]

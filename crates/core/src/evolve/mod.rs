@@ -51,9 +51,6 @@ use crate::evolution::ClusterId;
 /// wire protocol, hence the serde markers alongside the digest types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EvolveError {
-    /// The engine was built with `track_evolution(false)` — no events are
-    /// recorded, so no lineage or digest exists.
-    EvolutionDisabled,
     /// Structural events were evicted from the bounded log before the
     /// lineage tracker consumed them (a single tree diff emitted more
     /// events than `event_capacity`). The lineage graph is missing edges
@@ -108,9 +105,6 @@ pub enum EvolveError {
 impl std::fmt::Display for EvolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EvolveError::EvolutionDisabled => {
-                write!(f, "evolution tracking is disabled (track_evolution(false))")
-            }
             EvolveError::EventsLost { lost } => {
                 write!(f, "{lost} evolution events were evicted before the tracker read them")
             }
@@ -147,7 +141,6 @@ mod tests {
 
     #[test]
     fn errors_render_their_parameters() {
-        assert!(EvolveError::EvolutionDisabled.to_string().contains("track_evolution"));
         assert!(EvolveError::EventsLost { lost: 7 }.to_string().contains('7'));
         assert!(EvolveError::UnknownCluster { cluster: 42 }.to_string().contains("42"));
         assert!(EvolveError::NoGenerations.to_string().contains("generation"));

@@ -165,8 +165,8 @@ impl EvolutionTracker {
     }
 
     /// A cheap `Arc`-shared view of the sealed generation records.
-    pub(crate) fn window(&self, enabled: bool) -> DigestWindow {
-        DigestWindow { enabled, records: self.history.iter().cloned().collect() }
+    pub(crate) fn window(&self) -> DigestWindow {
+        DigestWindow { records: self.history.iter().cloned().collect() }
     }
 
     /// The rolling summary of `cluster`, if still held.
@@ -226,7 +226,7 @@ mod tests {
         assert_eq!(tr.graph().len(), 2);
         // The loss is permanent and carried into the next sealed record.
         tr.seal(1, 5.0, vec![], &[]);
-        assert_eq!(tr.window(true).records().next().unwrap().lost(), 3);
+        assert_eq!(tr.window().records().next().unwrap().lost(), 3);
     }
 
     #[test]
@@ -249,7 +249,7 @@ mod tests {
         tr.seal(1, 1.0, vec![(7, 1.0)], &[summary(7, 1)]);
         tr.seal(2, 2.0, vec![(7, 2.0)], &[summary(7, 2)]);
         tr.seal(3, 3.0, vec![(7, 3.0)], &[summary(7, 3)]);
-        let w = tr.window(true);
+        let w = tr.window();
         assert_eq!(w.generations(), Some((2, 3)), "history bounded at 2");
         let s = tr.summary_of(7).unwrap();
         assert_eq!(s.first_generation, 1, "first observation survives the merge");

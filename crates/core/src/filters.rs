@@ -178,9 +178,9 @@ pub struct EngineStats {
     pub pool_rounds: u64,
     /// Accumulated wall-clock nanoseconds in the evolution diff: regrouping
     /// the MSDSubTrees a structural change reached, matching them against
-    /// the clusters they replace and writing the labels back. Zero while
-    /// evolution is not tracked. Serde-defaulted so stats persisted before
-    /// the field existed still load.
+    /// the clusters they replace and writing the labels back.
+    /// Serde-defaulted so stats persisted before the field existed still
+    /// load.
     #[serde(default)]
     pub diff_nanos: u64,
     /// Cells the evolution diff regrouped, summed over diffs: the members

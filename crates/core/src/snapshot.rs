@@ -8,24 +8,22 @@
 //! answered online from maintained state, so freezing them is cheap.
 //!
 //! A freeze shares what depends only on cluster membership and recomputes
-//! what moves with decay. While evolution is tracked, the engine keeps
-//! each live cluster's ascending cell list ([`ClusterInfo::cells`]) and
-//! seed bounding box ([`crate::ClusterSummary::bounds`]) behind an `Arc`,
-//! with one member column ([`ClusterSnapshot::members`]) over all of
-//! them, and hands the same allocations to every snapshot until a cell
-//! enters or leaves the cluster. The evolution diff and the decay sweep,
-//! the only writers of cluster labels, mark such clusters; the next freeze
-//! rebuilds just those parts and keeps a rebuilt part's old allocation
-//! when its contents came out the same. Densities decay with time for
-//! every cell alike, so each freeze walks every cluster's cells once, in
-//! ascending id order, and reads each cell's density decayed to `t`: its
-//! decision-graph value, its share of the cluster density and its weight
-//! in the cluster's ρ-weighted centroid, summed in the same order as a
-//! pass that shares nothing, so every value is the same `f64`. An engine
-//! that does not track evolution keeps no labels, so it walks each active
-//! cell to its strong root on every freeze and shares nothing. The
-//! engine's [`crate::EdmStream::clusters`] and
-//! [`crate::EdmStream::decision_graph`] are views of the freeze.
+//! what moves with decay. The engine keeps each live cluster's ascending
+//! cell list ([`ClusterInfo::cells`]) and seed bounding box
+//! ([`crate::ClusterSummary::bounds`]) behind an `Arc`, with one member
+//! column ([`ClusterSnapshot::members`]) over all of them, and hands the
+//! same allocations to every snapshot until a cell enters or leaves the
+//! cluster. The evolution diff and the decay sweep, the only writers of
+//! cluster labels, mark such clusters; the next freeze rebuilds just those
+//! parts and keeps a rebuilt part's old allocation when its contents came
+//! out the same. Densities decay with time for every cell alike, so each
+//! freeze walks every cluster's cells once, in ascending id order, and
+//! reads each cell's density decayed to `t`: its decision-graph value, its
+//! share of the cluster density and its weight in the cluster's ρ-weighted
+//! centroid, summed in the same order as a pass that shares nothing, so
+//! every value is the same `f64`. The engine's
+//! [`crate::EdmStream::clusters`] and [`crate::EdmStream::decision_graph`]
+//! are views of the freeze.
 
 use std::sync::Arc;
 
@@ -39,8 +37,8 @@ use crate::filters::EngineStats;
 /// A summary of one current cluster (one MSDSubTree, paper Def. 2).
 #[derive(Debug, Clone)]
 pub struct ClusterInfo {
-    /// Persistent cluster id while evolution is tracked; otherwise the
-    /// root cell's id, as [`crate::EdmStream::cluster_of`] answers.
+    /// Persistent cluster id from the identity registry, as
+    /// [`crate::EdmStream::cluster_of`] answers.
     pub id: ClusterId,
     /// Root cell (the cluster center, paper Def. 2).
     pub root: CellId,
@@ -139,10 +137,8 @@ impl ClusterSnapshot {
     }
 
     /// Compact per-cluster summaries (centroid, mass, bounding extent,
-    /// birth time), ascending by cluster id. Only clusters with a
-    /// registered persistent identity are summarized, so the list is
-    /// empty when evolution tracking is disabled; geometry is `None` for
-    /// coordinate-less payloads (see [`ClusterSummary`]).
+    /// birth time), one per cluster, ascending by cluster id; geometry is
+    /// `None` for coordinate-less payloads (see [`ClusterSummary`]).
     pub fn summaries(&self) -> &[ClusterSummary] {
         &self.summaries
     }
@@ -171,8 +167,9 @@ impl ClusterSnapshot {
     /// The engine shares the column between snapshots while no cell
     /// enters or leaves a cluster, so a consumer that indexes the members
     /// (the serving tier's member table) can keep its index by this test
-    /// alone. `false` says nothing: an engine that does not track
-    /// evolution shares nothing, and equal columns may still be copies.
+    /// alone. `false` says nothing: equal columns may still be copies
+    /// (a plain [`crate::EdmStream::snapshot`] taken while a cluster's
+    /// membership has changed since the last publication builds its own).
     pub fn shares_members_with(&self, other: &ClusterSnapshot) -> bool {
         Arc::ptr_eq(&self.members, &other.members)
     }

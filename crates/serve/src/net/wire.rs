@@ -516,7 +516,6 @@ fn response_from_json(v: Json<'_, '_>) -> Option<QueryResponse> {
 
 fn write_evolve(w: &mut Writer<'_>, e: &EvolveError) {
     let kind = match e {
-        EvolveError::EvolutionDisabled => "evolution_disabled",
         EvolveError::EventsLost { .. } => "events_lost",
         EvolveError::UnknownCluster { .. } => "unknown_cluster",
         EvolveError::NoGenerations => "no_generations",
@@ -527,7 +526,7 @@ fn write_evolve(w: &mut Writer<'_>, e: &EvolveError) {
     };
     w.key("kind").str(kind);
     match *e {
-        EvolveError::EvolutionDisabled | EvolveError::NoGenerations => {}
+        EvolveError::NoGenerations => {}
         EvolveError::EventsLost { lost } => w.key("lost").u64(lost),
         EvolveError::UnknownCluster { cluster } => w.key("cluster").u64(cluster),
         EvolveError::FutureGeneration { requested, latest } => {
@@ -553,7 +552,6 @@ fn write_evolve(w: &mut Writer<'_>, e: &EvolveError) {
 fn evolve_from_json(v: Json<'_, '_>) -> Option<EvolveError> {
     let u = |name: &str| v.get(name).and_then(Json::as_u64);
     Some(match v.get("kind")?.as_str()? {
-        "evolution_disabled" => EvolveError::EvolutionDisabled,
         "events_lost" => EvolveError::EventsLost { lost: u("lost")? },
         "unknown_cluster" => EvolveError::UnknownCluster { cluster: u("cluster")? },
         "no_generations" => EvolveError::NoGenerations,

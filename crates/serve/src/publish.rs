@@ -260,9 +260,10 @@ impl<P> Published<P> {
             .map(|(&cell, &(_, cluster))| (cell, cluster))
     }
 
-    /// The `(oldest, latest)` generations this payload can digest over,
-    /// or `None` when evolution tracking is disabled. The latest held
-    /// generation is this payload's own [`Published::generation`].
+    /// The `(oldest, latest)` generations this payload can digest over.
+    /// The latest held generation is this payload's own
+    /// [`Published::generation`], whose record the publication sealed, so
+    /// a published payload always answers `Some`.
     pub fn digest_generations(&self) -> Option<(u64, u64)> {
         self.window.generations()
     }
@@ -518,25 +519,6 @@ mod tests {
         assert_eq!(third.n_members(), 3);
         assert!(!third.snapshot().shares_members_with(second.snapshot()));
         assert!(!Arc::ptr_eq(&second.table, &third.table));
-    }
-
-    #[test]
-    fn without_evolution_tracking_each_cluster_answers_with_its_root_cell() {
-        let cfg = engine().config().to_builder().track_evolution(false).build();
-        let mut e = EdmStream::new(cfg.expect("valid test configuration"), Euclidean);
-        let mut t = 0.0;
-        let sites = [[0.0, 0.0], [4.0, 0.0]];
-        feed(&mut e, &sites, &mut t);
-        let published = Published::freeze(&mut e);
-        assert_eq!(published.snapshot().n_clusters(), 2);
-        assert!(published.snapshot().summaries().is_empty());
-        let served = sites.map(|s| published.cluster_of(&DenseVector::from(s), &Euclidean));
-        assert_ne!(served[0], served[1]);
-        for (site, answer) in sites.iter().zip(served) {
-            let engine_answer = e.cluster_of(&DenseVector::from(*site), e.stream_time());
-            assert!(engine_answer.is_some());
-            assert_eq!(answer, engine_answer);
-        }
     }
 
     #[test]

@@ -252,7 +252,7 @@ impl QueryResponse {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
     /// A digest query hit the bounded evolution history's contract
-    /// (window evicted, future generation, tracking disabled, …).
+    /// (window evicted, future generation, events lost, …).
     Evolve(EvolveError),
     /// A `ClusterOf` point of another dimensionality than the published
     /// members.

@@ -460,7 +460,7 @@ impl<P: GridCoords, M: Metric<P>> ServeHandle<P, M> {
     }
 
     /// The `(oldest, latest)` generations the latest published payload
-    /// can digest over; `None` when evolution tracking is disabled.
+    /// can digest over (see [`crate::Published::digest_generations`]).
     pub fn digest_generations(&self) -> Option<(u64, u64)> {
         let c = &self.shared.counters;
         c.add(&c.reads_digest, 1);

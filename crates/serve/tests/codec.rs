@@ -144,7 +144,6 @@ fn golden_results() -> Vec<(&'static str, WireResult)> {
             "health_panicked",
             Ok(Ok(QueryResponse::Health(HealthStatus::WriterPanicked { message: TRICKY.into() }))),
         ),
-        ("evolution_disabled", evolve(EvolveError::EvolutionDisabled)),
         ("events_lost", evolve(EvolveError::EventsLost { lost: 12 })),
         ("unknown_cluster", evolve(EvolveError::UnknownCluster { cluster: 77 })),
         ("no_generations", evolve(EvolveError::NoGenerations)),
@@ -189,7 +188,6 @@ const GOLDEN_RESULTS: &[(&str, &str)] = &[
     ("stats", "{\"ok\":{\"resp\":\"stats\",\"stats\":{\"generation\":11,\"snapshot_age_us\":1234567,\"queue_depth\":2,\"queue_depth_hwm\":31,\"enqueued_points\":1000,\"ingested_points\":998,\"dropped_points\":1,\"rejected_points\":0,\"reads_cluster_of\":18446744073709551615,\"reads_n_clusters\":5,\"reads_decision_graph\":6,\"reads_snapshot\":7,\"reads_digest\":8,\"net_connections\":9,\"net_connections_rejected\":10,\"net_queries\":12,\"net_query_errors\":13,\"net_protocol_errors\":14,\"poisoned\":true}}}"),
     ("health_ok", "{\"ok\":{\"resp\":\"health\",\"ok\":true}}"),
     ("health_panicked", "{\"ok\":{\"resp\":\"health\",\"ok\":false,\"message\":\"boom \\\"quoted\\\" \\\\ back/slash\\nline\\ttab\\r\\u0001\\u001f\u{7f} é 中 😀 end\"}}"),
-    ("evolution_disabled", "{\"err\":{\"code\":\"evolve\",\"evolve\":{\"kind\":\"evolution_disabled\"}}}"),
     ("events_lost", "{\"err\":{\"code\":\"evolve\",\"evolve\":{\"kind\":\"events_lost\",\"lost\":12}}}"),
     ("unknown_cluster", "{\"err\":{\"code\":\"evolve\",\"evolve\":{\"kind\":\"unknown_cluster\",\"cluster\":77}}}"),
     ("no_generations", "{\"err\":{\"code\":\"evolve\",\"evolve\":{\"kind\":\"no_generations\"}}}"),

@@ -95,22 +95,21 @@ fn make_result(variant: usize, coords: &[f64], ids: &[u64], a: u64, b: u64, x: f
         10 => Ok(Ok(QueryResponse::Health(HealthStatus::WriterPanicked {
             message: format!("panic {a} \"quoted\" \\ {x}"),
         }))),
-        11 => Ok(Err(QueryError::Evolve(EvolveError::EvolutionDisabled))),
-        12 => Ok(Err(QueryError::Evolve(EvolveError::EventsLost { lost: a }))),
-        13 => Ok(Err(QueryError::Evolve(EvolveError::UnknownCluster { cluster: a }))),
-        14 => Ok(Err(QueryError::Evolve(EvolveError::NoGenerations))),
-        15 => {
+        11 => Ok(Err(QueryError::Evolve(EvolveError::EventsLost { lost: a }))),
+        12 => Ok(Err(QueryError::Evolve(EvolveError::UnknownCluster { cluster: a }))),
+        13 => Ok(Err(QueryError::Evolve(EvolveError::NoGenerations))),
+        14 => {
             Ok(Err(QueryError::Evolve(EvolveError::FutureGeneration { requested: a, latest: b })))
         }
-        16 => {
+        15 => {
             Ok(Err(QueryError::Evolve(EvolveError::EvictedGeneration { requested: a, oldest: b })))
         }
-        17 => Ok(Err(QueryError::Evolve(EvolveError::InvertedWindow { from: a, to: b }))),
-        18 => Ok(Err(QueryError::Evolve(EvolveError::LossyWindow { from: a, to: b, lost: 3 }))),
-        19 => Err(ProtocolError::OversizedFrame { declared: a, max: b }),
-        20 => Err(ProtocolError::BadJson { detail: format!("detail {a}") }),
-        21 => Err(ProtocolError::BadQuery { detail: format!("tag {b:?}") }),
-        22 => Err(ProtocolError::Busy { max_connections: a }),
+        16 => Ok(Err(QueryError::Evolve(EvolveError::InvertedWindow { from: a, to: b }))),
+        17 => Ok(Err(QueryError::Evolve(EvolveError::LossyWindow { from: a, to: b, lost: 3 }))),
+        18 => Err(ProtocolError::OversizedFrame { declared: a, max: b }),
+        19 => Err(ProtocolError::BadJson { detail: format!("detail {a}") }),
+        20 => Err(ProtocolError::BadQuery { detail: format!("tag {b:?}") }),
+        21 => Err(ProtocolError::Busy { max_connections: a }),
         _ => Err(ProtocolError::ShuttingDown),
     }
 }
@@ -138,7 +137,7 @@ proptest! {
     /// bit-exactly through the response encoding, u64 extremes included.
     #[test]
     fn result_encoding_round_trips(
-        variant in 0usize..24,
+        variant in 0usize..23,
         coords in prop::collection::vec(-1e9f64..1e9, 1..6),
         ids in prop::collection::vec(any::<u64>(), 1..5),
         a in any::<u64>(),

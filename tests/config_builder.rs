@@ -84,7 +84,6 @@ fn valid_builds_construct_working_engines() {
         .tau0(2.0)
         .recycle_horizon(60.0)
         .age_adjusted_threshold(true)
-        .track_evolution(true)
         .event_capacity(256)
         .build()
         .expect("valid configuration");

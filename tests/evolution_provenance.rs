@@ -319,25 +319,6 @@ fn two_blob_points(n: usize) -> Vec<(DenseVector, f64)> {
 }
 
 #[test]
-fn disabled_tracking_yields_typed_errors_not_guesses() {
-    let cfg = EdmConfig::builder(0.8)
-        .rate(100.0)
-        .beta_for_threshold(3.0)
-        .init_points(16)
-        .track_evolution(false)
-        .build()
-        .expect("valid configuration");
-    let mut e = EdmStream::new(cfg, Euclidean);
-    for (p, t) in two_blob_points(64) {
-        e.insert(&p, t);
-    }
-    e.publish_snapshot(0.64);
-    assert_eq!(e.lineage_of(0), Err(EvolveError::EvolutionDisabled));
-    assert_eq!(e.digest_since(1), Err(EvolveError::EvolutionDisabled));
-    assert_eq!(e.digest_window().generations(), None);
-}
-
-#[test]
 fn digest_window_errors_are_typed_and_ordered() {
     let cfg = EdmConfig::builder(0.8)
         .rate(100.0)

@@ -23,7 +23,6 @@ fn final_state(points: &[(f64, f64)], filters: FilterConfig) -> Vec<(u32, Option
         .init_points(20)
         .tau_mode(TauMode::Static(3.0))
         .filters(filters)
-        .track_evolution(false)
         .build()
         .expect("valid test configuration");
     let mut engine = EdmStream::new(cfg, Euclidean);
